@@ -42,10 +42,11 @@ syncConfig(BufferPlacement &placement, int num_pes)
  *  value-independent, so zeros measure what real records would. */
 ElasticResult
 measure(const dfg::Translation &translation,
-        const compiler::CompiledKernel &kernel, const ElasticConfig &config,
+        const compiler::CompiledKernel &kernel,
+        const dfg::DfgAnalysis &analysis, const ElasticConfig &config,
         int probe_records)
 {
-    ElasticSimulator sim(translation, kernel, config);
+    ElasticSimulator sim(translation, kernel, analysis, config);
     std::vector<double> records(
         static_cast<size_t>(probe_records) * translation.recordWords, 0.0);
     std::vector<double> model(
@@ -89,11 +90,21 @@ BufferOptimizer::probe(const dfg::Translation &translation,
                        const compiler::CompiledKernel &kernel,
                        const AcceleratorPlan &plan, int probe_records)
 {
+    return probe(translation, kernel, dfg::analyze(translation.dfg), plan,
+                 probe_records);
+}
+
+BufferPlacement
+BufferOptimizer::probe(const dfg::Translation &translation,
+                       const compiler::CompiledKernel &kernel,
+                       const dfg::DfgAnalysis &analysis,
+                       const AcceleratorPlan &plan, int probe_records)
+{
     COSMIC_ASSERT(probe_records > 0, "probe needs at least one record");
     ElasticConfig unbounded;
     unbounded.defaultCapacity = kProbeCapacity;
     const ElasticResult result =
-        measure(translation, kernel, unbounded, probe_records);
+        measure(translation, kernel, analysis, unbounded, probe_records);
     COSMIC_ASSERT(result.ok,
                   "unbounded elastic probe failed: " << result.violation);
 
@@ -114,6 +125,16 @@ BufferOptimizer::probe(const dfg::Translation &translation,
 BufferPlacement
 BufferOptimizer::fit(const dfg::Translation &translation,
                      const compiler::CompiledKernel &kernel,
+                     const BufferPlacement &probed, int64_t budget_bytes)
+{
+    return fit(translation, kernel, dfg::analyze(translation.dfg), probed,
+               budget_bytes);
+}
+
+BufferPlacement
+BufferOptimizer::fit(const dfg::Translation &translation,
+                     const compiler::CompiledKernel &kernel,
+                     const dfg::DfgAnalysis &analysis,
                      const BufferPlacement &probed, int64_t budget_bytes)
 {
     const int num_pes = kernel.mapping.columns * kernel.mapping.rowsPerThread;
@@ -139,7 +160,7 @@ BufferOptimizer::fit(const dfg::Translation &translation,
         if (candidate.bufferBytesPerThread > budget_bytes)
             continue;
         const ElasticResult result = measure(
-            translation, kernel, candidate.config, probe_records);
+            translation, kernel, analysis, candidate.config, probe_records);
         if (!result.ok)
             continue; // single-credit cyclic stall: try a smaller shape
         // The run reports links at the configured capacities, so
@@ -161,9 +182,10 @@ BufferOptimizer::optimize(const dfg::Translation &translation,
                           const AcceleratorPlan &plan, int probe_records,
                           int64_t budget_override)
 {
+    const dfg::DfgAnalysis analysis = dfg::analyze(translation.dfg);
     const BufferPlacement probed =
-        probe(translation, kernel, plan, probe_records);
-    return fit(translation, kernel, probed,
+        probe(translation, kernel, analysis, plan, probe_records);
+    return fit(translation, kernel, analysis, probed,
                budgetPerThread(plan, budget_override));
 }
 

@@ -26,6 +26,7 @@
 #include "accel/elastic.h"
 #include "accel/plan.h"
 #include "compiler/kernel.h"
+#include "dfg/analysis.h"
 #include "dfg/translator.h"
 
 namespace cosmic::accel {
@@ -72,6 +73,13 @@ class BufferOptimizer
                                  const AcceleratorPlan &plan,
                                  int probe_records = 6);
 
+    /** probe() with the DFG's shared analyses (dfg::analyze). */
+    static BufferPlacement probe(const dfg::Translation &translation,
+                                 const compiler::CompiledKernel &kernel,
+                                 const dfg::DfgAnalysis &analysis,
+                                 const AcceleratorPlan &plan,
+                                 int probe_records = 6);
+
     /**
      * Fits a probe placement into @p budget_bytes, scaling capacities
      * down (and re-measuring throughput) when the peak placement does
@@ -80,6 +88,13 @@ class BufferOptimizer
      */
     static BufferPlacement fit(const dfg::Translation &translation,
                                const compiler::CompiledKernel &kernel,
+                               const BufferPlacement &probed,
+                               int64_t budget_bytes);
+
+    /** fit() with the DFG's shared analyses (dfg::analyze). */
+    static BufferPlacement fit(const dfg::Translation &translation,
+                               const compiler::CompiledKernel &kernel,
+                               const dfg::DfgAnalysis &analysis,
                                const BufferPlacement &probed,
                                int64_t budget_bytes);
 

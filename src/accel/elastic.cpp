@@ -54,6 +54,24 @@ ElasticSimulator::ElasticSimulator(const dfg::Translation &translation,
                                    const compiler::CompiledKernel &kernel,
                                    ElasticConfig config,
                                    double (*quantizer)(double))
+    : ElasticSimulator(translation, kernel, nullptr, std::move(config),
+                       quantizer)
+{}
+
+ElasticSimulator::ElasticSimulator(const dfg::Translation &translation,
+                                   const compiler::CompiledKernel &kernel,
+                                   const dfg::DfgAnalysis &analysis,
+                                   ElasticConfig config,
+                                   double (*quantizer)(double))
+    : ElasticSimulator(translation, kernel, &analysis.height,
+                       std::move(config), quantizer)
+{}
+
+ElasticSimulator::ElasticSimulator(const dfg::Translation &translation,
+                                   const compiler::CompiledKernel &kernel,
+                                   const std::vector<int32_t> *height,
+                                   ElasticConfig config,
+                                   double (*quantizer)(double))
     : tr_(translation), kernel_(kernel), config_(std::move(config)),
       quantizer_(quantizer),
       bus_(compiler::BusKind::Hierarchical, kernel.mapping.columns,
@@ -66,7 +84,11 @@ ElasticSimulator::ElasticSimulator(const dfg::Translation &translation,
     const int64_t n = dfg.size();
     numPes_ = mapping.numPes;
 
-    height_ = dfg::computeHeights(dfg);
+    if (height == nullptr) {
+        ownHeight_ = dfg::computeHeights(dfg);
+        height = &ownHeight_;
+    }
+    height_ = *height;
     routes_.assign(3 * n, OperandRoute{});
     remainingInit_.assign(n, 0);
     constValue_.assign(n, 0.0);

@@ -41,6 +41,7 @@
 #include "accel/simulator.h"
 #include "compiler/interconnect.h"
 #include "compiler/kernel.h"
+#include "dfg/analysis.h"
 #include "dfg/translator.h"
 
 namespace cosmic::accel {
@@ -139,6 +140,21 @@ class ElasticSimulator
                      double (*quantizer)(double) = nullptr);
 
     /**
+     * Same, firing by the heights of @p analysis (dfg::analyze of the
+     * translation's DFG) instead of computing them; like the
+     * translation and the kernel, @p analysis must outlive the
+     * simulator.
+     */
+    ElasticSimulator(const dfg::Translation &translation,
+                     const compiler::CompiledKernel &kernel,
+                     const dfg::DfgAnalysis &analysis,
+                     ElasticConfig config = {},
+                     double (*quantizer)(double) = nullptr);
+
+    ElasticSimulator(const ElasticSimulator &) = delete;
+    ElasticSimulator &operator=(const ElasticSimulator &) = delete;
+
+    /**
      * Runs one record (window of one); mirrors CycleSimulator::run so
      * the two are drop-in comparable.
      */
@@ -200,6 +216,11 @@ class ElasticSimulator
         int32_t capacity = 0;
     };
 
+    ElasticSimulator(const dfg::Translation &translation,
+                     const compiler::CompiledKernel &kernel,
+                     const std::vector<int32_t> *height,
+                     ElasticConfig config, double (*quantizer)(double));
+
     int32_t linkIndexFor(int src_pe, int dst_pe);
 
     const dfg::Translation &tr_;
@@ -218,8 +239,10 @@ class ElasticSimulator
     std::vector<OperandRoute> routes_;
     /** Non-resident operand count per node (ready-counter template). */
     std::vector<int32_t> remainingInit_;
+    /** Heights computed here when the caller shares none. */
+    std::vector<int32_t> ownHeight_;
     /** Longest dependence chain per node (firing priority). */
-    std::vector<int32_t> height_;
+    std::span<const int32_t> height_;
     /** Flat send plan, grouped producer-major, broadcast-group-minor. */
     std::vector<SendPlanEntry> sendPlan_;
     /**

@@ -36,18 +36,27 @@ KernelCompiler::compile(const dfg::Translation &tr,
                         const accel::AcceleratorPlan &plan,
                         const CompileOptions &options)
 {
+    return compile(tr, plan, options, dfg::analyze(tr.dfg));
+}
+
+CompiledKernel
+KernelCompiler::compile(const dfg::Translation &tr,
+                        const accel::AcceleratorPlan &plan,
+                        const CompileOptions &options,
+                        const dfg::DfgAnalysis &analysis)
+{
     CompiledKernel kernel;
     kernel.mapping = Mapper::map(tr.dfg, plan, options.strategy);
     InterconnectModel interconnect(options.bus, plan.columns,
                                    plan.rowsPerThread);
-    kernel.schedule =
-        Scheduler::schedule(tr.dfg, kernel.mapping, interconnect);
+    kernel.schedule = Scheduler::schedule(tr.dfg, kernel.mapping,
+                                          interconnect, analysis);
     kernel.memory = MemoryScheduleBuilder::build(tr, plan);
 
     kernel.computeCyclesPerRecord = kernel.schedule.makespan;
     kernel.streamWordsPerRecord = tr.recordWords;
-    kernel.opCount = tr.dfg.operationCount();
-    kernel.criticalPath = dfg::criticalPathLength(tr.dfg);
+    kernel.opCount = analysis.operationCount;
+    kernel.criticalPath = analysis.criticalPath;
     return kernel;
 }
 

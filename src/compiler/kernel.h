@@ -150,6 +150,17 @@ struct CompiledKernel
 class KernelCompiler
 {
   public:
+    /**
+     * Compiles @p plan reusing the shape-independent analyses of the
+     * translation's DFG (dfg::analyze), as the Planner does for every
+     * design point it explores.
+     */
+    static CompiledKernel compile(const dfg::Translation &translation,
+                                  const accel::AcceleratorPlan &plan,
+                                  const CompileOptions &options,
+                                  const dfg::DfgAnalysis &analysis);
+
+    /** Same, computing the analyses for this one call. */
     static CompiledKernel compile(const dfg::Translation &translation,
                                   const accel::AcceleratorPlan &plan,
                                   const CompileOptions &options = {});

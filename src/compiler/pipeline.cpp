@@ -381,20 +381,19 @@ Pipeline::planned()
 const compiler::CompiledKernel &
 Pipeline::mapped()
 {
+    const auto &plan_result = planned();
     if (!mapped_) {
-        const auto &plan_result = planned();
+        // The planner compiled the chosen design point while exploring
+        // (memory schedule included), so this stage only hands that
+        // kernel out; it stays in the report as its own stage.
         const auto &tr = optimized();
-        auto start = std::chrono::steady_clock::now();
-        // Deterministic recompile of the chosen design point — same
-        // kernel the planner selected, but timed as its own stage.
-        mapped_.emplace(compiler::KernelCompiler::compile(
-            tr, plan_result.plan, options_));
-        PassStats s{"map", secondsSince(start), 0, 0, 0, 0};
+        PassStats s{"map", 0.0, 0, 0, 0, 0};
         s.nodesBefore = s.nodesAfter = tr.dfg.size();
         s.edgesBefore = s.edgesAfter = dfg::edgeCount(tr.dfg);
         report_.passes.push_back(std::move(s));
+        mapped_ = true;
     }
-    return *mapped_;
+    return plan_result.kernel;
 }
 
 const dfg::Tape &

@@ -11,7 +11,8 @@
  *              fold-constants, CSE, dead-node elimination — gated by
  *              compiler::CompileOptions, default on)
  *   plan       Translation           -> planner::PlanResult
- *   map        Translation + Plan    -> compiler::CompiledKernel
+ *   map        Translation + Plan    -> compiler::CompiledKernel (the
+ *              kernel the planner compiled for the chosen point)
  *   tape       Translation           -> dfg::Tape (hot-path kernel)
  *
  * `Pipeline` exposes each stage lazily — asking for a later artifact
@@ -166,7 +167,8 @@ class Pipeline
     std::optional<dfg::Translation> raw_;
     std::optional<dfg::Translation> optimized_;
     std::optional<planner::PlanResult> planned_;
-    std::optional<compiler::CompiledKernel> mapped_;
+    /** The map stage has been recorded in report_. */
+    bool mapped_ = false;
     std::optional<dfg::Tape> tape_;
 
     PipelineReport report_;

@@ -1,8 +1,6 @@
 #include "compiler/scheduler.h"
 
 #include <algorithm>
-#include <queue>
-#include <unordered_map>
 
 #include "common/error.h"
 #include "dfg/analysis.h"
@@ -14,60 +12,23 @@ using dfg::kInvalidNode;
 using dfg::NodeId;
 using dfg::OpKind;
 
-namespace {
-
-/** Ready-queue entry ordered by longest dependence chain first. */
-struct ReadyOp
-{
-    int32_t height;
-    NodeId id;
-
-    bool
-    operator<(const ReadyOp &other) const
-    {
-        // priority_queue is a max-heap: taller chains first, then lower
-        // ids for determinism.
-        if (height != other.height)
-            return height < other.height;
-        return id > other.id;
-    }
-};
-
-bool
-isOperation(const Dfg &dfg, NodeId v)
-{
-    OpKind op = dfg.node(v).op;
-    return op != OpKind::Const && op != OpKind::Input;
-}
-
-} // namespace
-
 ScheduleResult
 Scheduler::schedule(const Dfg &dfg, const Mapping &mapping,
                     const InterconnectModel &interconnect)
 {
+    return schedule(dfg, mapping, interconnect, dfg::analyze(dfg));
+}
+
+ScheduleResult
+Scheduler::schedule(const Dfg &dfg, const Mapping &mapping,
+                    const InterconnectModel &interconnect,
+                    const dfg::DfgAnalysis &analysis)
+{
     const int64_t n = dfg.size();
+    COSMIC_ASSERT(static_cast<int64_t>(analysis.fanoutBase.size()) == n + 1,
+                  "analysis of a different DFG");
     ScheduleResult result;
     result.issueCycle.assign(n, -1);
-
-    std::vector<int32_t> height = dfg::computeHeights(dfg);
-    dfg::SuccessorCsr succ = dfg::buildSuccessors(dfg);
-
-    // Unscheduled operation-operand count per node.
-    std::vector<int32_t> pending(n, 0);
-    for (NodeId v = 0; v < n; ++v) {
-        if (!isOperation(dfg, v))
-            continue;
-        const auto &node = dfg.node(v);
-        for (NodeId o : {node.a, node.b, node.c})
-            if (o != kInvalidNode && isOperation(dfg, o))
-                ++pending[v];
-    }
-
-    std::priority_queue<ReadyOp> ready;
-    for (NodeId v = 0; v < n; ++v)
-        if (isOperation(dfg, v) && pending[v] == 0)
-            ready.push(ReadyOp{height[v], v});
 
     std::vector<int64_t> finish(n, 0);
     std::vector<int64_t> pe_free(mapping.numPes, 0);
@@ -78,16 +39,18 @@ Scheduler::schedule(const Dfg &dfg, const Mapping &mapping,
     // Buses deliver to a whole row at once (the shared row bus and the
     // tree lanes are broadcast media, paper Sec. 5.1), so a value with
     // many consumers in one destination row pays for a single transfer.
-    // Key: producer node x destination row (or 0 for the flat bus).
-    std::unordered_map<uint64_t, int64_t> delivered;
-    const uint64_t row_stride =
-        static_cast<uint64_t>(mapping.rowsPerThread) + 1;
+    // Each producer owns one (destination row, arrival cycle) slot per
+    // consumer edge at its fanout offset, filled front to back; row -1
+    // marks a free slot. The flat bus counts as row 0.
+    struct Delivery
+    {
+        int32_t row = -1;
+        int64_t cycle = 0;
+    };
+    std::vector<Delivery> delivered(analysis.fanoutBase[n]);
+    const bool shared_bus = interconnect.kind() == BusKind::SingleShared;
 
-    int64_t scheduled = 0;
-    while (!ready.empty()) {
-        ReadyOp top = ready.top();
-        ready.pop();
-        NodeId v = top.id;
+    for (NodeId v : analysis.issueOrder) {
         const auto &node = dfg.node(v);
         const int pe = mapping.peOf[v];
         COSMIC_ASSERT(pe >= 0 && pe < mapping.numPes,
@@ -106,25 +69,24 @@ Scheduler::schedule(const Dfg &dfg, const Mapping &mapping,
                     avail += r.latency;
                     ++result.neighborTransfers;
                 } else {
-                    int dst_row =
-                        interconnect.kind() == BusKind::SingleShared
-                            ? 0
-                            : pe / mapping.columns;
-                    uint64_t key = static_cast<uint64_t>(o) * row_stride +
-                                   static_cast<uint64_t>(dst_row);
-                    auto it = delivered.find(key);
-                    if (it != delivered.end()) {
+                    const int32_t dst_row =
+                        shared_bus ? 0 : pe / mapping.columns;
+                    // This edge has no slot of its own yet, so a free
+                    // one lies inside o's range.
+                    Delivery *slot = &delivered[analysis.fanoutBase[o]];
+                    while (slot->row >= 0 && slot->row != dst_row)
+                        ++slot;
+                    if (slot->row == dst_row) {
                         // Already broadcast onto this row's bus.
-                        avail = std::max(avail, it->second);
+                        avail = std::max(avail, slot->cycle);
                     } else {
                         int64_t start =
                             std::max(avail, bus_free[r.bus]);
                         bus_free[r.bus] = start + 1;
                         ++bus_busy[r.bus];
                         avail = start + r.latency;
-                        delivered.emplace(key, avail);
-                        if (interconnect.kind() ==
-                            BusKind::SingleShared) {
+                        *slot = Delivery{dst_row, avail};
+                        if (shared_bus) {
                             ++result.sharedBusTransfers;
                         } else if (r.bus < mapping.rowsPerThread) {
                             ++result.rowBusTransfers;
@@ -143,17 +105,7 @@ Scheduler::schedule(const Dfg &dfg, const Mapping &mapping,
         result.issueCycle[v] = issue;
         finish[v] = issue + opLatency(node.op);
         result.makespan = std::max(result.makespan, finish[v]);
-        ++scheduled;
-
-        auto [begin, end] = succ.successors(v);
-        for (const NodeId *s = begin; s != end; ++s) {
-            if (--pending[*s] == 0)
-                ready.push(ReadyOp{height[*s], *s});
-        }
     }
-    COSMIC_ASSERT(scheduled == dfg.operationCount(),
-                  "cycle in DFG or unscheduled operations: " << scheduled
-                  << " of " << dfg.operationCount());
 
     // Per-record gradient accumulation: one add per gradient element on
     // the PE that owns it, serialized with that PE's other work.

@@ -14,6 +14,16 @@
  * issues per PE per cycle; the writeback-to-ALU bypass lets dependent
  * operations on the same PE issue back-to-back; nonlinear operations
  * take an extra cycle in the lookup-table unit.
+ *
+ * Every operand is strictly taller than its consumer, so by the time
+ * the first operation of height h would leave a ready queue, all taller
+ * operations have left it and every operation of height h is ready: a
+ * longest-chain-first queue (ties to the lower id) always pops in
+ * (height descending, id ascending) order. The scheduler therefore
+ * walks that static order (dfg::DfgAnalysis::issueOrder) instead of
+ * keeping a queue. The order, like the broadcast-slot layout, does not
+ * depend on the mapping, so the Planner computes it once per DFG and
+ * shares it across every design point it schedules.
  */
 #pragma once
 
@@ -22,6 +32,7 @@
 
 #include "compiler/interconnect.h"
 #include "compiler/mapper.h"
+#include "dfg/analysis.h"
 #include "dfg/graph.h"
 
 namespace cosmic::compiler {
@@ -59,6 +70,13 @@ struct ScheduleResult
 class Scheduler
 {
   public:
+    /** Schedules with the shared analyses of @p dfg (dfg::analyze). */
+    static ScheduleResult schedule(const dfg::Dfg &dfg,
+                                   const Mapping &mapping,
+                                   const InterconnectModel &interconnect,
+                                   const dfg::DfgAnalysis &analysis);
+
+    /** Same, computing the analyses for this one call. */
     static ScheduleResult schedule(const dfg::Dfg &dfg,
                                    const Mapping &mapping,
                                    const InterconnectModel &interconnect);

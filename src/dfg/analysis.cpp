@@ -57,18 +57,30 @@ computeHeights(const Dfg &dfg)
     return height;
 }
 
+namespace {
+
+bool
+isOperation(const Node &node)
+{
+    return node.op != OpKind::Const && node.op != OpKind::Input;
+}
+
+int64_t
+longestChain(const Dfg &dfg, const std::vector<int32_t> &height)
+{
+    int64_t longest = 0;
+    for (NodeId v = 0; v < dfg.size(); ++v)
+        longest = std::max<int64_t>(
+            longest, height[v] + (isOperation(dfg.node(v)) ? 1 : 0));
+    return longest;
+}
+
+} // namespace
+
 int64_t
 criticalPathLength(const Dfg &dfg)
 {
-    auto height = computeHeights(dfg);
-    int64_t longest = 0;
-    for (NodeId v = 0; v < dfg.size(); ++v) {
-        const Node &node = dfg.node(v);
-        bool is_op = node.op != OpKind::Const && node.op != OpKind::Input;
-        longest = std::max<int64_t>(longest,
-                                    height[v] + (is_op ? 1 : 0));
-    }
-    return longest;
+    return longestChain(dfg, computeHeights(dfg));
 }
 
 int64_t
@@ -123,6 +135,45 @@ int64_t
 storageWords(const Dfg &dfg, int64_t record_words, int64_t model_words)
 {
     return 2 * record_words + model_words + maxLiveInterim(dfg);
+}
+
+DfgAnalysis
+analyze(const Dfg &dfg)
+{
+    const int64_t n = dfg.size();
+    DfgAnalysis a;
+    a.height = computeHeights(dfg);
+    a.criticalPath = longestChain(dfg, a.height);
+    a.maxLiveInterim = maxLiveInterim(dfg);
+
+    // Counting sort of the operations by height, tallest bucket first;
+    // filling each bucket in id order breaks ties by ascending id.
+    std::vector<int64_t> bucket(a.criticalPath + 2, 0);
+    for (NodeId v = 0; v < n; ++v)
+        if (isOperation(dfg.node(v)))
+            ++bucket[a.height[v]];
+    int64_t next = 0;
+    for (int64_t h = a.criticalPath; h >= 0; --h) {
+        const int64_t count = bucket[h];
+        bucket[h] = next;
+        next += count;
+    }
+    a.operationCount = next;
+    a.issueOrder.resize(next);
+    for (NodeId v = 0; v < n; ++v)
+        if (isOperation(dfg.node(v)))
+            a.issueOrder[bucket[a.height[v]]++] = v;
+
+    a.fanoutBase.assign(n + 1, 0);
+    for (NodeId v = 0; v < n; ++v) {
+        const Node &node = dfg.node(v);
+        for (NodeId o : {node.a, node.b, node.c})
+            if (o != kInvalidNode)
+                ++a.fanoutBase[o + 1];
+    }
+    for (int64_t i = 1; i <= n; ++i)
+        a.fanoutBase[i] += a.fanoutBase[i - 1];
+    return a;
 }
 
 } // namespace cosmic::dfg

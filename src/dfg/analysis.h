@@ -4,7 +4,9 @@
  *
  * These feed the Planner (storage footprint for the thread-count bound,
  * critical path for quick feasibility checks) and the Compiler (heights
- * for longest-dependence-chain scheduling priority).
+ * for longest-dependence-chain scheduling priority). None of them
+ * depends on the accelerator shape, so the Planner computes them once
+ * per DFG (analyze()) and shares the result across design points.
  */
 #pragma once
 
@@ -61,5 +63,38 @@ int64_t maxLiveInterim(const Dfg &dfg);
  */
 int64_t storageWords(const Dfg &dfg, int64_t record_words,
                      int64_t model_words);
+
+/**
+ * The shape-independent analyses every design point of one DFG needs:
+ * the scheduler's issue order and broadcast-slot layout, the kernel's
+ * operation count and critical path, the interim-buffer high-water
+ * mark and the elastic simulator's firing priority.
+ */
+struct DfgAnalysis
+{
+    /** computeHeights(). */
+    std::vector<int32_t> height;
+    /**
+     * Operations in list-scheduling order: height descending, then id
+     * ascending. Every operand of an operation is strictly taller than
+     * the operation, so this is also a topological order.
+     */
+    std::vector<NodeId> issueOrder;
+    /**
+     * Consumer-edge offsets (n + 1 entries): node v's consumer edges
+     * are [fanoutBase[v], fanoutBase[v + 1]); an operation reading v
+     * twice counts twice.
+     */
+    std::vector<int64_t> fanoutBase;
+    /** criticalPathLength(). */
+    int64_t criticalPath = 0;
+    /** Dfg::operationCount(). */
+    int64_t operationCount = 0;
+    /** maxLiveInterim(). */
+    int64_t maxLiveInterim = 0;
+};
+
+/** Computes every DfgAnalysis field in a few linear passes. */
+DfgAnalysis analyze(const Dfg &dfg);
 
 } // namespace cosmic::dfg

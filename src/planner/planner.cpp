@@ -1,7 +1,7 @@
 #include "planner/planner.h"
 
 #include <algorithm>
-#include <map>
+#include <memory>
 
 #include "common/error.h"
 #include "dfg/analysis.h"
@@ -11,18 +11,56 @@ namespace cosmic::planner {
 using accel::AcceleratorPlan;
 using accel::PlatformSpec;
 
+namespace {
+
+/** Planner::maxThreads given the DFG's interim high-water mark. */
 int64_t
-Planner::maxThreads(const dfg::Translation &tr,
-                    const PlatformSpec &platform)
+threadBound(const dfg::Translation &tr, const PlatformSpec &platform,
+            int64_t interim_words)
 {
+    // dfg::storageWords, with its maxLiveInterim term supplied.
     int64_t storage_bytes =
-        4 * dfg::storageWords(tr.dfg, tr.recordWords, tr.modelWords);
+        4 * (2 * tr.recordWords + tr.modelWords + interim_words);
     COSMIC_ASSERT(storage_bytes > 0, "empty DFG storage footprint");
     int64_t by_storage = platform.bramBytes / storage_bytes;
     int64_t t_max = std::min<int64_t>(
         {std::max<int64_t>(by_storage, 1), platform.maxRows,
          tr.minibatch});
     return std::max<int64_t>(t_max, 1);
+}
+
+/** Planner::makePlan given the DFG's interim high-water mark. */
+AcceleratorPlan
+sizePlan(const dfg::Translation &tr, const PlatformSpec &platform,
+         int threads, int rows_per_thread, int64_t interim_words)
+{
+    COSMIC_ASSERT(threads >= 1 && rows_per_thread >= 1,
+                  "degenerate design point");
+    AcceleratorPlan plan;
+    plan.platform = platform;
+    plan.columns = platform.columns;
+    plan.rowsPerThread = rows_per_thread;
+    plan.threads = threads;
+
+    const int64_t pes = plan.pesPerThread();
+    auto per_pe = [pes](int64_t words) {
+        return (words + pes - 1) / pes + 1;
+    };
+    // Double-buffered data (prefetch), the thread's model copy, and the
+    // interim high-water mark, spread over the thread's PEs.
+    plan.dataBufWordsPerPe = per_pe(2 * tr.recordWords);
+    plan.modelBufWordsPerPe = per_pe(tr.modelWords);
+    plan.interimBufWordsPerPe = per_pe(interim_words);
+    return plan;
+}
+
+} // namespace
+
+int64_t
+Planner::maxThreads(const dfg::Translation &tr,
+                    const PlatformSpec &platform)
+{
+    return threadBound(tr, platform, dfg::maxLiveInterim(tr.dfg));
 }
 
 std::vector<std::pair<int, int>>
@@ -46,32 +84,20 @@ Planner::makePlan(const dfg::Translation &tr,
                   const PlatformSpec &platform, int threads,
                   int rows_per_thread)
 {
-    COSMIC_ASSERT(threads >= 1 && rows_per_thread >= 1,
-                  "degenerate design point");
-    AcceleratorPlan plan;
-    plan.platform = platform;
-    plan.columns = platform.columns;
-    plan.rowsPerThread = rows_per_thread;
-    plan.threads = threads;
-
-    const int64_t pes = plan.pesPerThread();
-    auto per_pe = [pes](int64_t words) {
-        return (words + pes - 1) / pes + 1;
-    };
-    // Double-buffered data (prefetch), the thread's model copy, and the
-    // interim high-water mark, spread over the thread's PEs.
-    plan.dataBufWordsPerPe = per_pe(2 * tr.recordWords);
-    plan.modelBufWordsPerPe = per_pe(tr.modelWords);
-    plan.interimBufWordsPerPe = per_pe(dfg::maxLiveInterim(tr.dfg));
-    return plan;
+    return sizePlan(tr, platform, threads, rows_per_thread,
+                    dfg::maxLiveInterim(tr.dfg));
 }
 
 PlanResult
 Planner::plan(const dfg::Translation &tr, const PlatformSpec &platform,
               const compiler::CompileOptions &options)
 {
+    // Nothing here depends on the design point: analyze the DFG once
+    // and share it with every kernel compile and elastic probe below.
+    const dfg::DfgAnalysis analysis = dfg::analyze(tr.dfg);
     PlanResult result;
-    result.maxThreadsBound = maxThreads(tr, platform);
+    result.maxThreadsBound =
+        threadBound(tr, platform, analysis.maxLiveInterim);
 
     // Sensitivity sweeps pin a single explicit point: no exploration,
     // no t_max restriction (studying off-design points is the point).
@@ -97,12 +123,15 @@ Planner::plan(const dfg::Translation &tr, const PlatformSpec &platform,
     }
 
     // The schedule depends only on the thread's PE sub-array, i.e. on
-    // rows-per-thread — compile once per distinct row count.
-    std::map<int, compiler::CompiledKernel> kernels_by_rows;
+    // rows-per-thread, and the points come grouped by row count: one
+    // kernel is compiled per group, and only it and the best point's
+    // kernel stay alive.
+    std::shared_ptr<compiler::CompiledKernel> kernel;
+    std::shared_ptr<compiler::CompiledKernel> best_kernel;
     // The elastic probe likewise depends only on the kernel (rows); the
     // BRAM budget depends on the thread count, so fitting is per point.
     const bool elastic = compiler::effectiveElasticMode(options);
-    std::map<int, accel::BufferPlacement> probes_by_rows;
+    std::optional<accel::BufferPlacement> probe;
 
     double best_throughput = -1.0;
     int64_t best_pes = 0;
@@ -122,6 +151,7 @@ Planner::plan(const dfg::Translation &tr, const PlatformSpec &platform,
             best_pes = pes;
             result.plan = plan;
             result.chosenIndex = result.explored.size() - 1;
+            best_kernel = kernel;
             if (placement)
                 result.elasticPlacement = *placement;
             else
@@ -130,16 +160,15 @@ Planner::plan(const dfg::Translation &tr, const PlatformSpec &platform,
     };
 
     for (const auto &[threads, rows] : points) {
-        AcceleratorPlan plan = makePlan(tr, platform, threads, rows);
-        auto it = kernels_by_rows.find(rows);
-        if (it == kernels_by_rows.end()) {
-            it = kernels_by_rows
-                     .emplace(rows,
-                              compiler::KernelCompiler::compile(
-                                  tr, plan, options))
-                     .first;
+        AcceleratorPlan plan = sizePlan(tr, platform, threads, rows,
+                                        analysis.maxLiveInterim);
+        if (!kernel || kernel->mapping.rowsPerThread != rows) {
+            kernel = std::make_shared<compiler::CompiledKernel>(
+                compiler::KernelCompiler::compile(tr, plan, options,
+                                                  analysis));
+            probe.reset();
         }
-        accel::PerfEstimator perf(tr, it->second, plan);
+        accel::PerfEstimator perf(tr, *kernel, plan);
         accel::BatchTime batch = perf.batchTime(tr.minibatch);
 
         DesignPoint point;
@@ -158,15 +187,11 @@ Planner::plan(const dfg::Translation &tr, const PlatformSpec &platform,
         // count's BRAM share. A placement that cannot fit is not a
         // feasible design — recorded for the exploration chart but
         // never chosen.
-        auto probe_it = probes_by_rows.find(rows);
-        if (probe_it == probes_by_rows.end()) {
-            probe_it = probes_by_rows
-                           .emplace(rows, accel::BufferOptimizer::probe(
-                                              tr, it->second, plan))
-                           .first;
-        }
+        if (!probe)
+            probe = accel::BufferOptimizer::probe(tr, *kernel, analysis,
+                                                  plan);
         accel::BufferPlacement placement = accel::BufferOptimizer::fit(
-            tr, it->second, probe_it->second,
+            tr, *kernel, analysis, *probe,
             accel::BufferOptimizer::budgetPerThread(
                 plan, options.elasticBufferBudgetBytes));
 
@@ -190,7 +215,14 @@ Planner::plan(const dfg::Translation &tr, const PlatformSpec &platform,
         }
     }
 
-    result.kernel = kernels_by_rows.at(result.plan.rowsPerThread);
+    // The mapping and schedule depend only on the row count, but the
+    // kernel's memory schedule was built for the first thread count of
+    // its group; its Thread Index Table must list the chosen plan's
+    // threads.
+    COSMIC_ASSERT(best_kernel, "no design point was chosen");
+    result.kernel = std::move(*best_kernel);
+    result.kernel.memory =
+        compiler::MemoryScheduleBuilder::build(tr, result.plan);
     return result;
 }
 

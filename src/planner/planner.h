@@ -13,10 +13,18 @@
  *     estimation tool (the static schedule), choosing the smallest
  *     best-performing point.
  *
- * Scheduling cost depends only on rows-per-thread, so the exploration
- * compiles one kernel per distinct row count and reuses it across
- * thread counts — this is what makes full exploration take seconds, as
- * the paper's "less than five minutes for UltraScale+" suggests.
+ * Exploration cost is kept down at two levels. The analyses that do
+ * not depend on the design point at all (the scheduler's static issue
+ * order and broadcast-slot layout, the critical path, the operation
+ * count, the interim high-water mark behind t_max and buffer sizing,
+ * and the elastic firing heights) are computed once per plan() call by
+ * dfg::analyze and shared by every point. The schedule depends only on
+ * rows-per-thread, so one kernel is compiled per distinct row count
+ * and reused across thread counts — this is what makes full
+ * exploration take seconds, as the paper's "less than five minutes for
+ * UltraScale+" suggests. The chosen point's kernel gets the memory
+ * schedule of the chosen plan, so PlanResult::kernel is exactly what
+ * KernelCompiler::compile would produce for PlanResult::plan.
  */
 #pragma once
 
@@ -53,6 +61,8 @@ struct DesignPoint
 struct PlanResult
 {
     accel::AcceleratorPlan plan;
+    /** The compiled kernel of `plan` (its Thread Index Table lists
+     *  plan.threads threads). */
     compiler::CompiledKernel kernel;
     std::vector<DesignPoint> explored;
     /** The t_max bound of Sec. 4.4. */

@@ -24,6 +24,7 @@
 #include "dfg/passes.h"
 #include "dfg/tape.h"
 #include "jit/kernel_cache.h"
+#include "kernel_compare.h"
 #include "ml/dataset.h"
 #include "ml/workloads.h"
 
@@ -299,6 +300,28 @@ TEST(PipelineStages, LazyStagesRunOnce)
     const auto &raw = pipeline.translationAt(Stage::Translate);
     const auto &opt = pipeline.translationAt(Stage::Optimize);
     EXPECT_GE(raw.dfg.size(), opt.dfg.size());
+}
+
+TEST(PipelineStages, MappedReusesThePlannersKernel)
+{
+    for (const char *name : {"stock", "tumor", "mnist", "acoustic",
+                             "movielens"}) {
+        SCOPED_TRACE(name);
+        auto src = ml::Workload::byName(name).dslSource(16.0);
+        Pipeline pipeline(src, accel::PlatformSpec::ultrascalePlus());
+        const auto &plan = pipeline.planned();
+        const auto &kernel = pipeline.mapped();
+        // No recompile: the map stage hands out the planner's kernel.
+        EXPECT_EQ(&kernel, &plan.kernel);
+        // Its Thread Index Table is the chosen plan's, not the first
+        // thread count the planner explored.
+        EXPECT_EQ(static_cast<int>(kernel.memory.threadTable.size()),
+                  plan.plan.threads);
+        compiler::expectSameKernel(
+            kernel, compiler::KernelCompiler::compile(
+                        pipeline.optimized(), plan.plan,
+                        pipeline.options()));
+    }
 }
 
 TEST(PipelineStages, StageNamesRoundTrip)

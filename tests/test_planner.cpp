@@ -1,12 +1,16 @@
 /**
  * @file
  * Planner tests: the t_max bound, design-space enumeration, chosen-point
- * validity, buffer sizing, and resource-utilization reporting.
+ * validity, buffer sizing, resource-utilization reporting, and
+ * agreement with a point-by-point exploration through the public API.
  */
 #include <gtest/gtest.h>
 
+#include "accel/buffer_opt.h"
+#include "accel/perf.h"
 #include "compiler/pipeline.h"
 #include "dfg/analysis.h"
+#include "kernel_compare.h"
 #include "ml/workloads.h"
 #include "planner/planner.h"
 
@@ -170,6 +174,129 @@ TEST(Planner, PasicPlansDiffer)
     EXPECT_GT(pasic_g.explored[pasic_g.chosenIndex].recordsPerSecond,
               fpga.explored[fpga.chosenIndex].recordsPerSecond);
 }
+
+/**
+ * Planner::plan redone without any sharing: every design point gets
+ * its own makePlan, KernelCompiler::compile and (elastic)
+ * BufferOptimizer::optimize, and the same "smallest best-performing"
+ * rule picks the winner.
+ */
+PlanResult
+referencePlan(const dfg::Translation &tr,
+              const accel::PlatformSpec &platform,
+              const compiler::CompileOptions &options)
+{
+    PlanResult result;
+    result.maxThreadsBound = Planner::maxThreads(tr, platform);
+    double best_throughput = -1.0;
+    int64_t best_pes = 0;
+    auto consider = [&](const DesignPoint &point,
+                        const accel::AcceleratorPlan &plan) {
+        result.explored.push_back(point);
+        double throughput = point.recordsPerSecond;
+        int64_t pes = plan.totalPes();
+        if (throughput > best_throughput * 1.005 ||
+            (throughput > best_throughput * 0.995 && best_pes > 0 &&
+             pes < best_pes)) {
+            best_throughput = std::max(throughput, best_throughput);
+            best_pes = pes;
+            result.plan = plan;
+            result.chosenIndex = result.explored.size() - 1;
+        }
+    };
+    for (const auto &[threads, rows] : Planner::enumerateDesignPoints(
+             platform, result.maxThreadsBound)) {
+        auto plan = Planner::makePlan(tr, platform, threads, rows);
+        auto kernel = compiler::KernelCompiler::compile(tr, plan, options);
+        accel::PerfEstimator perf(tr, kernel, plan);
+        DesignPoint point;
+        point.threads = threads;
+        point.rowsPerThread = rows;
+        point.cyclesPerRecord = perf.cyclesPerRecordPerThread();
+        point.recordsPerSecond =
+            tr.minibatch / perf.batchTime(tr.minibatch).totalSec();
+        point.memoryBound = perf.memoryBound();
+        consider(point, plan);
+        if (!compiler::effectiveElasticMode(options))
+            continue;
+
+        auto placement = accel::BufferOptimizer::optimize(
+            tr, kernel, plan, 6, options.elasticBufferBudgetBytes);
+        accel::PerfParams eparams = perf.params();
+        eparams.computeCyclesPerRecord = placement.cyclesPerRecord;
+        accel::PerfEstimator eperf(eparams);
+        DesignPoint epoint;
+        epoint.threads = threads;
+        epoint.rowsPerThread = rows;
+        epoint.elastic = true;
+        epoint.bufferBytes = placement.bufferBytesPerThread;
+        epoint.cyclesPerRecord = eperf.cyclesPerRecordPerThread();
+        epoint.recordsPerSecond =
+            tr.minibatch / eperf.batchTime(tr.minibatch).totalSec();
+        epoint.memoryBound = eperf.memoryBound();
+        if (placement.withinBudget)
+            consider(epoint, plan);
+        else
+            result.explored.push_back(epoint);
+    }
+    result.kernel =
+        compiler::KernelCompiler::compile(tr, result.plan, options);
+    return result;
+}
+
+class PlannerEquivalence
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
+{};
+
+TEST_P(PlannerEquivalence, SharedAnalysesMatchPointByPointExploration)
+{
+    auto [name, elastic] = GetParam();
+    auto tr = translateWorkload(name, 16.0);
+    // Pruning only applies above a million nodes; the reference does
+    // not prune.
+    ASSERT_LE(tr.dfg.size(), 1000000);
+    const auto platform = accel::PlatformSpec::ultrascalePlus();
+    compiler::CompileOptions options;
+    options.elasticMode = elastic;
+
+    PlanResult got = Planner::plan(tr, platform, options);
+    PlanResult want = referencePlan(tr, platform, options);
+
+    EXPECT_EQ(got.maxThreadsBound, want.maxThreadsBound);
+    ASSERT_EQ(got.explored.size(), want.explored.size());
+    for (size_t i = 0; i < got.explored.size(); ++i) {
+        SCOPED_TRACE("point " + std::to_string(i));
+        const auto &g = got.explored[i];
+        const auto &w = want.explored[i];
+        EXPECT_EQ(g.threads, w.threads);
+        EXPECT_EQ(g.rowsPerThread, w.rowsPerThread);
+        EXPECT_EQ(g.cyclesPerRecord, w.cyclesPerRecord);
+        EXPECT_EQ(g.recordsPerSecond, w.recordsPerSecond);
+        EXPECT_EQ(g.memoryBound, w.memoryBound);
+        EXPECT_EQ(g.elastic, w.elastic);
+        EXPECT_EQ(g.bufferBytes, w.bufferBytes);
+    }
+    EXPECT_EQ(got.chosenIndex, want.chosenIndex);
+    compiler::expectSamePlan(got.plan, want.plan);
+    compiler::expectSameKernel(got.kernel, want.kernel);
+    EXPECT_EQ(static_cast<int>(got.kernel.memory.threadTable.size()),
+              got.plan.threads);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPrograms, PlannerEquivalence,
+    ::testing::Combine(
+        ::testing::ValuesIn([] {
+            std::vector<std::string> names;
+            for (const auto &w : ml::Workload::suite())
+                names.push_back(w.name);
+            return names;
+        }()),
+        ::testing::Bool()),
+    [](const auto &info) {
+        return std::get<0>(info.param) +
+               (std::get<1>(info.param) ? "_elastic" : "_static");
+    });
 
 } // namespace
 } // namespace cosmic::planner
