@@ -74,7 +74,14 @@ AggregationEngine::onMessage(Message msg)
     {
         std::lock_guard<std::mutex> lock(roundMutex_);
         if (msg.seq != roundSeq_) {
-            ++staleDropped_;
+            // A copy of a partial this engine already took (the wire
+            // delivered it twice and the round advanced in between)
+            // is a duplicate; anything else from another round is
+            // stale.
+            if (wasAccepted(msg.from, msg.seq))
+                ++duplicatesDropped_;
+            else
+                ++staleDropped_;
             pool_->release(std::move(msg.payload));
             return false;
         }
@@ -135,6 +142,7 @@ AggregationEngine::onMessage(Message msg)
         }
         // The sender completed: only now does it count.
         st->complete = true;
+        recordAccepted(msg.from, roundSeq_);
         contributors_ += st->contributors;
         minEpochRound_ = std::min(minEpochRound_, st->epoch);
         if (st->epoch < roundSeq_) {
@@ -206,6 +214,35 @@ AggregationEngine::dispatchComplete(int sender,
             aggPool_.submit([this] { accumulateOneChunk(); });
         }
     });
+}
+
+void
+AggregationEngine::recordAccepted(int sender, uint64_t seq)
+{
+    auto it = std::find_if(
+        history_.begin(), history_.end(),
+        [&](const AcceptedHistory &h) { return h.sender == sender; });
+    if (it == history_.end()) {
+        history_.push_back({sender, seq, 1});
+        return;
+    }
+    if (seq > it->newestSeq) {
+        const uint64_t shift = seq - it->newestSeq;
+        it->window = shift < 64 ? (it->window << shift) | 1 : 1;
+        it->newestSeq = seq;
+    } else if (it->newestSeq - seq < 64) {
+        it->window |= uint64_t{1} << (it->newestSeq - seq);
+    }
+}
+
+bool
+AggregationEngine::wasAccepted(int sender, uint64_t seq) const
+{
+    for (const auto &h : history_)
+        if (h.sender == sender)
+            return seq <= h.newestSeq && h.newestSeq - seq < 64 &&
+                   ((h.window >> (h.newestSeq - seq)) & 1) != 0;
+    return false;
 }
 
 int

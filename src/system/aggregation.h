@@ -19,10 +19,13 @@
  * Sequence-number reconciliation: each round is armed with the
  * iteration's sequence number, and onMessage() rejects (a) messages
  * from a round other than the current one — stragglers' late partials
- * from an earlier iteration — and (b) same-round duplicates from a
- * sender already folded in — the wire's duplicated deliveries. A
- * rejected payload is recycled and never touches the sum, making
- * aggregation idempotent under message duplication and reordering
+ * from an earlier iteration — and (b) duplicates of a partial already
+ * folded in — the wire's duplicated deliveries. A duplicate is
+ * recognised even when the round advanced before its second copy
+ * landed: the engine remembers, per sender, which of the last 64
+ * rounds it accepted, so the copy counts as a duplicate, not as
+ * stale. A rejected payload is recycled and never touches the sum,
+ * making aggregation idempotent under message duplication and reordering
  * (property-tested in test_fault_injection.cpp). The engine no longer
  * needs the sender count up front: finish() completes once every
  * *accepted* word has landed, so a failure-tolerant caller can stop
@@ -151,9 +154,10 @@ class AggregationEngine
      *  min(own epoch, this) up the tree. */
     uint64_t minEpochAccepted() const;
 
-    /** Same-round duplicate messages rejected (cumulative). */
+    /** Copies of an already accepted partial rejected, in its own
+     *  round or a later one (cumulative). */
     uint64_t duplicatesDropped() const;
-    /** Wrong-round messages rejected (cumulative). */
+    /** Other wrong-round messages rejected (cumulative). */
     uint64_t staleDropped() const;
     /** Wrong-width payloads rejected (cumulative). */
     uint64_t malformedDropped() const;
@@ -202,6 +206,20 @@ class AggregationEngine
         std::vector<double> staging;
     };
 
+    /** Per-sender record of accepted rounds: bit k of `window` is
+     *  set when the sender's partial for round newestSeq - k
+     *  completed (an anti-replay window over the last 64 rounds). */
+    struct AcceptedHistory
+    {
+        int sender = -1;
+        uint64_t newestSeq = 0;
+        uint64_t window = 0;
+    };
+
+    /** Both require roundMutex_. */
+    void recordAccepted(int sender, uint64_t seq);
+    bool wasAccepted(int sender, uint64_t seq) const;
+
     void accumulateOneChunk();
     /** Moves a completed sender's full vector into the fold pipeline
      *  (parked in deterministic mode, slot + ring otherwise). */
@@ -243,6 +261,7 @@ class AggregationEngine
     uint64_t staleAccepted_ = 0;
     uint64_t maxEpochLag_ = 0;
     uint64_t incompleteDropped_ = 0;
+    std::vector<AcceptedHistory> history_;
     /** Deterministic mode: accepted (sender, payload) pairs parked
      *  until finish() folds them in sender-id order. */
     std::vector<std::pair<int, std::vector<double>>> roundPayloads_;

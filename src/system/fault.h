@@ -160,9 +160,11 @@ struct RecoveryStats
     uint64_t partialsMissed = 0;
     /** Model broadcasts a node gave up waiting for. */
     uint64_t broadcastsMissed = 0;
-    /** Same-round duplicate partials rejected by sequence dedup. */
+    /** Copies of an already accepted partial rejected by sequence
+     *  dedup, whether they landed in its round or a later one. */
     uint64_t duplicatesDropped = 0;
-    /** Prior-round messages discarded by sequence reconciliation. */
+    /** Other prior-round messages discarded by sequence
+     *  reconciliation. */
     uint64_t staleDropped = 0;
     /** Payloads rejected because their word count disagreed with the
      *  model width (a malformed or mis-routed wire message). */

@@ -154,6 +154,10 @@ JobScheduler::worker()
             // Recorded in the session's progress (Failed + message);
             // the scheduler keeps serving other tenants.
         }
+        // The job is terminal: tear its cluster down before its node
+        // slots go back, so live clusters never outnumber workers.
+        // The session keeps its spec, progress and report.
+        job.session->releaseRuntime();
 
         {
             std::lock_guard<std::mutex> lock(mu_);

@@ -11,6 +11,13 @@
  *    sum of admitted jobs' node counts never exceeds the budget, so
  *    concurrent tenants train on disjoint node subsets.
  *
+ *  - **Job lifetime.** A job's ClusterRuntime (threads, partitions,
+ *    fabric) exists only while a worker runs it: when Session::run()
+ *    returns Done, Failed or Cancelled, the worker calls
+ *    Session::releaseRuntime() and only then hands the node slots
+ *    back. At most `maxConcurrent` clusters are ever alive; a finished
+ *    job costs its spec, progress snapshot and TrainingReport.
+ *
  *  - **PE-matrix threads.** With `peThreadsPerNode > 0` the per-node
  *    accelerator fabric is also carved: each tenant's share is
  *    peThreadsPerNode / maxConcurrent threads, applied both to the
@@ -110,7 +117,9 @@ class JobScheduler
      */
     uint64_t submit(JobSpec spec);
 
-    /** The session behind @p id (nullptr for an unknown id). */
+    /** The session behind @p id (nullptr for an unknown id). Once
+     *  the job is terminal its runtime() is gone; spec(), progress()
+     *  and report() remain. */
     std::shared_ptr<Session> session(uint64_t id) const;
 
     /** Snapshot of @p id's progress. Throws CosmicError on unknown. */

@@ -129,6 +129,13 @@ struct ServiceFrontDoor::Connection
     }
 };
 
+/** One connection's handler thread and the connection it serves. */
+struct ServiceFrontDoor::Handler
+{
+    std::shared_ptr<Connection> conn;
+    std::thread thread;
+};
+
 ServiceFrontDoor::ServiceFrontDoor(const SchedulerConfig &cfg,
                                    const std::string &endpoint)
     : scheduler_(cfg)
@@ -136,7 +143,9 @@ ServiceFrontDoor::ServiceFrontDoor(const SchedulerConfig &cfg,
     const net::HostPort hp = net::parseHostPort(endpoint);
     listenFd_ = net::listenTcp(hp);
     port_ = net::localPort(listenFd_);
-    acceptor_ = std::thread([this] { acceptLoop(); });
+    // The loop gets the fd by value: stop() resets the member while
+    // the loop may still be reading.
+    acceptor_ = std::thread([this, fd = listenFd_] { acceptLoop(fd); });
 }
 
 ServiceFrontDoor::~ServiceFrontDoor() { stop(); }
@@ -150,39 +159,59 @@ ServiceFrontDoor::stop()
             return;
         stopping_ = true;
     }
-    if (listenFd_ >= 0) {
+    // Shutting the listener down wakes the blocked accept(); close it
+    // only after the loop is gone, so its number cannot be reused
+    // under a running accept().
+    if (listenFd_ >= 0)
         ::shutdown(listenFd_, SHUT_RDWR);
+    if (acceptor_.joinable())
+        acceptor_.join();
+    if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    if (acceptor_.joinable())
-        acceptor_.join();
-    std::vector<std::shared_ptr<Connection>> conns;
-    std::vector<std::thread> handlers;
+    std::unordered_map<uint64_t, Handler> handlers;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        conns.swap(conns_);
         handlers.swap(handlers_);
     }
-    for (auto &c : conns)
-        c->close();
-    for (auto &t : handlers)
-        if (t.joinable())
-            t.join();
+    for (auto &[id, h] : handlers)
+        h.conn->close();
+    for (auto &[id, h] : handlers)
+        h.thread.join();
     scheduler_.shutdown();
 }
 
 void
-ServiceFrontDoor::acceptLoop()
+ServiceFrontDoor::reapFinished()
+{
+    std::vector<Handler> done;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (uint64_t id : finished_) {
+            auto it = handlers_.find(id);
+            done.push_back(std::move(it->second));
+            handlers_.erase(it);
+        }
+        finished_.clear();
+    }
+    // Each of these threads has left handle() and only unwinds now.
+    for (auto &h : done)
+        h.thread.join();
+}
+
+void
+ServiceFrontDoor::acceptLoop(int listen_fd)
 {
     for (;;) {
-        const int fd = ::accept(listenFd_, nullptr, nullptr);
+        const int fd = ::accept(listen_fd, nullptr, nullptr);
         if (fd < 0) {
             if (errno == EINTR)
                 continue;
-            return; // listener closed by stop()
+            return; // listener shut down by stop()
         }
         net::setNoDelay(fd);
+        reapFinished();
         auto conn = std::make_shared<Connection>();
         conn->fd = fd;
         std::lock_guard<std::mutex> lock(mu_);
@@ -190,9 +219,21 @@ ServiceFrontDoor::acceptLoop()
             conn->close();
             return;
         }
-        conns_.push_back(conn);
-        handlers_.emplace_back(
-            [this, conn] { handle(std::move(conn)); });
+        // The thread reports back under mu_, which this guard holds
+        // until the entry is in place.
+        const uint64_t id = nextConn_++;
+        handlers_.emplace(
+            id, Handler{conn, std::thread([this, conn, id] {
+                            try {
+                                handle(conn);
+                            } catch (const std::exception &) {
+                                // A reply to a client that already
+                                // hung up; nothing is left to serve.
+                                conn->close();
+                            }
+                            std::lock_guard<std::mutex> lock(mu_);
+                            finished_.push_back(id);
+                        })});
     }
 }
 

@@ -41,6 +41,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "system/scheduler.h"
@@ -51,8 +52,11 @@ namespace cosmic::sys {
  * Accepts service connections and routes them to a JobScheduler.
  * Construct with the scheduler's resource budget and a "host:port"
  * endpoint (port 0 binds an ephemeral port — read it back with
- * port()). The destructor stops the listener, joins every handler,
- * and shuts the scheduler down.
+ * port()). Each connection gets one handler thread; once a client
+ * hangs up, the next accept joins that thread and drops the
+ * connection, so a long-lived door holds only its live connections.
+ * The destructor stops the listener, joins every handler, and shuts
+ * the scheduler down.
  */
 class ServiceFrontDoor
 {
@@ -76,9 +80,13 @@ class ServiceFrontDoor
 
   private:
     struct Connection;
+    struct Handler;
 
-    void acceptLoop();
+    void acceptLoop(int listen_fd);
     void handle(std::shared_ptr<Connection> conn);
+    /** Joins the handlers whose client hung up and drops their
+     *  connections. Called by the accept loop. */
+    void reapFinished();
 
     JobScheduler scheduler_;
     int listenFd_ = -1;
@@ -87,8 +95,11 @@ class ServiceFrontDoor
 
     std::mutex mu_;
     bool stopping_ = false;
-    std::vector<std::shared_ptr<Connection>> conns_;
-    std::vector<std::thread> handlers_;
+    /** Live connections by id; guarded by mu_. */
+    std::unordered_map<uint64_t, Handler> handlers_;
+    /** Ids whose handle() returned, awaiting reapFinished(). */
+    std::vector<uint64_t> finished_;
+    uint64_t nextConn_ = 0;
 };
 
 /**

@@ -243,6 +243,9 @@ Session::prepare()
 {
     if (runtime_)
         return;
+    COSMIC_ASSERT(!released_,
+                  "Session::prepare after releaseRuntime() on job '"
+                      << spec_.name << "'");
     transition(JobState::Preparing);
     try {
         const ml::Workload &workload =
@@ -318,6 +321,23 @@ Session::run()
     transition(report_.cancelled ? JobState::Cancelled
                                  : JobState::Done);
     return report_;
+}
+
+void
+Session::releaseRuntime()
+{
+    runtime_.reset();
+    released_ = true;
+}
+
+const ClusterRuntime &
+Session::runtime() const
+{
+    COSMIC_ASSERT(runtime_, "Session::runtime() on job '"
+                                << spec_.name << "' "
+                                << (released_ ? "after releaseRuntime()"
+                                              : "before prepare()"));
+    return *runtime_;
 }
 
 void

@@ -16,6 +16,19 @@
  * adds observation hooks, never math. Multi-tenant use goes through
  * sys::JobScheduler (scheduler.h), which owns many Sessions and
  * partitions the cluster across them.
+ *
+ * What a Session holds, by state (DESIGN.md §15):
+ *
+ *   Queued, Rejected     spec + progress
+ *   Preparing, Running   + shared frontend + ClusterRuntime (node
+ *                        workers, accelerator pools, aggregation
+ *                        engines, dataset partitions, fabric)
+ *   Done, Failed,        + TrainingReport; the ClusterRuntime stays
+ *   Cancelled            until releaseRuntime(), which the scheduler
+ *                        calls as soon as run() returns
+ *
+ * A directly driven Session keeps its runtime after run(), so callers
+ * can still inspect it (bufferPool(), topology()).
  */
 #pragma once
 
@@ -150,9 +163,19 @@ class Session
     /** The finished run's report (valid once run() returned). */
     const TrainingReport &report() const { return report_; }
 
-    /** The job's training engine (valid after prepare()) — topology
-     *  introspection; training goes through run(). */
-    const ClusterRuntime &runtime() const { return *runtime_; }
+    /** The job's training engine, valid from prepare() until
+     *  releaseRuntime() — topology introspection; training goes
+     *  through run(). Asserts outside that window. */
+    const ClusterRuntime &runtime() const;
+
+    /**
+     * Tears down the job's execution engine: its threads, partitions
+     * and fabric. Call from the thread that ran run(), once it has
+     * returned (Done, Failed or Cancelled). spec(), progress(),
+     * report() and translation() stay valid; runtime() and prepare()
+     * assert afterwards, so the job can never train again.
+     */
+    void releaseRuntime();
 
     /** Scheduler hook: stamps the queue wait into progress(). */
     void setQueueWait(double seconds);
@@ -168,6 +191,8 @@ class Session
     JobSpec spec_;
     std::shared_ptr<const compile::FrontendArtifact> frontend_;
     std::unique_ptr<ClusterRuntime> runtime_;
+    /** Set by releaseRuntime(): the job can never prepare again. */
+    bool released_ = false;
     RunControl control_;
     TrainingReport report_;
     ProgressFn sink_;

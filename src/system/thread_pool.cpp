@@ -4,12 +4,9 @@
 
 namespace cosmic::sys {
 
-ThreadPool::ThreadPool(int threads)
+ThreadPool::ThreadPool(int threads) : threads_(threads)
 {
     COSMIC_ASSERT(threads > 0, "thread pool needs at least one worker");
-    workers_.reserve(threads);
-    for (int i = 0; i < threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -19,6 +16,7 @@ ThreadPool::~ThreadPool()
         stopping_ = true;
     }
     workAvailable_.notify_all();
+    // No submit() can race the destructor, so workers_ is quiescent.
     for (auto &w : workers_)
         w.join();
 }
@@ -30,6 +28,13 @@ ThreadPool::submit(std::function<void()> task)
         std::lock_guard<std::mutex> lock(mutex_);
         COSMIC_ASSERT(!stopping_, "submit on a stopping pool");
         queue_.push_back(std::move(task));
+        // First task: start the whole pool. Workers block on mutex_
+        // until this guard releases it, then find the task queued.
+        if (workers_.empty()) {
+            workers_.reserve(static_cast<size_t>(threads_));
+            for (int i = 0; i < threads_; ++i)
+                workers_.emplace_back([this] { workerLoop(); });
+        }
     }
     workAvailable_.notify_one();
 }

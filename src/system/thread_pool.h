@@ -8,6 +8,12 @@
  * once and reused across connections and iterations, which is exactly
  * what this pool provides: a fixed set of workers draining a task
  * queue, with a waitIdle() barrier for iteration boundaries.
+ *
+ * The workers start with the first submit(), not at construction, so
+ * a pool its owner never feeds costs no thread. The deterministic
+ * AggregationEngine is the case in point: it parks payloads and folds
+ * them in finish(), so its networking and aggregation pools stay
+ * empty for the engine's whole life.
  */
 #pragma once
 
@@ -26,22 +32,27 @@ namespace cosmic::sys {
 class ThreadPool
 {
   public:
-    /** Spawns @p threads workers immediately. */
+    /** Sizes the pool to @p threads workers; none starts until the
+     *  first submit(). */
     explicit ThreadPool(int threads);
 
-    /** Stops accepting work, drains the queue, joins the workers. */
+    /** Stops accepting work, drains the queue, joins the workers
+     *  (if any were started). */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Enqueues a task for the next free worker. */
+    /** Enqueues a task for the next free worker; the first call
+     *  starts all size() workers. */
     void submit(std::function<void()> task);
 
-    /** Blocks until the queue is empty and all workers are idle. */
+    /** Blocks until the queue is empty and all workers are idle
+     *  (returns at once on a pool that never ran a task). */
     void waitIdle();
 
-    int size() const { return static_cast<int>(workers_.size()); }
+    /** The configured width, whether or not the workers started. */
+    int size() const { return threads_; }
 
     /** Tasks executed since construction (observability). */
     uint64_t tasksExecuted() const;
@@ -49,6 +60,8 @@ class ThreadPool
   private:
     void workerLoop();
 
+    const int threads_;
+    /** Empty until the first submit(); written under mutex_. */
     std::vector<std::thread> workers_;
     std::deque<std::function<void()>> queue_;
     mutable std::mutex mutex_;

@@ -14,6 +14,7 @@
 #include "system/aggregation.h"
 #include "system/buffer_pool.h"
 #include "system/director.h"
+#include "proc_self.h"
 
 namespace cosmic::sys {
 namespace {
@@ -397,6 +398,61 @@ TEST(AggregationEngine, ChunkEpochIsMinOverChunks)
     EXPECT_EQ(engine.maxEpochLag(), 1u);
     auto sum = engine.finish();
     EXPECT_EQ(sum, (std::vector<double>{1, 1, 1, 1}));
+}
+
+TEST(AggregationEngine, DuplicateAfterRoundAdvanceIsNotStale)
+{
+    // The wire delivered sender 1's round-5 partial twice and the
+    // round advanced before the copy landed: the copy is a duplicate.
+    // Sender 2 never completed round 5, so its late partial is stale.
+    AggregationEngine engine(AggregationConfig{});
+    engine.begin(3, 5);
+    EXPECT_TRUE(engine.onMessage(Message{1, 5, {1.0, 2.0, 3.0}}));
+    Message head{2, 5, {7.0}};
+    EXPECT_TRUE(engine.onMessage(std::move(head))); // incomplete
+    engine.finish();
+
+    engine.begin(3, 6);
+    EXPECT_FALSE(engine.onMessage(Message{1, 5, {1.0, 2.0, 3.0}}));
+    EXPECT_EQ(engine.duplicatesDropped(), 1u);
+    EXPECT_EQ(engine.staleDropped(), 0u);
+    EXPECT_FALSE(engine.onMessage(Message{2, 5, {7.0, 7.0, 7.0}}));
+    EXPECT_EQ(engine.staleDropped(), 1u);
+    // A round that has not happened yet is stale too.
+    EXPECT_FALSE(engine.onMessage(Message{1, 7, {0.0, 0.0, 0.0}}));
+    EXPECT_EQ(engine.staleDropped(), 2u);
+    EXPECT_TRUE(engine.onMessage(Message{1, 6, {4.0, 4.0, 4.0}}));
+    EXPECT_EQ(engine.finish(), (std::vector<double>{4, 4, 4}));
+
+    // The history covers 64 rounds back from the sender's newest
+    // accepted one: once sender 1 completes round 69, its round 6 is
+    // still known and its round 5 is not.
+    engine.begin(3, 69);
+    EXPECT_TRUE(engine.onMessage(Message{1, 69, {1.0, 1.0, 1.0}}));
+    EXPECT_FALSE(engine.onMessage(Message{1, 6, {4.0, 4.0, 4.0}}));
+    EXPECT_EQ(engine.duplicatesDropped(), 2u);
+    EXPECT_FALSE(engine.onMessage(Message{1, 5, {1.0, 2.0, 3.0}}));
+    EXPECT_EQ(engine.staleDropped(), 3u);
+    engine.finish();
+}
+
+TEST(AggregationEngine, DeterministicRoundStartsNoThread)
+{
+    // Deterministic mode parks payloads and folds them in finish(), so
+    // its networking and aggregation pools never get a task and never
+    // start a worker.
+    const int before = testing_support::liveThreads();
+    AggregationConfig config;
+    config.deterministic = true;
+    AggregationEngine engine(config);
+    for (uint64_t round = 0; round < 3; ++round) {
+        engine.begin(4, round);
+        for (int sender = 2; sender >= 0; --sender)
+            EXPECT_TRUE(engine.onMessage(
+                Message{sender, round, std::vector<double>(4, 1.0)}));
+        EXPECT_EQ(engine.finish(), (std::vector<double>{3, 3, 3, 3}));
+        EXPECT_EQ(testing_support::liveThreads(), before);
+    }
 }
 
 TEST(SystemDirector, SingleGroupTopology)

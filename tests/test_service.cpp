@@ -18,10 +18,14 @@
  *     registered with that environment — see tests/CMakeLists.txt).
  *  5. The wire front door round-trips jobs faithfully and rejects
  *     malformed submissions instead of guessing.
+ *  6. Finished work holds no threads: the scheduler tears a job's
+ *     cluster down at its terminal state, and the front door reaps
+ *     closed connections.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -33,8 +37,12 @@
 #include "net/wire.h"
 #include "system/scheduler.h"
 #include "system/service.h"
+#include "proc_self.h"
 
 using namespace cosmic;
+using cosmic::testing_support::liveThreads;
+using cosmic::testing_support::liveThreadsSettled;
+using cosmic::testing_support::mappedRegions;
 
 namespace {
 
@@ -295,6 +303,21 @@ TEST(SessionLayer, CancelBeforeRunShortCircuits)
     EXPECT_TRUE(report.finalModel.empty());
 }
 
+TEST(SessionLayer, ReleaseRuntimeKeepsTheReport)
+{
+    sys::Session session(smallJob("stock"));
+    const std::vector<double> model = session.run().finalModel;
+    // A directly driven session keeps its runtime after run().
+    EXPECT_NO_THROW(session.runtime());
+    session.releaseRuntime();
+    EXPECT_THROW(session.runtime(), CosmicError);
+    EXPECT_THROW(session.prepare(), CosmicError);
+    EXPECT_EQ(session.progress().state, sys::JobState::Done);
+    EXPECT_TRUE(bitEqual(session.report().finalModel, model));
+    EXPECT_EQ(session.translation().modelWords,
+              static_cast<int64_t>(model.size()));
+}
+
 // ---------------------------------------------------------------------
 // Scheduler: admission, FIFO, partitioning, counters
 
@@ -463,6 +486,64 @@ TEST(Scheduler, CarvedJobBitMatchesSoloRun)
         bitEqual(session->report().finalModel, want.finalModel));
 }
 
+TEST(Scheduler, ReleasesClusterAtTerminalState)
+{
+    const sys::JobSpec exact = smallJob("tumor");
+    sys::Session solo(exact);
+    const std::vector<double> want = solo.run().finalModel;
+
+    // Streaming aggregation feeds the engines' pools, so this job
+    // starts threads a deterministic one does not.
+    sys::JobSpec streaming = smallJob("stock");
+    streaming.cluster.aggregation.deterministic = false;
+    // Far more epochs than the test waits for: it is cancelled.
+    sys::JobSpec slow = smallJob("stock");
+    slow.epochs = 20000;
+    slow.cluster.recordsPerNode = 256;
+
+    sys::SchedulerConfig cfg;
+    cfg.totalNodes = 4;
+    cfg.maxConcurrent = 2;
+    sys::JobScheduler scheduler(cfg);
+    const int before = liveThreads();
+    const uint64_t done = scheduler.submit(exact);
+    const uint64_t streamed = scheduler.submit(streaming);
+    const uint64_t cancelled = scheduler.submit(slow);
+
+    // Cancel the slow job mid-run, once it has finished an epoch.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (scheduler.progress(cancelled).epochsDone < 1) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << "slow job never finished an epoch";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GT(liveThreads(), before) << "a running job has no threads";
+    scheduler.cancel(cancelled);
+    scheduler.drain();
+
+    // Every cluster is gone: only the scheduler's own workers remain.
+    EXPECT_EQ(liveThreadsSettled(before), before);
+    EXPECT_EQ(scheduler.progress(done).state, sys::JobState::Done);
+    EXPECT_EQ(scheduler.progress(streamed).state, sys::JobState::Done);
+    const sys::JobProgress stopped = scheduler.progress(cancelled);
+    EXPECT_EQ(stopped.state, sys::JobState::Cancelled);
+    EXPECT_LT(stopped.epochsDone, slow.epochs);
+    for (uint64_t id : {done, streamed, cancelled})
+        EXPECT_THROW(scheduler.session(id)->runtime(), CosmicError);
+
+    // The report outlives the cluster, bit for bit.
+    EXPECT_TRUE(
+        bitEqual(scheduler.session(done)->report().finalModel, want));
+    EXPECT_EQ(scheduler.session(streamed)->report().finalModel.size(),
+              static_cast<size_t>(
+                  scheduler.session(streamed)->translation().modelWords));
+    const sys::SchedulerStats stats = scheduler.stats();
+    EXPECT_EQ(stats.completed, 2u);
+    EXPECT_EQ(stats.cancelled, 1u);
+    EXPECT_EQ(stats.freeNodes, cfg.totalNodes);
+}
+
 // ---------------------------------------------------------------------
 // BuildCache under concurrent sessions
 
@@ -618,4 +699,60 @@ TEST(ServiceFrontDoor, CancelOverTheWire)
     const sys::JobProgress p = client.wait(running);
     EXPECT_EQ(p.state, sys::JobState::Cancelled);
     EXPECT_LT(p.epochsDone, slow.epochs);
+}
+
+TEST(ServiceFrontDoor, ResultOutlivesReleasedCluster)
+{
+    const sys::JobSpec spec = smallJob("tumor", net::PayloadKind::Q16);
+    sys::Session solo(spec);
+    const std::vector<double> want = solo.run().finalModel;
+
+    sys::SchedulerConfig cfg;
+    cfg.totalNodes = 2;
+    cfg.maxConcurrent = 1;
+    sys::ServiceFrontDoor door(cfg, "127.0.0.1:0");
+    sys::ServiceClient client("127.0.0.1:" +
+                              std::to_string(door.port()));
+    const uint64_t id = client.submit(spec);
+    ASSERT_EQ(client.wait(id).state, sys::JobState::Done);
+    // drain() returns only after the worker released the cluster.
+    door.scheduler().drain();
+    EXPECT_THROW(door.scheduler().session(id)->runtime(), CosmicError);
+    EXPECT_TRUE(bitEqual(client.result(id), want));
+    EXPECT_EQ(client.status(id).state, sys::JobState::Done);
+}
+
+TEST(ServiceFrontDoor, ReapsClosedConnections)
+{
+    sys::SchedulerConfig cfg;
+    cfg.totalNodes = 2;
+    cfg.maxConcurrent = 1;
+    sys::ServiceFrontDoor door(cfg, "127.0.0.1:0");
+    const std::string endpoint =
+        "127.0.0.1:" + std::to_string(door.port());
+    const sys::JobSpec spec = smallJob("stock");
+    auto cycle = [&](int i) {
+        sys::ServiceClient client(endpoint);
+        const uint64_t id = client.submit(spec);
+        ASSERT_EQ(client.wait(id).state, sys::JobState::Done) << i;
+        EXPECT_FALSE(client.result(id).empty()) << i;
+    };
+    // Warm-up: the first job fills the build cache, and the allocator
+    // and any sanitizer runtime make their one-time mappings for
+    // threads (about 70 regions under TSan within the first 64
+    // connections, flat after that).
+    for (int i = 0; i < 64; ++i)
+        cycle(-1 - i);
+    door.scheduler().drain();
+    const int threads = liveThreads();
+    const int regions = mappedRegions();
+    for (int i = 0; i < 64; ++i)
+        cycle(i);
+    door.scheduler().drain();
+    // No job keeps a cluster, and each accept joins the handlers whose
+    // client already hung up, so only the last few can be unjoined. An
+    // unjoined handler has exited (it is not in /proc/self/task) but
+    // still maps its stack and guard page.
+    EXPECT_LE(liveThreadsSettled(threads + 2), threads + 2);
+    EXPECT_LE(mappedRegions(), regions + 16);
 }

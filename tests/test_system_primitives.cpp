@@ -16,6 +16,7 @@
 #include "system/channel.h"
 #include "system/circular_buffer.h"
 #include "system/thread_pool.h"
+#include "proc_self.h"
 
 namespace cosmic::sys {
 namespace {
@@ -495,6 +496,33 @@ TEST(ThreadPool, WaitIdleOnEmptyPool)
     ThreadPool pool(2);
     pool.waitIdle();
     SUCCEED();
+}
+
+TEST(ThreadPool, SpawnsNoWorkerBeforeFirstTask)
+{
+    testing_support::startRuntimeHelpers();
+    const int before = testing_support::liveThreads();
+    {
+        // An unused pool reports its width, starts nothing, and its
+        // waitIdle() and destructor return.
+        ThreadPool idle(4);
+        EXPECT_EQ(idle.size(), 4);
+        EXPECT_EQ(testing_support::liveThreads(), before);
+        idle.waitIdle();
+        EXPECT_EQ(idle.tasksExecuted(), 0u);
+    }
+    EXPECT_EQ(testing_support::liveThreadsSettled(before), before);
+    {
+        // The first task starts every worker at once.
+        ThreadPool pool(3);
+        std::atomic<int> counter{0};
+        pool.submit([&] { counter.fetch_add(1); });
+        EXPECT_EQ(testing_support::liveThreads(), before + 3);
+        pool.waitIdle();
+        EXPECT_EQ(counter.load(), 1);
+        EXPECT_EQ(pool.size(), 3);
+    }
+    EXPECT_EQ(testing_support::liveThreadsSettled(before), before);
 }
 
 TEST(ThreadPool, ReusedAcrossRounds)
