@@ -6,16 +6,17 @@
  *
  * Measures single-thread records/sec of the per-record gradient kernel
  * for all 10 Table-1 workloads — the node-order Interpreter against the
- * Tape's flat instruction stream at lane widths 1 (scalar), 4 and 8 —
- * and times one functional-runtime iteration to show the
- * persistent-worker system layer end to end, with and without SGD
- * shards driving the multi-lane sweep path.
+ * Tape's segment stream at lane widths 1 (scalar), 4 and 8, plus the
+ * scalar plain-SGD sweep that default training runs — and times one
+ * functional-runtime iteration to show the persistent-worker system
+ * layer end to end, with and without SGD shards driving the
+ * multi-lane sweep path.
  *
  * The last two lines of output are machine-readable JSON summaries so
  * future PRs can track the perf trajectory:
  *   {"bench":"hotpath_tape","scale":...,"results":[{"workload":...,
  *    "interp_rps":...,"tape_rps":...,"lane4_rps":...,"lane8_rps":...,
- *    "speedup":...,"lane_speedup":...},...],"iteration":{...},
+ *    "sgd_rps":...,"speedup":...,"lane_speedup":...},...],"iteration":{...},
  *    "iteration_lanes":{...}}
  *   {"bench":"jit","scale":...,"results":[{"workload":...,
  *    "lane8_rps":...,"jit_rps":...,"jit_speedup":...},...],
@@ -120,7 +121,7 @@ main()
                        std::to_string(static_cast<int>(scale)) + ")");
     table.setHeader({"Benchmark", "Algorithm", "DFG ops",
                      "Interp rec/s", "Tape W=1", "Tape W=4", "Tape W=8",
-                     "JIT W=8", "Tape x", "Lane x", "JIT x"});
+                     "SGD W=1", "JIT W=8", "Tape x", "Lane x", "JIT x"});
 
     std::ostringstream json;
     json << "{\"bench\":\"hotpath_tape\",\"scale\":" << scale
@@ -168,6 +169,19 @@ main()
         double lane4_rps = tape_rps_at(4);
         double lane8_rps = tape_rps_at(8);
 
+        // The scalar sweep default training runs; every call restarts
+        // from the initial model so the weights never drift.
+        double sgd_rps = 0.0;
+        if (tr.gradientWords == tr.modelWords) {
+            exec.setLaneWidth(1);
+            std::vector<double> sweep_model(model.size());
+            sgd_rps = measureBestRps(records, [&] {
+                std::copy(model.begin(), model.end(),
+                          sweep_model.begin());
+                exec.sgdSweep(ds.data, records, sweep_model, 1e-3);
+            });
+        }
+
         // Same batch through the native backend; oversized tapes and
         // missing toolchains degrade to the interpreter path, so the
         // column stays honest (speedup ~1x, fallback counted).
@@ -200,6 +214,8 @@ main()
                       TablePrinter::num(tape_rps, 0),
                       TablePrinter::num(lane4_rps, 0),
                       TablePrinter::num(lane8_rps, 0),
+                      sgd_rps > 0.0 ? TablePrinter::num(sgd_rps, 0)
+                                    : "-",
                       jit_native ? TablePrinter::num(jit_rps, 0)
                                  : "(interp)",
                       TablePrinter::num(speedup, 2),
@@ -211,6 +227,7 @@ main()
              << ",\"tape_rps\":" << TablePrinter::num(tape_rps, 0)
              << ",\"lane4_rps\":" << TablePrinter::num(lane4_rps, 0)
              << ",\"lane8_rps\":" << TablePrinter::num(lane8_rps, 0)
+             << ",\"sgd_rps\":" << TablePrinter::num(sgd_rps, 0)
              << ",\"speedup\":" << TablePrinter::num(speedup, 3)
              << ",\"lane_speedup\":"
              << TablePrinter::num(lane_speedup, 3) << "}";

@@ -406,8 +406,7 @@ Pipeline::tape()
         PassStats s{"tape", secondsSince(start), 0, 0, 0, 0};
         s.nodesBefore = tr.dfg.size();
         s.nodesAfter = tape_->instructionCount();
-        s.edgesBefore = dfg::edgeCount(tr.dfg);
-        s.edgesAfter = tape_->runCount();
+        s.edgesBefore = s.edgesAfter = dfg::edgeCount(tr.dfg);
         report_.passes.push_back(std::move(s));
     }
     return *tape_;

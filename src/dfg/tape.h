@@ -6,36 +6,50 @@
  * node — constants, inputs and operations alike — once per training
  * record. That is fine for cross-checks but it is the inner loop of the
  * whole scale-out runtime: every gradient in the cluster flows through
- * it. The Tape lowers a Translation once into a flat instruction
- * stream so the per-record loop touches only real operations:
+ * it. The Tape lowers a Translation once into two views of the same
+ * operation sequence (topological node order):
  *
- *  - operations appear in topological (node) order with their operand
- *    *scratch slots* pre-resolved; absent operands point at a pinned
- *    zero slot, so the loop has no kInvalidNode branches;
- *  - constants are preloaded (and pre-quantized) into a reusable
- *    scratch image built at lowering time — they cost nothing per
- *    record;
- *  - DATA and MODEL inputs become two gather lists (slot, position)
- *    executed as tight copy loops before the operation stream;
- *  - consecutive instructions with the same opcode are grouped into
- *    runs, so the executor dispatches once per run, not once per op
- *    (the Translator's statement expansion emits long homogeneous
- *    runs: a mul run, an add-tree run, ...).
+ *  - Segments over a region layout, for the scalar executor. Data is
+ *    laid out before operations (the paper's "map data before
+ *    operations"): slot 0 is a pinned zero (absent operands point at
+ *    it, so the loop has no kInvalidNode branches), then the model
+ *    region (model word p at modelBase + p), the data region (record
+ *    word p at dataBase + p), the gradient region (gradient i at
+ *    gradientBase + i), constants (preloaded and pre-quantized at
+ *    lowering time), then the remaining operations in instruction
+ *    order. Loading a model or a record is one contiguous copy, and so
+ *    is reading the gradient. The gradient region exists only when
+ *    every gradient is a distinct operation node (true of every suite
+ *    program); otherwise gradients are read slot by slot. A segment
+ *    is a maximal stretch of same-opcode instructions whose dst/a/b/c
+ *    slots each advance by a constant stride; the scalar executor runs
+ *    it as one strided loop with no per-operation instruction load,
+ *    and a segment with a unit dst stride and no dependency inside it
+ *    as a restrict-qualified loop the compiler vectorizes. The
+ *    Translator's statement expansion makes segments long: mnist's
+ *    34k operations form about 1,400 segments.
+ *  - The instruction view, for the lane executor and the JIT emitter:
+ *    one TapeInstr per operation with slots numbered by node
+ *    (slot = node + 1), DATA/MODEL gather lists and the gradient
+ *    slots. Node numbering keeps each input next to its first
+ *    consumer, which the 8-wide lane image needs for locality.
  *
  * Execution order and arithmetic are identical to the Interpreter's
  * node-order walk, so tape gradients are bit-exact against it — with
- * and without the fixed-point quantizer hook.
+ * and without the fixed-point quantizer hook. Vectorized segments only
+ * reorder independent operations.
  *
  * Multi-lane execution (the software analogue of the paper's t_max
- * thread dimension): records are independent, so the executor also
- * keeps a structure-of-arrays lane scratch
- * (`laneScratch[slot * kMaxTapeLanes + lane]`) and can execute each
- * opcode run once for W records at a time — the inner lane loop is a
- * tight, compiler-auto-vectorizable stride-1 sweep. Lane batching
- * never changes per-record arithmetic or the record-order accumulation,
- * so lane-batched gradients stay bit-exact against the scalar tape; a
- * scalar remainder path handles record counts that are not a multiple
- * of the lane width.
+ * thread dimension): records are independent, so the executor can
+ * also keep a structure-of-arrays lane scratch over the instruction
+ * view (`laneScratch[slot * kMaxTapeLanes + lane]`, allocated on the
+ * first lane-width call), walk each segment instruction by instruction
+ * and execute each instruction once for W records at a time — the
+ * inner lane loop is a tight, auto-vectorizable stride-1 sweep. Lane
+ * batching never changes per-record arithmetic or the record-order
+ * accumulation, so lane-batched gradients stay bit-exact against the
+ * scalar tape; a scalar remainder path handles record counts that are
+ * not a multiple of the lane width.
  *
  * The Tape itself is immutable and shareable across threads; each
  * worker owns a TapeExecutor holding the mutable scratch vectors.
@@ -115,13 +129,30 @@ struct TapeInstr
     int32_t c = 0;
 };
 
-/** A maximal run of consecutive instructions sharing one opcode. */
-struct TapeRun
+/**
+ * A maximal stretch of consecutive same-opcode instructions whose
+ * dst/a/b/c slots each advance by a constant stride: instruction
+ * begin + k is scratch[dst + k * dstStride] = op(scratch[a + k *
+ * aStride], ...).
+ */
+struct TapeSegment
 {
     OpKind op = OpKind::Add;
+    /** Unit dst stride and no operand reads a slot the segment
+     *  writes: the operations are independent, safe to vectorize. */
+    bool flat = false;
     /** Half-open range [begin, end) into the instruction stream. */
     int32_t begin = 0;
     int32_t end = 0;
+    /** Region-layout slots of instruction begin. */
+    int32_t dst = 0;
+    int32_t a = 0;
+    int32_t b = 0;
+    int32_t c = 0;
+    int32_t dstStride = 0;
+    int32_t aStride = 0;
+    int32_t bStride = 0;
+    int32_t cStride = 0;
 };
 
 /** One input gather: scratch[slot] = source[pos]. */
@@ -166,10 +197,11 @@ class Tape
         return modelGather_;
     }
     std::span<const int32_t> gradientSlots() const { return gradSlots_; }
-    /** Scratch image: pre-quantized constants, everything else zero. */
+    /** Instruction-view image: pre-quantized constants, everything
+     *  else zero. */
     std::span<const double> constImage() const { return image_; }
 
-    /** Scratch slots an executor needs (slot 0 is the pinned zero). */
+    /** Instruction-view slots (slot 0 is the pinned zero). */
     int64_t slotCount() const
     {
         return static_cast<int64_t>(image_.size());
@@ -181,11 +213,16 @@ class Tape
         return static_cast<int64_t>(instrs_.size());
     }
 
-    /** Opcode-homogeneous dispatch groups. */
-    int64_t runCount() const
+    /** Strided segments the instruction stream compresses into. */
+    int64_t segmentCount() const
     {
-        return static_cast<int64_t>(runs_.size());
+        return static_cast<int64_t>(segments_.size());
     }
+
+    /** Whether the region layout holds the gradients in one
+     *  contiguous region, in gradient order (else the scalar
+     *  executor reads them slot by slot). */
+    bool hasGradientRegion() const { return gradBase_ >= 0; }
 
   private:
     friend class TapeExecutor;
@@ -194,13 +231,24 @@ class Tape
     double (*quantizer_)(double) = nullptr;
     TapeBackend backend_ = TapeBackend::Auto;
     std::vector<TapeInstr> instrs_;
-    std::vector<TapeRun> runs_;
     std::vector<TapeGather> dataGather_;
     std::vector<TapeGather> modelGather_;
-    /** Scratch slot of each flattened-gradient element, in order. */
+    /** Instruction-view slot of each flattened-gradient element. */
     std::vector<int32_t> gradSlots_;
-    /** Scratch image: constants preloaded, everything else zero. */
+    /** Instruction-view image: constants preloaded, the rest zero. */
     std::vector<double> image_;
+
+    std::vector<TapeSegment> segments_;
+    /** First slot of the model region (modelWords slots), the data
+     *  region (recordWords slots) and the gradient region (-1: none). */
+    int32_t modelBase_ = 1;
+    int32_t dataBase_ = 1;
+    int32_t gradBase_ = -1;
+    /** Region-layout slot of each gradient element; filled only when
+     *  there is no gradient region. */
+    std::vector<int32_t> regionGradSlots_;
+    /** Region-layout image: constants preloaded, the rest zero. */
+    std::vector<double> regionImage_;
 };
 
 /**
@@ -297,11 +345,18 @@ class TapeExecutor
     const Tape &tape() const { return tape_; }
 
   private:
-    /** Executes the tape over one record, leaving results in scratch.
-     *  GatherModel == false skips the model gather (batch paths gather
-     *  the frozen model once up front). */
-    template <bool Quantized, bool GatherModel = true>
-    void runRecord(const double *record, const double *model);
+    /** Copies (and quantizes) a model into the model region. */
+    template <bool Quantized>
+    void loadModel(const double *model);
+
+    /** Executes the tape over one record against the model already in
+     *  the model region, leaving results in scratch. */
+    template <bool Quantized>
+    void runRecord(const double *record);
+
+    /** The last record's gradient, gradientSlots().size() words: the
+     *  gradient region itself, or gradBuf_ gathered from the slots. */
+    const double *gradients();
 
     /**
      * Executes the tape once for W records — lane l reads record
@@ -319,11 +374,18 @@ class TapeExecutor
     template <bool Quantized, int W>
     void sweepLanes(SweepLane *lanes, double learning_rate);
 
+    /** The lane scratch, built from the constant image on first use. */
+    double *laneScratch();
+
     const Tape &tape_;
-    /** Working image; slot 0 stays 0.0, const slots stay preloaded. */
+    /** Region-layout working image; slot 0 stays 0.0, const slots
+     *  stay preloaded. */
     std::vector<double> scratch_;
+    /** Gradient copy for tapes without a gradient region. */
+    std::vector<double> gradBuf_;
     /** SoA lane image: slot-major, kMaxTapeLanes values per slot, the
-     *  constant image replicated across lanes. */
+     *  constant image replicated across lanes. Empty until the first
+     *  lane-width call (see laneScratch()). */
     std::vector<double> laneScratch_;
     int lanes_ = kMaxTapeLanes;
     /** Resolved native kernel (null = interpreter tape); shared with

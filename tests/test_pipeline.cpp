@@ -302,6 +302,20 @@ TEST(PipelineStages, LazyStagesRunOnce)
     EXPECT_GE(raw.dfg.size(), opt.dfg.size());
 }
 
+TEST(PipelineStages, TapeRowKeepsTheDfgEdgeCount)
+{
+    // Lowering to the tape rewrites no edges: the row reports the
+    // instruction count as its nodes and the DFG's edges unchanged.
+    auto src = ml::Workload::byName("tumor").dslSource(64.0);
+    Pipeline pipeline(src, accel::PlatformSpec::ultrascalePlus());
+    const auto &tape = pipeline.tape();
+    const PassStats *row = pipeline.report().pass("tape");
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(row->nodesAfter, tape.instructionCount());
+    EXPECT_EQ(row->edgesBefore, dfg::edgeCount(pipeline.optimized().dfg));
+    EXPECT_EQ(row->edgesAfter, row->edgesBefore);
+}
+
 TEST(PipelineStages, MappedReusesThePlannersKernel)
 {
     for (const char *name : {"stock", "tumor", "mnist", "acoustic",

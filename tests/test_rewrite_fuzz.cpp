@@ -12,10 +12,12 @@
  * engine, in plain F64 and under the Q16.16 quantizer.
  *
  * Engines covered: the interpreter, the scalar tape (lane 1), the
- * lane-batched tape (lane 8) for every seed, and the JIT-compiled
- * native tape for every 16th seed (native compiles are the expensive
- * leg). The seed range is COSMIC_REWRITE_FUZZ_SEEDS ("lo-hi", default
- * "1-200") so CI can shard it and a nightly sweep can widen it.
+ * lane-batched tape (lane 8) and the scalar tape's SGD sweep (against
+ * the interpreter's per-record steps) for every seed, and the
+ * JIT-compiled native tape for every 16th seed (native compiles are
+ * the expensive leg). The seed range is COSMIC_REWRITE_FUZZ_SEEDS
+ * ("lo-hi", default "1-200") so CI can shard it and a nightly sweep
+ * can widen it.
  *
  * Hazards the fuzzer surfaced while the guards were developed are
  * frozen below as named regression tests (RewriteFuzzRegression.*).
@@ -28,6 +30,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,6 +73,30 @@ constexpr double kRecordHazards[] = {
     0.0, -0.0, 1.0, -1.0, 0.5, -32768.0, 32767.9, 1e9, -1e9,
 };
 
+/** Training records per trajectory. */
+constexpr int64_t kRecords = 6;
+
+/** A seed's training records (hazards mixed in) and initial model. */
+struct TrainingData
+{
+    std::vector<double> records;
+    std::vector<double> model;
+};
+
+TrainingData
+trainingData(const dfg::Translation &tr, uint64_t seed)
+{
+    Rng rng(seed * 7919 + 17);
+    TrainingData d{std::vector<double>(kRecords * tr.recordWords),
+                   std::vector<double>(tr.modelWords)};
+    for (auto &v : d.records)
+        v = rng.coin(0.25) ? pick(rng, kRecordHazards)
+                           : rng.uniform(-2.0, 2.0);
+    for (auto &v : d.model)
+        v = rng.uniform(-1.5, 1.5);
+    return d;
+}
+
 /**
  * Trains 3 minibatch steps over 6 records and returns the model
  * concatenated with the final gradient — the observable trajectory.
@@ -78,15 +105,9 @@ std::vector<double>
 trajectory(const dfg::Translation &tr, uint64_t seed,
            double (*quantizer)(double), Engine engine)
 {
-    Rng rng(seed * 7919 + 17);
-    constexpr int64_t kRecords = 6;
-    std::vector<double> records(kRecords * tr.recordWords);
-    for (auto &v : records)
-        v = rng.coin(0.25) ? pick(rng, kRecordHazards)
-                           : rng.uniform(-2.0, 2.0);
-    std::vector<double> model(tr.modelWords);
-    for (auto &v : model)
-        v = rng.uniform(-1.5, 1.5);
+    TrainingData data = trainingData(tr, seed);
+    const std::vector<double> &records = data.records;
+    std::vector<double> &model = data.model;
     std::vector<double> grad(tr.gradientWords, 0.0);
 
     auto steps = [&](auto &&accumulate) {
@@ -119,6 +140,40 @@ trajectory(const dfg::Translation &tr, uint64_t seed,
     return out;
 }
 
+/**
+ * Two plain-SGD sweeps over the trajectory's 6 records and returns the
+ * final model: the tape's sgdSweep when @p tape is set, else the
+ * interpreter's gradient with an explicit per-record step.
+ */
+std::vector<double>
+sweepTrajectory(const dfg::Translation &tr, uint64_t seed,
+                double (*quantizer)(double), bool tape)
+{
+    TrainingData data = trainingData(tr, seed);
+    const std::vector<double> &records = data.records;
+    std::vector<double> &model = data.model;
+    constexpr double kRate = 0.03;
+
+    if (tape) {
+        dfg::Tape t(tr, quantizer, dfg::TapeBackend::Interp);
+        dfg::TapeExecutor exec(t);
+        for (int s = 0; s < 2; ++s)
+            exec.sgdSweep(records, kRecords, model, kRate);
+        return model;
+    }
+    dfg::Interpreter interp(tr, quantizer);
+    std::vector<double> grad;
+    for (int s = 0; s < 2; ++s)
+        for (int64_t r = 0; r < kRecords; ++r) {
+            interp.run(std::span(records).subspan(r * tr.recordWords,
+                                                  tr.recordWords),
+                       model, grad);
+            for (size_t p = 0; p < model.size(); ++p)
+                model[p] -= kRate * grad[p];
+        }
+    return model;
+}
+
 /** Bitwise comparison — 0.0 vs -0.0 and NaN payloads all count. */
 void
 expectBitIdentical(const std::vector<double> &plain,
@@ -131,6 +186,26 @@ expectBitIdentical(const std::vector<double> &plain,
             ADD_FAILURE() << engine << " trajectory word " << i
                           << " diverged: plain=" << plain[i]
                           << " rewritten=" << rewritten[i];
+}
+
+/**
+ * Bitwise comparison across engines, except that any NaN matches any
+ * NaN: the interpreter and the tape compile evaluateOp separately, and
+ * the sign of a NaN out of a commutative operation with two NaN
+ * operands depends on the operand order the compiler picks (seed 1689
+ * shows it, with or without segments).
+ */
+void
+expectSameValues(const std::vector<double> &interp,
+                 const std::vector<double> &tape, const char *engine)
+{
+    ASSERT_EQ(interp.size(), tape.size());
+    for (size_t i = 0; i < interp.size(); ++i)
+        if (!(std::isnan(interp[i]) && std::isnan(tape[i])) &&
+            std::memcmp(&interp[i], &tape[i], sizeof(double)) != 0)
+            ADD_FAILURE() << engine << " trajectory word " << i
+                          << " diverged: interpreter=" << interp[i]
+                          << " tape=" << tape[i];
 }
 
 /** COSMIC_REWRITE_FUZZ_SEEDS ("lo-hi"), default 1-200. */
@@ -174,6 +249,38 @@ TEST(RewriteFuzz, TrajectoriesBitIdenticalAcrossEngines)
                 auto b = trajectory(rewritten, seed, quantizer, engine);
                 expectBitIdentical(a, b, engineName(engine));
             }
+        }
+        if (::testing::Test::HasFailure())
+            FAIL() << "stopping at first diverging seed " << seed;
+    }
+}
+
+/**
+ * The scalar sweep leg: random gradient marks land on inputs,
+ * constants and repeated nodes, which takes the tape off its gradient
+ * region, and rewrites drop inputs, which leaves holes in its model
+ * and data regions. The tape's sgdSweep must match the interpreter's
+ * per-record steps on the plain graph, and be bit-identical on the
+ * rewritten one.
+ */
+TEST(RewriteFuzz, SgdSweepMatchesInterpreterSteps)
+{
+    auto [lo, hi] = seedRange();
+    for (uint64_t seed = lo; seed <= hi; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        auto plain = randomTranslation(seed);
+        auto rewritten = plain;
+        dfg::rewriteFixpoint(rewritten);
+        for (auto quantizer :
+             {static_cast<double (*)(double)>(nullptr),
+              &accel::quantizeToFixed}) {
+            SCOPED_TRACE(quantizer ? "Q16.16" : "F64");
+            auto want = sweepTrajectory(plain, seed, quantizer, false);
+            auto got = sweepTrajectory(plain, seed, quantizer, true);
+            expectSameValues(want, got, "tape-sweep");
+            expectBitIdentical(
+                got, sweepTrajectory(rewritten, seed, quantizer, true),
+                "tape-sweep");
         }
         if (::testing::Test::HasFailure())
             FAIL() << "stopping at first diverging seed " << seed;

@@ -111,6 +111,49 @@ TEST_P(TapeEquivalence, LaneBatchBitExactVsScalarWithRemainder)
     }
 }
 
+/**
+ * The scalar sgdSweep (model resident in its slot region, one
+ * contiguous update per record) must be bit-exact against the
+ * interpreter's gradient followed by an explicit per-record SGD step,
+ * with and without the quantizer.
+ */
+TEST_P(TapeEquivalence, SgdSweepMatchesInterpreterPerRecordSgd)
+{
+    const auto &w = ml::Workload::byName(std::get<0>(GetParam()));
+    const double scale = std::get<1>(GetParam());
+    auto tr = translateWorkload(w, scale);
+    if (tr.gradientWords != tr.modelWords)
+        GTEST_SKIP() << "SGD needs one gradient element per parameter";
+
+    Rng rng(17);
+    auto ds = ml::DatasetGenerator::generate(w, scale, 12, rng);
+    auto model = ml::DatasetGenerator::initialModel(w, scale, rng);
+    const double mu = 0.05;
+
+    for (double (*quantizer)(double) :
+         {static_cast<double (*)(double)>(nullptr),
+          &accel::quantizeToFixed}) {
+        dfg::Interpreter interp(tr, quantizer);
+        std::vector<double> want(model), grad;
+        for (int64_t r = 0; r < ds.count; ++r) {
+            interp.run(ds.record(r), want, grad);
+            for (int64_t i = 0; i < tr.gradientWords; ++i)
+                want[i] -= mu * grad[i];
+        }
+
+        dfg::Tape tape(tr, quantizer);
+        EXPECT_TRUE(tape.hasGradientRegion())
+            << "every suite gradient is a distinct operation node";
+        dfg::TapeExecutor exec(tape);
+        std::vector<double> got(model);
+        exec.sgdSweep(ds.data, ds.count, got, mu);
+        for (int64_t i = 0; i < tr.modelWords; ++i)
+            ASSERT_EQ(got[i], want[i])
+                << "model element " << i
+                << (quantizer ? " (quantized)" : " (exact)");
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllBenchmarks, TapeEquivalence,
     ::testing::Combine(
@@ -207,34 +250,6 @@ TEST(Tape, RunBatchMatchesInterpreterAccumulate)
         EXPECT_EQ(got[i], want[i]) << "accumulated element " << i;
 }
 
-TEST(Tape, SgdSweepMatchesPerRecordSteps)
-{
-    const auto &w = ml::Workload::byName("stock");
-    auto tr = translateWorkload(w, 64.0);
-    Rng rng(31);
-    auto ds = ml::DatasetGenerator::generate(w, 64.0, 12, rng);
-    auto model = ml::DatasetGenerator::initialModel(w, 64.0, rng);
-    const double mu = 0.05;
-
-    // Reference: interpreter gradient + explicit SGD step per record.
-    dfg::Interpreter interp(tr);
-    std::vector<double> want(model), grad;
-    for (int64_t r = 0; r < ds.count; ++r) {
-        interp.run(ds.record(r), want, grad);
-        for (int64_t i = 0; i < tr.gradientWords; ++i)
-            want[i] -= mu * grad[i];
-    }
-
-    dfg::Tape tape(tr);
-    dfg::TapeExecutor exec(tape);
-    std::vector<double> got(model);
-    exec.sgdSweep(ds.data, ds.count, got, mu);
-
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(got[i], want[i]) << "model element " << i;
-}
-
 TEST(Tape, AbsentOperandsReadPinnedZero)
 {
     // Neg has only operand a; b and c resolve to the zero slot. A
@@ -257,6 +272,90 @@ TEST(Tape, AbsentOperandsReadPinnedZero)
     exec.run(record, model, got);
     for (int64_t i = 0; i < tr.gradientWords; ++i)
         EXPECT_EQ(got[i], want[i]);
+}
+
+/**
+ * Gradients that are not distinct operation nodes — a model input, a
+ * data input, a constant and the same node twice — leave the tape
+ * without a gradient region. Gradients then read through their slots,
+ * and the resident sweep must still step against the pre-update model:
+ * gradient 1 is model word 0 itself, which the step updates first.
+ */
+TEST(Tape, IrregularGradientsMatchInterpreter)
+{
+    dfg::Translation tr;
+    dfg::Dfg &g = tr.dfg;
+    const auto x = g.addDataInput(0, {});
+    const auto w0 = g.addModelInput(0, {});
+    const auto w1 = g.addModelInput(1, {});
+    const auto half = g.addConst(0.5);
+    const auto prod = g.addOp(dfg::OpKind::Mul, w0, x);
+    const auto sum = g.addOp(dfg::OpKind::Add, prod, w1);
+    const auto act = g.addOp(dfg::OpKind::Sigmoid, sum);
+    g.markGradient(act, 0, {});
+    g.markGradient(w0, 1, {});
+    g.markGradient(half, 2, {});
+    g.markGradient(act, 3, {});
+    g.markGradient(x, 4, {});
+    tr.recordWords = 1;
+    tr.modelWords = 5;
+    tr.gradientWords = 5;
+    tr.minibatch = 1;
+
+    const std::vector<double> records = {0.75, -1.5, 2.0, 0.125};
+    const std::vector<double> model0 = {0.3, -0.7, 0.25, 1.0, -2.0};
+    const double mu = 0.1;
+    for (double (*quantizer)(double) :
+         {static_cast<double (*)(double)>(nullptr),
+          &accel::quantizeToFixed}) {
+        SCOPED_TRACE(quantizer ? "Q16.16" : "F64");
+        dfg::Interpreter interp(tr, quantizer);
+        dfg::Tape tape(tr, quantizer);
+        EXPECT_FALSE(tape.hasGradientRegion());
+        dfg::TapeExecutor exec(tape);
+
+        std::vector<double> want, got(tr.gradientWords);
+        interp.run(std::span(records).first(1), model0, want);
+        exec.run(std::span(records).first(1), model0, got);
+        EXPECT_EQ(got, want);
+
+        std::vector<double> want_sum;
+        interp.accumulate(records, 4, model0, want_sum);
+        for (int width : {1, 4}) {
+            std::vector<double> got_sum(tr.gradientWords, 0.0);
+            exec.setLaneWidth(width);
+            exec.runBatch(records, 4, model0, got_sum);
+            EXPECT_EQ(got_sum, want_sum) << "lane width " << width;
+        }
+
+        std::vector<double> want_model(model0), grad;
+        for (int64_t r = 0; r < 4; ++r) {
+            interp.run(std::span(records).subspan(r, 1), want_model,
+                       grad);
+            for (int64_t i = 0; i < tr.gradientWords; ++i)
+                want_model[i] -= mu * grad[i];
+        }
+        std::vector<double> got_model(model0);
+        exec.sgdSweep(records, 4, got_model, mu);
+        EXPECT_EQ(got_model, want_model);
+    }
+}
+
+/**
+ * Segment compression guard: the statement expansion's homogeneous
+ * stretches must stay strided, so the scalar executor keeps its small
+ * per-record dispatch count.
+ */
+TEST(Tape, SegmentsCompressTheSuitePrograms)
+{
+    auto mnist = translateWorkload(ml::Workload::byName("mnist"), 8.0);
+    dfg::Tape mnist_tape(mnist);
+    EXPECT_LE(mnist_tape.segmentCount(), 1500);
+
+    auto texture =
+        translateWorkload(ml::Workload::byName("texture"), 1.0);
+    dfg::Tape texture_tape(texture);
+    EXPECT_LE(texture_tape.segmentCount(), 8);
 }
 
 /** An emulated training run: holdout loss per epoch + final model. */
