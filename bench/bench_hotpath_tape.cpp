@@ -1,31 +1,28 @@
 /**
  * @file
- * Training hot-path throughput: interpreter vs compiled tape executor,
- * with a lane-width sweep of the multi-lane (SIMD-across-records)
- * batch path.
+ * Training hot-path throughput: interpreter vs compiled tape executor
+ * vs JIT-compiled native kernel.
  *
  * Measures single-thread records/sec of the per-record gradient kernel
  * for all 10 Table-1 workloads — the node-order Interpreter against the
- * Tape's segment stream at lane widths 1 (scalar), 4 and 8, plus the
- * scalar plain-SGD sweep that default training runs — and times one
+ * Tape's segment stream (runBatch), the plain-SGD sweep that default
+ * training runs, and the native kernel's runBatch — and times one
  * functional-runtime iteration to show the persistent-worker system
- * layer end to end, with and without SGD shards driving the
- * multi-lane sweep path.
+ * layer end to end, with one and with eight SGD shards per node.
  *
  * The last two lines of output are machine-readable JSON summaries so
- * future PRs can track the perf trajectory:
+ * the perf trajectory can be tracked:
  *   {"bench":"hotpath_tape","scale":...,"results":[{"workload":...,
- *    "interp_rps":...,"tape_rps":...,"lane4_rps":...,"lane8_rps":...,
- *    "sgd_rps":...,"speedup":...,"lane_speedup":...},...],"iteration":{...},
- *    "iteration_lanes":{...}}
+ *    "interp_rps":...,"tape_rps":...,"sgd_rps":...,"speedup":...},...],
+ *    "iteration":{...},"iteration_shards":{...}}
  *   {"bench":"jit","scale":...,"results":[{"workload":...,
- *    "lane8_rps":...,"jit_rps":...,"jit_speedup":...},...],
+ *    "tape_rps":...,"jit_rps":...,"jit_speedup":...},...],
  *    "toolchain":...,"stats":{...}}
  *
- * Targets: >= 3x tape-over-interpreter (ISSUE 1), >= 1.5x
- * lanes-over-scalar-tape (ISSUE 2) and >= 2x jit-over-lane-8-tape
- * (ISSUE 7) single-thread throughput on the linear- and
- * logistic-regression workloads (stock, texture, tumor, cancer1).
+ * Targets: >= 3x tape-over-interpreter and >= 2x jit-over-tape
+ * single-thread throughput on the linear- and logistic-regression
+ * workloads (stock, texture, tumor, cancer1). The exit status is
+ * non-zero when either is missed.
  */
 #include <algorithm>
 #include <chrono>
@@ -117,11 +114,11 @@ main()
 
     const bool have_toolchain = jit::KernelCache::toolchainAvailable();
     TablePrinter table("Training hot path: single-thread records/sec, "
-                       "interpreter vs tape lane widths vs jit (scale 1/" +
+                       "interpreter vs tape vs jit (scale 1/" +
                        std::to_string(static_cast<int>(scale)) + ")");
-    table.setHeader({"Benchmark", "Algorithm", "DFG ops",
-                     "Interp rec/s", "Tape W=1", "Tape W=4", "Tape W=8",
-                     "SGD W=1", "JIT W=8", "Tape x", "Lane x", "JIT x"});
+    table.setHeader({"Benchmark", "Algorithm", "DFG ops", "Interp rec/s",
+                     "Tape rec/s", "SGD rec/s", "JIT rec/s", "Tape x",
+                     "JIT x"});
 
     std::ostringstream json;
     json << "{\"bench\":\"hotpath_tape\",\"scale\":" << scale
@@ -131,7 +128,6 @@ main()
              << ",\"records\":" << records << ",\"results\":[";
 
     bool tape_ok = true;
-    bool lanes_ok = true;
     bool jit_ok = true;
     bool first = true;
     int64_t frontend_passes = 0;
@@ -159,21 +155,14 @@ main()
             for (int64_t r = 0; r < records; ++r)
                 interp.run(ds.record(r), model, grad);
         });
-        auto tape_rps_at = [&](int width) {
-            exec.setLaneWidth(width);
-            return measureBestRps(records, [&] {
-                exec.runBatch(ds.data, records, model, grad_accum);
-            });
-        };
-        double tape_rps = tape_rps_at(1);
-        double lane4_rps = tape_rps_at(4);
-        double lane8_rps = tape_rps_at(8);
+        double tape_rps = measureBestRps(records, [&] {
+            exec.runBatch(ds.data, records, model, grad_accum);
+        });
 
-        // The scalar sweep default training runs; every call restarts
-        // from the initial model so the weights never drift.
+        // The sweep default training runs; every call restarts from
+        // the initial model so the weights never drift.
         double sgd_rps = 0.0;
         if (tr.gradientWords == tr.modelWords) {
-            exec.setLaneWidth(1);
             std::vector<double> sweep_model(model.size());
             sgd_rps = measureBestRps(records, [&] {
                 std::copy(model.begin(), model.end(),
@@ -187,24 +176,19 @@ main()
         // column stays honest (speedup ~1x, fallback counted).
         dfg::Tape jit_tape(tr, nullptr, dfg::TapeBackend::Jit);
         dfg::TapeExecutor jit_exec(jit_tape);
-        jit_exec.setLaneWidth(8);
         double jit_rps = measureBestRps(records, [&] {
             jit_exec.runBatch(ds.data, records, model, grad_accum);
         });
         const bool jit_native = jit_exec.nativeActive();
 
         double speedup = tape_rps / interp_rps;
-        double lane_speedup =
-            std::max(lane4_rps, lane8_rps) / tape_rps;
-        double jit_speedup = jit_rps / lane8_rps;
+        double jit_speedup = jit_rps / tape_rps;
 
         bool is_regression =
             w.algorithm == ml::Algorithm::LinearRegression ||
             w.algorithm == ml::Algorithm::LogisticRegression;
         if (is_regression && speedup < 3.0)
             tape_ok = false;
-        if (is_regression && lane_speedup < 1.5)
-            lanes_ok = false;
         if (is_regression && have_toolchain && jit_speedup < 2.0)
             jit_ok = false;
 
@@ -212,27 +196,20 @@ main()
                       std::to_string(tr.dfg.operationCount()),
                       TablePrinter::num(interp_rps, 0),
                       TablePrinter::num(tape_rps, 0),
-                      TablePrinter::num(lane4_rps, 0),
-                      TablePrinter::num(lane8_rps, 0),
                       sgd_rps > 0.0 ? TablePrinter::num(sgd_rps, 0)
                                     : "-",
                       jit_native ? TablePrinter::num(jit_rps, 0)
                                  : "(interp)",
                       TablePrinter::num(speedup, 2),
-                      TablePrinter::num(lane_speedup, 2),
                       TablePrinter::num(jit_speedup, 2)});
 
         json << (first ? "" : ",") << "{\"workload\":\"" << w.name
              << "\",\"interp_rps\":" << TablePrinter::num(interp_rps, 0)
              << ",\"tape_rps\":" << TablePrinter::num(tape_rps, 0)
-             << ",\"lane4_rps\":" << TablePrinter::num(lane4_rps, 0)
-             << ",\"lane8_rps\":" << TablePrinter::num(lane8_rps, 0)
              << ",\"sgd_rps\":" << TablePrinter::num(sgd_rps, 0)
-             << ",\"speedup\":" << TablePrinter::num(speedup, 3)
-             << ",\"lane_speedup\":"
-             << TablePrinter::num(lane_speedup, 3) << "}";
+             << ",\"speedup\":" << TablePrinter::num(speedup, 3) << "}";
         jit_json << (first ? "" : ",") << "{\"workload\":\"" << w.name
-                 << "\",\"lane8_rps\":" << TablePrinter::num(lane8_rps, 0)
+                 << "\",\"tape_rps\":" << TablePrinter::num(tape_rps, 0)
                  << ",\"jit_rps\":" << TablePrinter::num(jit_rps, 0)
                  << ",\"native\":" << (jit_native ? "true" : "false")
                  << ",\"jit_speedup\":"
@@ -243,9 +220,7 @@ main()
     std::cout << "\nTargets on the linear/logistic-regression "
               << "workloads: tape >= 3x interpreter — "
               << (tape_ok ? "MET" : "NOT MET")
-              << "; lanes >= 1.5x scalar tape — "
-              << (lanes_ok ? "MET" : "NOT MET")
-              << "; jit >= 2x lane-8 tape — "
+              << "; jit >= 2x tape — "
               << (!have_toolchain ? "SKIPPED (no toolchain)"
                   : jit_ok        ? "MET"
                                   : "NOT MET")
@@ -253,16 +228,16 @@ main()
 
     // One functional-runtime iteration: the persistent-worker system
     // layer (tape executors fed through the nodes' thread pools),
-    // then the same cluster with 8 SGD shards per node so each
-    // accelerator thread drives a multi-lane sweep.
+    // then the same cluster with 8 SGD shards per node, each
+    // accelerator thread sweeping its shards in turn.
     sys::ClusterConfig cfg = bench::smallCluster(4, 64, 256);
     auto runtime = bench::makeRuntime("tumor", scale, cfg);
     auto base = measureIteration(*runtime);
 
-    sys::ClusterConfig lane_cfg = cfg;
-    lane_cfg.sgdShardsPerNode = 8;
-    auto lane_runtime = bench::makeRuntime("tumor", scale, lane_cfg);
-    auto lanes = measureIteration(*lane_runtime);
+    sys::ClusterConfig shard_cfg = cfg;
+    shard_cfg.sgdShardsPerNode = 8;
+    auto shard_runtime = bench::makeRuntime("tumor", scale, shard_cfg);
+    auto shards = measureIteration(*shard_runtime);
 
     std::cout << "\nCluster iteration (tumor, 4 nodes, b=64): "
               << TablePrinter::num(base.iterSec * 1e3, 3)
@@ -271,10 +246,10 @@ main()
               << TablePrinter::num(base.aggSec * 1e3, 3)
               << " ms aggregation wait\n"
               << "Cluster iteration (8 SGD shards/node):   "
-              << TablePrinter::num(lanes.iterSec * 1e3, 3)
-              << " ms/iter, " << TablePrinter::num(lanes.rps, 0)
+              << TablePrinter::num(shards.iterSec * 1e3, 3)
+              << " ms/iter, " << TablePrinter::num(shards.rps, 0)
               << " records/sec, "
-              << TablePrinter::num(lanes.aggSec * 1e3, 3)
+              << TablePrinter::num(shards.aggSec * 1e3, 3)
               << " ms aggregation wait\n\n";
 
     auto cache_stats = compile::BuildCache::instance().stats();
@@ -286,12 +261,12 @@ main()
          << cfg.nodes << ",\"iter_sec\":" << base.iterSec
          << ",\"records_per_sec\":" << TablePrinter::num(base.rps, 0)
          << ",\"aggregation_wait_sec\":" << base.aggSec
-         << "},\"iteration_lanes\":{\"workload\":\"tumor\",\"nodes\":"
-         << lane_cfg.nodes
-         << ",\"sgd_shards\":" << lane_cfg.sgdShardsPerNode
-         << ",\"iter_sec\":" << lanes.iterSec
-         << ",\"records_per_sec\":" << TablePrinter::num(lanes.rps, 0)
-         << ",\"aggregation_wait_sec\":" << lanes.aggSec << "}}";
+         << "},\"iteration_shards\":{\"workload\":\"tumor\",\"nodes\":"
+         << shard_cfg.nodes
+         << ",\"sgd_shards\":" << shard_cfg.sgdShardsPerNode
+         << ",\"iter_sec\":" << shards.iterSec
+         << ",\"records_per_sec\":" << TablePrinter::num(shards.rps, 0)
+         << ",\"aggregation_wait_sec\":" << shards.aggSec << "}}";
     std::cout << json.str() << "\n";
 
     const jit::JitStats js = jit::KernelCache::instance().stats();
@@ -302,5 +277,5 @@ main()
              << ",\"compile_ms\":" << TablePrinter::num(js.compileMs, 1)
              << ",\"fallbacks\":" << js.fallbacks << "}}";
     std::cout << jit_json.str() << "\n";
-    return tape_ok && lanes_ok && jit_ok ? 0 : 1;
+    return tape_ok && jit_ok ? 0 : 1;
 }

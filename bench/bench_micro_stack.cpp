@@ -227,9 +227,9 @@ BM_JitAcquireWarm(benchmark::State &state)
     }
     auto tr = compile::translateSource(faceWorkload().dslSource(8));
     dfg::Tape tape(tr);
-    jit::KernelCache::instance().acquire(tape, 8);
+    jit::KernelCache::instance().acquire(tape);
     for (auto _ : state) {
-        auto kernel = jit::KernelCache::instance().acquire(tape, 8);
+        auto kernel = jit::KernelCache::instance().acquire(tape);
         benchmark::DoNotOptimize(kernel.get());
     }
     state.SetItemsProcessed(state.iterations());

@@ -78,8 +78,8 @@ struct CompileOptions
 
     /**
      * Compute kernel the training hot path runs (dfg/tape.h): the
-     * interpreter tape, or native code JIT-compiled per (DFG, lane
-     * width, quantizer) with graceful fallback to the interpreter.
+     * interpreter tape, or native code JIT-compiled per (DFG,
+     * quantizer) with graceful fallback to the interpreter.
      * Auto follows COSMIC_TAPE_JIT (a *set* variable overrides even an
      * explicit choice here); results are bit-exact either way.
      */

@@ -13,8 +13,8 @@
  * inputs and the gradient outputs.
  *
  * The bit-exactness contract is what lets the pipeline enable the
- * passes by default: the interpreter, the scalar tape, and the
- * lane-batched tape all train identical trajectories whether or not
+ * passes by default: the interpreter, the tape's SGD sweep and its
+ * batch call all train identical trajectories whether or not
  * the graph was optimized (pinned by tests/test_pipeline.cpp on all
  * ten Table-1 workloads).
  *

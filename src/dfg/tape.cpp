@@ -1,9 +1,6 @@
 #include "dfg/tape.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <limits>
 
 #include "common/error.h"
@@ -14,12 +11,6 @@ namespace cosmic::dfg {
 
 namespace {
 
-inline bool
-validLaneWidth(int lanes)
-{
-    return lanes == 1 || lanes == 4 || lanes == kMaxTapeLanes;
-}
-
 /** Unit dst stride and no operand reading a slot the segment writes:
  *  the segment's operations are independent, so a vectorized loop
  *  computes exactly what the in-order loop does. */
@@ -28,7 +19,7 @@ isFlat(const TapeSegment &seg)
 {
     if (seg.dstStride != 1)
         return false;
-    const int64_t n = seg.end - seg.begin;
+    const int64_t n = seg.count;
     const int64_t dst = seg.dst;
     const int32_t operand[3] = {seg.a, seg.b, seg.c};
     const int32_t stride[3] = {seg.aStride, seg.bStride, seg.cStride};
@@ -77,12 +68,35 @@ flatBinary(double *__restrict__ d, const double *__restrict__ a,
     }
 }
 
+/** d[k] = a[k * sa] != 0 ? b[k * sb] : c[k * sc] for k < n, d
+ *  overlapping no operand. A broadcast condition (an SVM's margin
+ *  test) picks one operand for the whole segment: a copy. */
+inline void
+flatSelect(double *__restrict__ d, const double *__restrict__ a,
+           int64_t sa, const double *__restrict__ b, int64_t sb,
+           const double *__restrict__ c, int64_t sc, int64_t n)
+{
+    if (sa == 0) {
+        const bool take_b = *a != 0.0;
+        const double *__restrict__ src = take_b ? b : c;
+        const int64_t ss = take_b ? sb : sc;
+        if (ss == 1)
+            std::copy_n(src, n, d);
+        else
+            for (int64_t k = 0; k < n; ++k)
+                d[k] = src[k * ss];
+        return;
+    }
+    for (int64_t k = 0; k < n; ++k)
+        d[k] = a[k * sa] != 0.0 ? b[k * sb] : c[k * sc];
+}
+
 /** Runs a flat segment of an unquantized tape as a vectorizable
  *  loop; false for opcodes without one. */
 inline bool
 runFlat(const TapeSegment &seg, double *s)
 {
-    const int64_t n = seg.end - seg.begin;
+    const int64_t n = seg.count;
     double *d = s + seg.dst;
     const double *a = s + seg.a;
     const double *b = s + seg.b;
@@ -99,19 +113,23 @@ runFlat(const TapeSegment &seg, double *s)
         flatBinary(d, a, seg.aStride, b, seg.bStride, n,
                    [](double x, double y) { return x * y; });
         return true;
+      case OpKind::Select:
+        flatSelect(d, a, seg.aStride, b, seg.bStride, s + seg.c,
+                   seg.cStride, n);
+        return true;
       default:
         return false;
     }
 }
 
-/** Runs one segment in instruction order as a strided loop: the
- *  common ALU opcodes get dedicated loops, everything else (LUT ops,
- *  compares, select) goes through the shared datapath switch. */
+/** Runs one segment in order as a strided loop: the common ALU
+ *  opcodes get dedicated loops, everything else (LUT ops, compares,
+ *  select) goes through the shared datapath switch. */
 template <bool Quantized>
 inline void
 runStrided(const TapeSegment &seg, double *s, double (*q)(double))
 {
-    const int64_t n = seg.end - seg.begin;
+    const int64_t n = seg.count;
     double *d = s + seg.dst;
     const double *a = s + seg.a;
     const double *b = s + seg.b;
@@ -160,19 +178,19 @@ sgdStep(double *__restrict__ m, const double *__restrict__ g, size_t n,
 }
 
 /** Extends @p seg by region-layout instruction @p x, which follows
- *  @p prev in the stream, when x keeps the segment's opcode and
+ *  @p prev in execution order, when x keeps the segment's opcode and
  *  strides. A segment's second instruction sets its strides. */
 inline bool
 continueSegment(TapeSegment &seg, const TapeInstr &prev,
                 const TapeInstr &x)
 {
-    if (seg.end < 0 || x.op != seg.op)
+    if (seg.count == 0 || x.op != seg.op)
         return false;
     const int32_t dst = x.dst - prev.dst;
     const int32_t a = x.a - prev.a;
     const int32_t b = x.b - prev.b;
     const int32_t c = x.c - prev.c;
-    if (seg.end - seg.begin == 1) {
+    if (seg.count == 1) {
         seg.dstStride = dst;
         seg.aStride = a;
         seg.bStride = b;
@@ -181,39 +199,230 @@ continueSegment(TapeSegment &seg, const TapeInstr &prev,
                b != seg.bStride || c != seg.cStride) {
         return false;
     }
-    ++seg.end;
+    ++seg.count;
     return true;
 }
 
-} // namespace
-
-int
-parseTapeLanesEnv(const char *env)
+/** Cuts region-layout instructions, fed in execution order, into
+ *  segments; without an output vector it only counts them. */
+class SegmentBuilder
 {
-    if (env == nullptr || *env == '\0')
-        COSMIC_FATAL("COSMIC_TAPE_LANES is set but empty: expected a "
-                     "lane width of 1, 4, or "
-                     << kMaxTapeLanes);
-    errno = 0;
-    char *end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    // strtol quietly skips leading whitespace; treat it as garbage
-    // too, so the accepted grammar is exactly a bare integer.
-    if (std::isspace(static_cast<unsigned char>(*env)) ||
-        end == env || *end != '\0' || errno == ERANGE)
-        COSMIC_FATAL("COSMIC_TAPE_LANES='"
-                     << env
-                     << "' is not an integer: expected a lane width "
-                        "of 1, 4, or "
-                     << kMaxTapeLanes);
-    if (!validLaneWidth(static_cast<int>(v)))
-        COSMIC_FATAL("COSMIC_TAPE_LANES="
-                     << v
-                     << " is not a supported lane width: expected 1, "
-                        "4, or "
-                     << kMaxTapeLanes);
-    return static_cast<int>(v);
+  public:
+    explicit SegmentBuilder(std::vector<TapeSegment> *out = nullptr)
+        : out_(out)
+    {
+    }
+
+    void add(const TapeInstr &x)
+    {
+        if (!continueSegment(seg_, prev_, x)) {
+            close();
+            seg_ = {.op = x.op, .count = 1, .dst = x.dst, .a = x.a,
+                    .b = x.b, .c = x.c};
+            ++count_;
+        }
+        prev_ = x;
+    }
+
+    /** Closes the open segment; returns the segment count. */
+    int64_t finish()
+    {
+        close();
+        return count_;
+    }
+
+  private:
+    void close()
+    {
+        if (out_ && seg_.count > 0)
+            out_->push_back(seg_);
+        seg_.count = 0;
+    }
+
+    std::vector<TapeSegment> *out_;
+    TapeSegment seg_;
+    TapeInstr prev_;
+    int64_t count_ = 0;
+};
+
+/** Most interleaved chains one transposed stretch may hold. */
+constexpr int64_t kMaxChains = 8;
+
+/** The node-order instructions read in region-layout slots. */
+class RegionView
+{
+  public:
+    RegionView(const std::vector<TapeInstr> &instrs,
+               const std::vector<int32_t> &region)
+        : instrs_(instrs), region_(region)
+    {
+    }
+
+    int64_t size() const { return static_cast<int64_t>(instrs_.size()); }
+    OpKind op(int64_t i) const { return instrs_[i].op; }
+
+    TapeInstr operator[](int64_t i) const
+    {
+        const TapeInstr &in = instrs_[i];
+        return {in.op, region_[in.dst], region_[in.a], region_[in.b],
+                region_[in.c]};
+    }
+
+  private:
+    const std::vector<TapeInstr> &instrs_;
+    const std::vector<int32_t> &region_;
+};
+
+/**
+ * A stretch of the node-order instructions: [begin, begin + chains *
+ * reps), read as @p reps repetitions of a @p chains-instruction
+ * template and emitted chain by chain (instruction begin + r * chains
+ * + j at position j * reps + r).
+ */
+struct Stretch
+{
+    int64_t begin = 0;
+    int64_t chains = 0;
+    int64_t reps = 0;
+
+    int64_t end() const { return begin + chains * reps; }
+};
+
+/** Feeds @p s's instructions to @p out chain by chain. */
+void
+emitTransposed(const RegionView &x, const Stretch &s, SegmentBuilder &out)
+{
+    for (int64_t j = 0; j < s.chains; ++j)
+        for (int64_t r = 0; r < s.reps; ++r)
+            out.add(x[s.begin + r * s.chains + j]);
 }
+
+/** Segments of x[begin, end) in node order, counted in isolation. */
+int64_t
+nodeOrderSegments(const RegionView &x, int64_t begin, int64_t end)
+{
+    SegmentBuilder count;
+    for (int64_t i = begin; i < end; ++i)
+        count.add(x[i]);
+    return count.finish();
+}
+
+/** Length of the node-order segment that starts at x[i]. */
+int64_t
+runLength(const RegionView &x, int64_t i)
+{
+    TapeSegment seg{.op = x.op(i), .count = 1};
+    TapeInstr prev = x[i];
+    int64_t e = i + 1;
+    for (; e < x.size(); ++e) {
+        const TapeInstr next = x[e];
+        if (!continueSegment(seg, prev, next))
+            break;
+        prev = next;
+    }
+    return e - i;
+}
+
+/**
+ * Full repetitions of a @p k-chain template starting at x[i] that may
+ * be emitted chain by chain: chain j (instructions i + r * k + j)
+ * repeats one opcode with constant slot strides, and no operand is
+ * written by a later chain (j' > j) at an earlier repetition — every
+ * operand produced inside the stretch comes from an earlier chain or
+ * from the same chain's earlier repetition, so chain-major order is
+ * still topological. Chain j' writes an arithmetic progression of
+ * slots, so the test is arithmetic.
+ */
+int64_t
+stretchReps(const RegionView &x, int64_t i, int64_t k)
+{
+    for (int64_t j = 0; j < k; ++j)
+        if (x.op(i + k + j) != x.op(i + j))
+            return 1;
+    TapeSegment chain[kMaxChains];
+    TapeInstr last[kMaxChains];
+    for (int64_t j = 0; j < k; ++j) {
+        last[j] = x[i + j];
+        chain[j] = {.op = last[j].op, .count = 1, .dst = last[j].dst};
+    }
+    // Whether chain j' > j writes @p slot before repetition r.
+    const auto later_chain_writes = [&](int32_t slot, int64_t j,
+                                        int64_t r) {
+        for (int64_t jj = j + 1; jj < k; ++jj) {
+            const int64_t diff = int64_t{slot} - chain[jj].dst;
+            if (diff == 0)
+                return true;
+            const int64_t span = (r - 1) * chain[jj].dstStride;
+            if (r >= 2 && diff >= std::min<int64_t>(span, 0) &&
+                diff <= std::max<int64_t>(span, 0) &&
+                diff % chain[jj].dstStride == 0)
+                return true;
+        }
+        return false;
+    };
+    int64_t reps = 1;
+    for (; i + (reps + 1) * k <= x.size(); ++reps) {
+        for (int64_t j = 0; j < k; ++j) {
+            const TapeInstr in = x[i + reps * k + j];
+            if (!continueSegment(chain[j], last[j], in))
+                return reps;
+            last[j] = in;
+        }
+        for (int64_t j = 0; j < k; ++j)
+            if (later_chain_writes(last[j].a, j, reps) ||
+                later_chain_writes(last[j].b, j, reps) ||
+                later_chain_writes(last[j].c, j, reps))
+                return reps;
+    }
+    return reps;
+}
+
+/**
+ * The stretches of the node-order instructions @p x worth emitting
+ * chain by chain, in order: a greedy, left-to-right walk over the
+ * node-order segments @p node_order. At the start of each segment,
+ * chain counts k <= 8 at least as long as the segment are tried in
+ * increasing order, and the first stretch that saves at least two
+ * segments wins (so the seams it opens with its neighbours cannot eat
+ * the saving; chains count as one segment each, an upper bound).
+ * Trying only where the node-order segment is shorter than a template
+ * keeps the walk linear: long same-opcode runs are skipped whole.
+ */
+std::vector<Stretch>
+findStretches(const RegionView &x,
+              const std::vector<TapeSegment> &node_order)
+{
+    std::vector<Stretch> found;
+    const int64_t n = x.size();
+    // The node-order segment holding position i starts at seg_begin.
+    size_t seg = 0;
+    int64_t seg_begin = 0;
+    for (int64_t i = 0; i < n;) {
+        while (seg_begin + node_order[seg].count <= i)
+            seg_begin += node_order[seg++].count;
+        const int64_t run = seg_begin == i ? node_order[seg].count
+                                           : runLength(x, i);
+        Stretch best;
+        for (int64_t k = std::max<int64_t>(2, run);
+             k <= kMaxChains && i + 2 * k <= n; ++k) {
+            const Stretch s{.begin = i, .chains = k,
+                            .reps = stretchReps(x, i, k)};
+            if (s.reps >= 2 && nodeOrderSegments(x, i, s.end()) >= k + 2) {
+                best = s;
+                break;
+            }
+        }
+        if (best.reps > 0) {
+            found.push_back(best);
+            i = best.end();
+        } else {
+            i += run;
+        }
+    }
+    return found;
+}
+
+} // namespace
 
 bool
 parseTapeJitEnv(const char *env)
@@ -229,16 +438,6 @@ parseTapeJitEnv(const char *env)
                  << env
                  << "' is not a recognized value: expected 0 "
                     "(interpreter tape) or 1 (jit)");
-}
-
-int
-defaultTapeLanes()
-{
-    static const int lanes = [] {
-        const char *env = std::getenv("COSMIC_TAPE_LANES");
-        return env ? parseTapeLanesEnv(env) : kMaxTapeLanes;
-    }();
-    return lanes;
 }
 
 Tape::Tape(const Translation &translation, double (*quantizer)(double),
@@ -288,25 +487,21 @@ Tape::Tape(const Translation &translation, double (*quantizer)(double),
     }
     int32_t next_const = next;
     int32_t next_op = static_cast<int32_t>(next + consts);
-    regionImage_.assign(next_op + ops - (distinct ? grads.size() : 0),
-                        0.0);
+    image_.assign(next_op + ops - (distinct ? grads.size() : 0), 0.0);
 
-    image_.assign(n + 1, 0.0);
     instrs_.reserve(ops);
     dataGather_.reserve(dfg.dataInputCount());
     modelGather_.reserve(dfg.modelInputCount());
-    // The open segment and its last instruction, in region slots.
-    TapeSegment seg{.end = -1};
-    TapeInstr prev;
+    // The node-order segments, in region slots.
+    SegmentBuilder node_order(&segments_);
     for (NodeId v = 0; v < n; ++v) {
         const Node &node = dfg.node(v);
         const int32_t s = slot_of(v);
         switch (node.op) {
           case OpKind::Const: {
             double value = dfg.constValue(v);
-            image_[s] = quantizer_ ? quantizer_(value) : value;
             region[s] = next_const++;
-            regionImage_[region[s]] = image_[s];
+            image_[region[s]] = quantizer_ ? quantizer_(value) : value;
             break;
           }
           case OpKind::Input: {
@@ -325,34 +520,20 @@ Tape::Tape(const Translation &translation, double (*quantizer)(double),
                 (data ? dataBase_ : modelBase_) + pos);
             break;
           }
-          default: {
-            const int32_t index = static_cast<int32_t>(instrs_.size());
+          default:
             instrs_.push_back({node.op, s, slot_of(node.a),
                                slot_of(node.b), slot_of(node.c)});
             if (region[s] < 0)
                 region[s] = next_op++;
             // Operands precede their consumer, so their region slots
             // are assigned.
-            const TapeInstr x{node.op, region[s],
-                              region[slot_of(node.a)],
-                              region[slot_of(node.b)],
-                              region[slot_of(node.c)]};
-            if (!continueSegment(seg, prev, x)) {
-                if (seg.end >= 0)
-                    segments_.push_back(seg);
-                seg = {.op = x.op, .begin = index, .end = index + 1,
-                       .dst = x.dst, .a = x.a, .b = x.b, .c = x.c};
-            }
-            prev = x;
+            node_order.add({node.op, region[s], region[slot_of(node.a)],
+                            region[slot_of(node.b)],
+                            region[slot_of(node.c)]});
             break;
-          }
         }
     }
-    if (seg.end >= 0)
-        segments_.push_back(seg);
-    for (TapeSegment &s : segments_)
-        s.flat = isFlat(s);
-    COSMIC_ASSERT(static_cast<size_t>(next_op) == regionImage_.size(),
+    COSMIC_ASSERT(static_cast<size_t>(next_op) == image_.size(),
                   "region layout miscounted its operation slots");
 
     gradSlots_.reserve(grads.size());
@@ -361,48 +542,48 @@ Tape::Tape(const Translation &translation, double (*quantizer)(double),
     if (!distinct)
         for (int32_t s : gradSlots_)
             regionGradSlots_.push_back(region[s]);
+
+    // Execution order: node order with the interleaved chains
+    // transposed, kept only if that has fewer segments.
+    const int64_t node_order_segments = node_order.finish();
+    const RegionView x(instrs_, region);
+    const std::vector<Stretch> stretches = findStretches(x, segments_);
+    if (!stretches.empty()) {
+        std::vector<TapeSegment> planned;
+        SegmentBuilder build(&planned);
+        int64_t i = 0;
+        for (const Stretch &st : stretches) {
+            for (; i < st.begin; ++i)
+                build.add(x[i]);
+            emitTransposed(x, st, build);
+            i = st.end();
+        }
+        for (; i < x.size(); ++i)
+            build.add(x[i]);
+        if (build.finish() < node_order_segments)
+            segments_ = std::move(planned);
+    }
+    for (TapeSegment &seg : segments_)
+        seg.flat = isFlat(seg);
 }
 
 TapeExecutor::TapeExecutor(const Tape &tape)
-    : tape_(tape), scratch_(tape.regionImage_), lanes_(defaultTapeLanes())
+    : tape_(tape), scratch_(tape.image_)
 {
     gradBuf_.resize(tape.regionGradSlots_.size());
-}
-
-double *
-TapeExecutor::laneScratch()
-{
-    if (laneScratch_.empty()) {
-        const std::vector<double> &image = tape_.image_;
-        laneScratch_.resize(image.size() * kMaxTapeLanes);
-        for (size_t slot = 0; slot < image.size(); ++slot)
-            std::fill_n(laneScratch_.begin() + slot * kMaxTapeLanes,
-                        kMaxTapeLanes, image[slot]);
-    }
-    return laneScratch_.data();
-}
-
-void
-TapeExecutor::setLaneWidth(int lanes)
-{
-    COSMIC_ASSERT(validLaneWidth(lanes),
-                  "lane width must be 1, 4 or " << kMaxTapeLanes
-                  << ", got " << lanes);
-    lanes_ = lanes;
 }
 
 bool
 TapeExecutor::prepareNative()
 {
-    // Memoized per lane width — including failed resolutions, so the
-    // interpreter fallback costs one compare per batch, not a kernel
-    // cache round trip (let alone a toolchain probe).
-    if (nativeLanes_ == lanes_)
-        return native_ != nullptr;
-    nativeLanes_ = lanes_;
-    native_.reset();
-    if (jit::jitRequested(tape_.backend_))
-        native_ = jit::KernelCache::instance().acquire(tape_, lanes_);
+    // Memoized — including failed resolutions, so the interpreter
+    // fallback costs one flag test per batch, not a kernel cache round
+    // trip (let alone a toolchain probe).
+    if (!nativeResolved_) {
+        nativeResolved_ = true;
+        if (jit::jitRequested(tape_.backend_))
+            native_ = jit::KernelCache::instance().acquire(tape_);
+    }
     return native_ != nullptr;
 }
 
@@ -439,9 +620,8 @@ TapeExecutor::runRecord(const double *record)
     }
 
     for (const TapeSegment &seg : t.segments_) {
-        // A lone instruction (the SVMs alternate opcodes) skips the
-        // loop set-up.
-        if (seg.end - seg.begin == 1) {
+        // A lone instruction skips the loop set-up.
+        if (seg.count == 1) {
             double v = evaluateOp(seg.op, s[seg.a], s[seg.b], s[seg.c]);
             s[seg.dst] = Quantized ? q(v) : v;
             continue;
@@ -461,98 +641,6 @@ TapeExecutor::gradients()
     for (size_t i = 0; i < gradBuf_.size(); ++i)
         gradBuf_[i] = scratch_[tape_.regionGradSlots_[i]];
     return gradBuf_.data();
-}
-
-template <bool Quantized, int W>
-void
-TapeExecutor::runLanes(const double *const *records,
-                       const double *const *models)
-{
-    constexpr int S = kMaxTapeLanes;
-    double *ls = laneScratch();
-    const Tape &t = tape_;
-    double (*q)(double) = t.quantizer_;
-
-    for (const TapeGather &g : t.dataGather_) {
-        double *d = ls + static_cast<size_t>(g.slot) * S;
-        for (int l = 0; l < W; ++l)
-            d[l] = Quantized ? q(records[l][g.pos]) : records[l][g.pos];
-    }
-    // models == nullptr means the model slots are already resident
-    // (broadcast once per batch by runBatchLanes — instructions never
-    // write input slots, so they stay valid across lane groups).
-    if (models) {
-        for (const TapeGather &g : t.modelGather_) {
-            double *d = ls + static_cast<size_t>(g.slot) * S;
-            for (int l = 0; l < W; ++l)
-                d[l] =
-                    Quantized ? q(models[l][g.pos]) : models[l][g.pos];
-        }
-    }
-
-    const TapeInstr *ins = t.instrs_.data();
-    for (const TapeSegment &seg : t.segments_) {
-        const TapeInstr *p = ins + seg.begin;
-        const TapeInstr *e = ins + seg.end;
-        // One dispatch per segment, then one instruction load per
-        // operation: each instruction executes once per lane over the
-        // stride-1 SoA columns — the inner loop is what
-        // auto-vectorizes. The DFG is SSA, so an instruction's
-        // destination slot never aliases its operand slots:
-        // __restrict__ lets the compiler vectorize the lane loop
-        // without emitting runtime overlap checks.
-        switch (seg.op) {
-          case OpKind::Add:
-            for (; p != e; ++p) {
-                double *__restrict__ d =
-                    ls + static_cast<size_t>(p->dst) * S;
-                const double *a = ls + static_cast<size_t>(p->a) * S;
-                const double *b = ls + static_cast<size_t>(p->b) * S;
-                for (int l = 0; l < W; ++l) {
-                    double v = a[l] + b[l];
-                    d[l] = Quantized ? q(v) : v;
-                }
-            }
-            break;
-          case OpKind::Sub:
-            for (; p != e; ++p) {
-                double *__restrict__ d =
-                    ls + static_cast<size_t>(p->dst) * S;
-                const double *a = ls + static_cast<size_t>(p->a) * S;
-                const double *b = ls + static_cast<size_t>(p->b) * S;
-                for (int l = 0; l < W; ++l) {
-                    double v = a[l] - b[l];
-                    d[l] = Quantized ? q(v) : v;
-                }
-            }
-            break;
-          case OpKind::Mul:
-            for (; p != e; ++p) {
-                double *__restrict__ d =
-                    ls + static_cast<size_t>(p->dst) * S;
-                const double *a = ls + static_cast<size_t>(p->a) * S;
-                const double *b = ls + static_cast<size_t>(p->b) * S;
-                for (int l = 0; l < W; ++l) {
-                    double v = a[l] * b[l];
-                    d[l] = Quantized ? q(v) : v;
-                }
-            }
-            break;
-          default:
-            for (; p != e; ++p) {
-                double *__restrict__ d =
-                    ls + static_cast<size_t>(p->dst) * S;
-                const double *a = ls + static_cast<size_t>(p->a) * S;
-                const double *b = ls + static_cast<size_t>(p->b) * S;
-                const double *c = ls + static_cast<size_t>(p->c) * S;
-                for (int l = 0; l < W; ++l) {
-                    double v = evaluateOp(seg.op, a[l], b[l], c[l]);
-                    d[l] = Quantized ? q(v) : v;
-                }
-            }
-            break;
-        }
-    }
 }
 
 void
@@ -604,88 +692,26 @@ TapeExecutor::runBatch(std::span<const double> records,
                           grad_accum.data());
         return;
     }
-
-    const double *rec = records.data();
-    const double *mod = model.data();
-    const bool quantized = tape_.quantizer_ != nullptr;
-    switch (lanes_) {
-      case 4:
-        if (quantized)
-            runBatchLanes<true, 4>(rec, record_count, mod,
-                                   grad_accum.data());
-        else
-            runBatchLanes<false, 4>(rec, record_count, mod,
-                                    grad_accum.data());
-        break;
-      case kMaxTapeLanes:
-        if (quantized)
-            runBatchLanes<true, kMaxTapeLanes>(rec, record_count, mod,
-                                               grad_accum.data());
-        else
-            runBatchLanes<false, kMaxTapeLanes>(rec, record_count, mod,
-                                                grad_accum.data());
-        break;
-      default:
-        if (quantized)
-            runBatchLanes<true, 1>(rec, record_count, mod,
-                                   grad_accum.data());
-        else
-            runBatchLanes<false, 1>(rec, record_count, mod,
-                                    grad_accum.data());
-        break;
-    }
+    if (tape_.quantizer_)
+        accumulate<true>(records.data(), record_count, model.data(),
+                         grad_accum.data());
+    else
+        accumulate<false>(records.data(), record_count, model.data(),
+                          grad_accum.data());
 }
 
-template <bool Quantized, int W>
+template <bool Quantized>
 void
-TapeExecutor::runBatchLanes(const double *records, int64_t record_count,
-                            const double *model, double *grad_accum)
+TapeExecutor::accumulate(const double *records, int64_t record_count,
+                         const double *model, double *grad_accum)
 {
-    const int64_t stride = tape_.tr_->recordWords;
-    const int32_t *slots = tape_.gradSlots_.data();
-    const size_t grads = tape_.gradSlots_.size();
-
     if (record_count <= 0)
         return;
-
-    // The model is frozen for the whole batch: load it into the model
-    // region once — and broadcast it across the lane scratch once,
-    // instead of once per lane group. (The sweep path cannot do this
-    // — its models evolve every record.)
+    const int64_t stride = tape_.tr_->recordWords;
+    const size_t grads = tape_.gradSlots_.size();
+    // The model is frozen for the whole batch: load it once.
     loadModel<Quantized>(model);
-    if constexpr (W > 1) {
-        double *ls = laneScratch();
-        for (const TapeGather &g : tape_.modelGather_)
-            std::fill_n(ls + static_cast<size_t>(g.slot) * kMaxTapeLanes,
-                        W, scratch_[tape_.modelBase_ + g.pos]);
-    }
-
-    int64_t r = 0;
-    if constexpr (W > 1) {
-        const double *recs[W];
-        for (; r + W <= record_count; r += W) {
-            for (int l = 0; l < W; ++l)
-                recs[l] = records + (r + l) * stride;
-            runLanes<Quantized, W>(recs, nullptr);
-            // Element-major fold over the SoA columns: per element the
-            // lanes still add in record order (each grad_accum[i] is
-            // an independent accumulator), so the summation sequence
-            // is exactly the scalar path's — but the W lane values of
-            // one slot are contiguous loads.
-            for (size_t i = 0; i < grads; ++i) {
-                const double *lane =
-                    laneScratch_.data() +
-                    static_cast<size_t>(slots[i]) * kMaxTapeLanes;
-                double acc = grad_accum[i];
-                for (int l = 0; l < W; ++l)
-                    acc += lane[l];
-                grad_accum[i] = acc;
-            }
-        }
-    }
-    // Scalar remainder (and the whole batch when W == 1); the model
-    // region was loaded once above.
-    for (; r < record_count; ++r) {
+    for (int64_t r = 0; r < record_count; ++r) {
         runRecord<Quantized>(records + r * stride);
         const double *g = gradients();
         for (size_t i = 0; i < grads; ++i)
@@ -736,96 +762,6 @@ TapeExecutor::sgdSweep(std::span<const double> records,
         sgdStep(resident, gradients(), grads, learning_rate);
     }
     std::copy_n(resident, tr.modelWords, mod);
-}
-
-void
-TapeExecutor::sgdSweepLanes(std::span<SweepLane> lanes,
-                            double learning_rate)
-{
-    const dfg::Translation &tr = *tape_.tr_;
-    COSMIC_ASSERT(tr.gradientWords == tr.modelWords,
-                  "SGD requires one gradient element per parameter");
-    // Every lane is an independent sweep and the lockstep path is
-    // defined to be bit-exact against per-lane scalar sweeps, so the
-    // native scalar sweep can drain the lanes one by one.
-    prepareNative();
-    if (native_ && native_->sgdSweep) {
-        for (SweepLane &lane : lanes)
-            native_->sgdSweep(lane.records, lane.count, lane.model,
-                              learning_rate);
-        return;
-    }
-
-    const int n = static_cast<int>(lanes.size());
-    const bool quantized = tape_.quantizer_ != nullptr;
-    if (n == 4) {
-        if (quantized)
-            sweepLanes<true, 4>(lanes.data(), learning_rate);
-        else
-            sweepLanes<false, 4>(lanes.data(), learning_rate);
-        return;
-    }
-    if (n == kMaxTapeLanes) {
-        if (quantized)
-            sweepLanes<true, kMaxTapeLanes>(lanes.data(), learning_rate);
-        else
-            sweepLanes<false, kMaxTapeLanes>(lanes.data(),
-                                             learning_rate);
-        return;
-    }
-    // Unsupported widths run each sweep scalar — identical results.
-    for (SweepLane &lane : lanes)
-        sgdSweep(std::span<const double>(lane.records,
-                                         lane.count * tr.recordWords),
-                 lane.count,
-                 std::span<double>(lane.model, tr.modelWords),
-                 learning_rate);
-}
-
-template <bool Quantized, int W>
-void
-TapeExecutor::sweepLanes(SweepLane *lanes, double learning_rate)
-{
-    const dfg::Translation &tr = *tape_.tr_;
-    const int64_t stride = tr.recordWords;
-    const int32_t *slots = tape_.gradSlots_.data();
-    const size_t grads = tape_.gradSlots_.size();
-
-    int64_t lockstep = lanes[0].count;
-    for (int l = 1; l < W; ++l)
-        lockstep = std::min(lockstep, lanes[l].count);
-
-    const double *recs[W];
-    const double *mods[W];
-    for (int l = 0; l < W; ++l)
-        mods[l] = lanes[l].model;
-    // Lockstep region: one tape pass advances every sweep by one
-    // record. Models are re-gathered each step, so lane l always sees
-    // its own model as updated by its previous record — exactly the
-    // scalar sweep's recurrence.
-    for (int64_t r = 0; r < lockstep; ++r) {
-        for (int l = 0; l < W; ++l)
-            recs[l] = lanes[l].records + r * stride;
-        runLanes<Quantized, W>(recs, mods);
-        for (int l = 0; l < W; ++l) {
-            double *mod = lanes[l].model;
-            for (size_t i = 0; i < grads; ++i)
-                mod[i] -= learning_rate *
-                          laneScratch_[static_cast<size_t>(slots[i]) *
-                                           kMaxTapeLanes +
-                                       l];
-        }
-    }
-    // Ragged tails drain through the scalar sweep.
-    for (int l = 0; l < W; ++l) {
-        int64_t rest = lanes[l].count - lockstep;
-        if (rest > 0)
-            sgdSweep(std::span<const double>(
-                         lanes[l].records + lockstep * stride,
-                         rest * stride),
-                     rest, std::span<double>(lanes[l].model, tr.modelWords),
-                     learning_rate);
-    }
 }
 
 } // namespace cosmic::dfg

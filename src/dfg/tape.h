@@ -7,52 +7,47 @@
  * record. That is fine for cross-checks but it is the inner loop of the
  * whole scale-out runtime: every gradient in the cluster flows through
  * it. The Tape lowers a Translation once into two views of the same
- * operation sequence (topological node order):
+ * operations:
  *
- *  - Segments over a region layout, for the scalar executor. Data is
- *    laid out before operations (the paper's "map data before
- *    operations"): slot 0 is a pinned zero (absent operands point at
- *    it, so the loop has no kInvalidNode branches), then the model
- *    region (model word p at modelBase + p), the data region (record
- *    word p at dataBase + p), the gradient region (gradient i at
- *    gradientBase + i), constants (preloaded and pre-quantized at
- *    lowering time), then the remaining operations in instruction
- *    order. Loading a model or a record is one contiguous copy, and so
- *    is reading the gradient. The gradient region exists only when
- *    every gradient is a distinct operation node (true of every suite
- *    program); otherwise gradients are read slot by slot. A segment
- *    is a maximal stretch of same-opcode instructions whose dst/a/b/c
- *    slots each advance by a constant stride; the scalar executor runs
- *    it as one strided loop with no per-operation instruction load,
- *    and a segment with a unit dst stride and no dependency inside it
- *    as a restrict-qualified loop the compiler vectorizes. The
- *    Translator's statement expansion makes segments long: mnist's
- *    34k operations form about 1,400 segments.
- *  - The instruction view, for the lane executor and the JIT emitter:
- *    one TapeInstr per operation with slots numbered by node
- *    (slot = node + 1), DATA/MODEL gather lists and the gradient
- *    slots. Node numbering keeps each input next to its first
- *    consumer, which the 8-wide lane image needs for locality.
+ *  - Segments over a region layout, for the executor. Data is laid out
+ *    before operations (the paper's "map data before operations"):
+ *    slot 0 is a pinned zero (absent operands point at it, so the loop
+ *    has no kInvalidNode branches), then the model region (model word
+ *    p at modelBase + p), the data region (record word p at dataBase +
+ *    p), the gradient region (gradient i at gradientBase + i),
+ *    constants (preloaded and pre-quantized at lowering time), then the
+ *    remaining operations in node order. Loading a model or a record
+ *    is one contiguous copy, and so is reading the gradient. The
+ *    gradient region exists only when every gradient is a distinct
+ *    operation node (true of every suite program); otherwise gradients
+ *    are read slot by slot. A segment is a run of same-opcode
+ *    operations whose dst/a/b/c slots each advance by a constant
+ *    stride; the executor runs it as one strided loop with no
+ *    per-operation instruction load, and a segment with a unit dst
+ *    stride and no dependency inside it as a restrict-qualified loop
+ *    the compiler vectorizes. The Translator's statement expansion
+ *    makes segments long: mnist's 34k operations form about 1,400.
+ *  - The instruction view, for the JIT emitter: one TapeInstr per
+ *    operation in node order with slots numbered by node (slot = node
+ *    + 1), DATA/MODEL gather lists and the gradient slots.
  *
- * Execution order and arithmetic are identical to the Interpreter's
- * node-order walk, so tape gradients are bit-exact against it — with
- * and without the fixed-point quantizer hook. Vectorized segments only
- * reorder independent operations.
- *
- * Multi-lane execution (the software analogue of the paper's t_max
- * thread dimension): records are independent, so the executor can
- * also keep a structure-of-arrays lane scratch over the instruction
- * view (`laneScratch[slot * kMaxTapeLanes + lane]`, allocated on the
- * first lane-width call), walk each segment instruction by instruction
- * and execute each instruction once for W records at a time — the
- * inner lane loop is a tight, auto-vectorizable stride-1 sweep. Lane
- * batching never changes per-record arithmetic or the record-order
- * accumulation, so lane-batched gradients stay bit-exact against the
- * scalar tape; a scalar remainder path handles record counts that are
- * not a multiple of the lane width.
+ * Segments follow node order except where lowering transposes a
+ * stretch of interleaved chains. An SVM's gradient alternates
+ * mul/select, so in node order every operation is its own segment;
+ * k <= 8 chains that each repeat one opcode with constant slot strides
+ * are emitted chain by chain instead, one segment per chain. The
+ * transposition is legal only when every operand produced inside the
+ * stretch comes from an earlier chain, or from the same chain's
+ * earlier repetition — so the emitted order stays topological — and
+ * lowering applies it only where it cuts the stretch's segment count
+ * (and keeps node order if the whole tape would not get shorter).
+ * Reordering independent SSA operations changes no value: tape
+ * gradients are bit-exact against the Interpreter's node-order walk,
+ * with and without the fixed-point quantizer hook. Vectorized segments
+ * likewise only reorder independent operations.
  *
  * The Tape itself is immutable and shareable across threads; each
- * worker owns a TapeExecutor holding the mutable scratch vectors.
+ * worker owns a TapeExecutor holding the mutable scratch vector.
  */
 #pragma once
 
@@ -69,16 +64,12 @@ struct NativeTapeKernel;
 
 namespace cosmic::dfg {
 
-/** Lane stride of the SoA scratch — the widest supported lane batch. */
-inline constexpr int kMaxTapeLanes = 8;
-
 /**
  * Which compute kernel a TapeExecutor runs.
  *
- *  - Interp: the in-process dispatch loop over the instruction stream
- *    (always available).
- *  - Jit: specialized C source emitted per (DFG, lane width, quantizer),
- *    compiled with the system toolchain and dlopen'ed (src/jit/). Falls
+ *  - Interp: the in-process segment loop (always available).
+ *  - Jit: specialized C source emitted per (DFG, quantizer), compiled
+ *    with the system toolchain and dlopen'ed (src/jit/). Falls
  *    back to Interp — with a counted, logged reason — when no compiler
  *    is available or compilation fails. Bit-exact against Interp.
  *  - Auto: follow the COSMIC_TAPE_JIT environment variable (1 = Jit,
@@ -101,23 +92,6 @@ enum class TapeBackend : uint8_t
  */
 bool parseTapeJitEnv(const char *env);
 
-/**
- * Default lane width for batched execution. Tunable per process via
- * the COSMIC_TAPE_LANES environment variable (1 = scalar, 4 or 8).
- * An unset variable means kMaxTapeLanes; a set-but-invalid one —
- * garbage, trailing junk, or an unsupported width — is a
- * configuration error and throws, rather than silently running at a
- * width the user did not ask for.
- */
-int defaultTapeLanes();
-
-/**
- * Strict parser behind the COSMIC_TAPE_LANES knob (exposed for
- * tests): @p env must be a base-10 integer, the whole string, naming
- * a supported lane width. Throws CosmicError otherwise.
- */
-int parseTapeLanesEnv(const char *env);
-
 /** One tape instruction: scratch[dst] = op(scratch[a], [b], [c]). */
 struct TapeInstr
 {
@@ -130,10 +104,9 @@ struct TapeInstr
 };
 
 /**
- * A maximal stretch of consecutive same-opcode instructions whose
- * dst/a/b/c slots each advance by a constant stride: instruction
- * begin + k is scratch[dst + k * dstStride] = op(scratch[a + k *
- * aStride], ...).
+ * A run of @c count same-opcode operations whose dst/a/b/c slots each
+ * advance by a constant stride: operation k < count is
+ * scratch[dst + k * dstStride] = op(scratch[a + k * aStride], ...).
  */
 struct TapeSegment
 {
@@ -141,10 +114,8 @@ struct TapeSegment
     /** Unit dst stride and no operand reads a slot the segment
      *  writes: the operations are independent, safe to vectorize. */
     bool flat = false;
-    /** Half-open range [begin, end) into the instruction stream. */
-    int32_t begin = 0;
-    int32_t end = 0;
-    /** Region-layout slots of instruction begin. */
+    int32_t count = 0;
+    /** Region-layout slots of the first operation. */
     int32_t dst = 0;
     int32_t a = 0;
     int32_t b = 0;
@@ -167,7 +138,7 @@ class Tape
 {
   public:
     /**
-     * Lowers @p translation into the flat instruction stream.
+     * Lowers @p translation into segments and the instruction view.
      *
      * @param quantizer Optional value-rounding hook applied to every
      *        buffered value, exactly as in the Interpreter (constants
@@ -186,7 +157,8 @@ class Tape
     double (*quantizer() const)(double) { return quantizer_; }
     TapeBackend backend() const { return backend_; }
 
-    /** Read-only views for the native-code emitter (src/jit/). */
+    /** Read-only node-order views for the native-code emitter
+     *  (src/jit/); constants are read from the DFG. */
     std::span<const TapeInstr> instructions() const { return instrs_; }
     std::span<const TapeGather> dataGathers() const
     {
@@ -197,15 +169,9 @@ class Tape
         return modelGather_;
     }
     std::span<const int32_t> gradientSlots() const { return gradSlots_; }
-    /** Instruction-view image: pre-quantized constants, everything
-     *  else zero. */
-    std::span<const double> constImage() const { return image_; }
 
     /** Instruction-view slots (slot 0 is the pinned zero). */
-    int64_t slotCount() const
-    {
-        return static_cast<int64_t>(image_.size());
-    }
+    int64_t slotCount() const { return tr_->dfg.size() + 1; }
 
     /** Executable operations on the tape (== dfg.operationCount()). */
     int64_t instructionCount() const
@@ -213,15 +179,15 @@ class Tape
         return static_cast<int64_t>(instrs_.size());
     }
 
-    /** Strided segments the instruction stream compresses into. */
+    /** Strided segments the operations compress into. */
     int64_t segmentCount() const
     {
         return static_cast<int64_t>(segments_.size());
     }
 
     /** Whether the region layout holds the gradients in one
-     *  contiguous region, in gradient order (else the scalar
-     *  executor reads them slot by slot). */
+     *  contiguous region, in gradient order (else the executor reads
+     *  them slot by slot). */
     bool hasGradientRegion() const { return gradBase_ >= 0; }
 
   private:
@@ -235,9 +201,9 @@ class Tape
     std::vector<TapeGather> modelGather_;
     /** Instruction-view slot of each flattened-gradient element. */
     std::vector<int32_t> gradSlots_;
-    /** Instruction-view image: constants preloaded, the rest zero. */
-    std::vector<double> image_;
 
+    /** Execution order: node order with interleaved chains
+     *  transposed. */
     std::vector<TapeSegment> segments_;
     /** First slot of the model region (modelWords slots), the data
      *  region (recordWords slots) and the gradient region (-1: none). */
@@ -248,7 +214,7 @@ class Tape
      *  there is no gradient region. */
     std::vector<int32_t> regionGradSlots_;
     /** Region-layout image: constants preloaded, the rest zero. */
-    std::vector<double> regionImage_;
+    std::vector<double> image_;
 };
 
 /**
@@ -272,11 +238,6 @@ class TapeExecutor
      * grad_accum[i] += per-record gradient, in record order (the same
      * summation order as Interpreter::accumulate). The caller owns and
      * zeroes @p grad_accum; no allocations per call.
-     *
-     * Executes laneWidth() records per tape pass (bit-exact against
-     * the scalar path: every lane performs the same per-record
-     * arithmetic and lanes are accumulated in record order), with a
-     * scalar remainder for record_count % laneWidth() leftovers.
      */
     void runBatch(std::span<const double> records, int64_t record_count,
                   std::span<const double> model,
@@ -288,49 +249,15 @@ class TapeExecutor
      * model[i] -= learning_rate * grad[i] in place. Requires
      * gradientWords == modelWords (one gradient element per
      * parameter). No allocations per call.
-     *
-     * Inherently scalar: record r's gradient depends on the model
-     * after record r-1, so there is no bit-exact lane batching within
-     * one sweep — use sgdSweepLanes for *independent* sweeps.
      */
     void sgdSweep(std::span<const double> records, int64_t record_count,
                   std::span<double> model, double learning_rate);
 
-    /** One independent SGD sweep for sgdSweepLanes. */
-    struct SweepLane
-    {
-        /** Contiguous records (count * recordWords doubles). */
-        const double *records = nullptr;
-        int64_t count = 0;
-        /** The lane's private model (modelWords doubles), updated in
-         *  place. Lanes must not alias each other's models. */
-        double *model = nullptr;
-    };
-
     /**
-     * Advances several *independent* SGD sweeps in lockstep, one tape
-     * pass per record step with one lane per sweep. Each lane's model
-     * update uses only that lane's gradient, so every lane is
-     * bit-exact against a scalar sgdSweep over the same records.
-     * Lane counts may be ragged: the lockstep region covers the
-     * shortest lane, the rest drains through the scalar sweep. When
-     * lanes.size() is not a supported lane width (4 or 8), every lane
-     * falls back to the scalar sweep — results are identical either
-     * way.
-     */
-    void sgdSweepLanes(std::span<SweepLane> lanes, double learning_rate);
-
-    /** Lane width used by runBatch (1 = scalar, 4 or 8). */
-    int laneWidth() const { return lanes_; }
-
-    /** Overrides the lane width (bench/test hook; 1, 4 or 8). */
-    void setLaneWidth(int lanes);
-
-    /**
-     * Resolves the native (JIT) kernel for the tape's backend choice
-     * and the current lane width, compiling it (or hitting the kernel
-     * cache) if needed. Called lazily by runBatch/sgdSweep; exposed so
-     * tools can warm the kernel and observe the outcome.
+     * Resolves the native (JIT) kernel for the tape's backend choice,
+     * compiling it (or hitting the kernel cache) if needed. Called
+     * lazily by runBatch/sgdSweep; exposed so tools can warm the
+     * kernel and observe the outcome.
      *
      * @return Whether batch calls now run native code. False when the
      *         backend resolves to the interpreter tape — including the
@@ -354,28 +281,14 @@ class TapeExecutor
     template <bool Quantized>
     void runRecord(const double *record);
 
+    /** runBatch on the interpreter tape. */
+    template <bool Quantized>
+    void accumulate(const double *records, int64_t record_count,
+                    const double *model, double *grad_accum);
+
     /** The last record's gradient, gradientSlots().size() words: the
      *  gradient region itself, or gradBuf_ gathered from the slots. */
     const double *gradients();
-
-    /**
-     * Executes the tape once for W records — lane l reads record
-     * records[l] and model models[l] — leaving per-lane results in
-     * laneScratch_[slot * kMaxTapeLanes + lane].
-     */
-    template <bool Quantized, int W>
-    void runLanes(const double *const *records,
-                  const double *const *models);
-
-    template <bool Quantized, int W>
-    void runBatchLanes(const double *records, int64_t record_count,
-                       const double *model, double *grad_accum);
-
-    template <bool Quantized, int W>
-    void sweepLanes(SweepLane *lanes, double learning_rate);
-
-    /** The lane scratch, built from the constant image on first use. */
-    double *laneScratch();
 
     const Tape &tape_;
     /** Region-layout working image; slot 0 stays 0.0, const slots
@@ -383,18 +296,13 @@ class TapeExecutor
     std::vector<double> scratch_;
     /** Gradient copy for tapes without a gradient region. */
     std::vector<double> gradBuf_;
-    /** SoA lane image: slot-major, kMaxTapeLanes values per slot, the
-     *  constant image replicated across lanes. Empty until the first
-     *  lane-width call (see laneScratch()). */
-    std::vector<double> laneScratch_;
-    int lanes_ = kMaxTapeLanes;
     /** Resolved native kernel (null = interpreter tape); shared with
      *  the process-wide kernel cache, which owns the dlopen handle. */
     std::shared_ptr<const jit::NativeTapeKernel> native_;
-    /** Lane width native_ was resolved for; -1 = not yet resolved.
-     *  A failed resolution is memoized too (native_ stays null), so
-     *  the interpreter fallback costs one pointer compare per call. */
-    int nativeLanes_ = -1;
+    /** Whether native_ has been resolved. A failed resolution is
+     *  memoized too (native_ stays null), so the interpreter fallback
+     *  costs one flag test per call. */
+    bool nativeResolved_ = false;
 };
 
 } // namespace cosmic::dfg

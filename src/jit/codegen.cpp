@@ -46,6 +46,11 @@ constexpr int64_t kRegModeMaxInstrs = 64;
  */
 constexpr int kChunkStmts = 64;
 
+/** Records per iteration of the batch kernel's lane loop: the lane
+ *  dimension is unrolled into `l < kLanes` loops over kLanes-element
+ *  stack arrays, one cache line of doubles per value. */
+constexpr int kLanes = 8;
+
 /**
  * Hex-float literal: exact round trip for every finite double.
  * Negative values are parenthesized — a bare leading '-' pastes into
@@ -129,8 +134,8 @@ operandWeights(OpKind op, int w[3])
 /** How a statement context names values and reads inputs. */
 struct Ctx
 {
-    /** Inside the W-record lane loop: values are W-element arrays
-     *  indexed [l], data loads offset by l * recordWords. */
+    /** Inside the kLanes-record lane loop: values are kLanes-element
+     *  arrays indexed [l], data loads offset by l * recordWords. */
     bool lane = false;
     /** Model reads resolve to the sweep's raw weight locals (w<pos>)
      *  instead of the batch's hoisted pre-quantized scalars (m<slot>). */
@@ -140,9 +145,8 @@ struct Ctx
 class Emitter
 {
   public:
-    Emitter(const dfg::Tape &tape, int lane_width)
-        : tape_(tape), dfg_(tape.translation().dfg), W_(lane_width),
-          q_(tape.quantized()),
+    explicit Emitter(const dfg::Tape &tape)
+        : tape_(tape), dfg_(tape.translation().dfg), q_(tape.quantized()),
           mem_(tape.instructionCount() > kRegModeMaxInstrs)
     {
     }
@@ -174,7 +178,6 @@ class Emitter
 
     const dfg::Tape &tape_;
     const dfg::Dfg &dfg_;
-    const int W_;
     const bool q_;
     const bool mem_;
 
@@ -334,7 +337,8 @@ Emitter::cell(const char *arr, int32_t slot, const Ctx &ctx) const
 {
     const int32_t idx = memIdx_[slot];
     if (ctx.lane)
-        return std::string(arr) + "[" + std::to_string(idx * W_) + " + l]";
+        return std::string(arr) + "[" + std::to_string(idx * kLanes) +
+               " + l]";
     return std::string(arr) + "[" + std::to_string(idx) + "]";
 }
 
@@ -344,8 +348,10 @@ Emitter::ref(int32_t slot, const Ctx &ctx) const
     if (slot == 0)
         return "0.0";
     const dfg::Node &n = dfg_.node(slot - 1);
-    if (n.op == OpKind::Const)
-        return lit(tape_.constImage()[slot]);
+    if (n.op == OpKind::Const) {
+        const double v = dfg_.constValue(slot - 1);
+        return lit(q_ ? tape_.quantizer()(v) : v);
+    }
     if (n.op == OpKind::Input) {
         if (n.category == Category::Data) {
             if (inline_[slot])
@@ -478,14 +484,14 @@ Emitter::opExpr(const TapeInstr &in, const Ctx &ctx) const
  * Materialized statements of one tape pass: shared data loads, (sweep
  * only) shared model reads, then every non-fused operation in
  * instruction order. Lane contexts emit each statement as a
- * fixed-trip-count `l < W` loop over a W-element stack array —
- * stride-1 and auto-vectorizable, with no kMaxTapeLanes indirection.
+ * fixed-trip-count `l < kLanes` loop over a kLanes-element stack
+ * array — stride-1 and auto-vectorizable.
  */
 void
 Emitter::emitBody(const Ctx &ctx, const char *pad)
 {
-    const std::string w = std::to_string(W_);
-    const int lanes = ctx.lane ? W_ : 1;
+    const std::string w = std::to_string(kLanes);
+    const int lanes = ctx.lane ? kLanes : 1;
     if (mem_) {
         // One flat array per value class; a store per statement. The
         // arrays are function-scope spill space the register allocator
@@ -540,9 +546,10 @@ Emitter::emitBatch()
             "(const double *restrict records, long long n,\n"
             "    const double *restrict model, double *restrict grad)\n{\n";
     // The batch model is frozen: gather + quantize once, like the
-    // executor's hoisted lane gather. Register mode hoists one scalar
-    // per gather; memory mode keeps F64 reads on the caller's array
-    // (no copy needed) and hoists a compact quantized copy for Q16.16.
+    // executor's once-per-batch model load. Register mode hoists one
+    // scalar per gather; memory mode keeps F64 reads on the caller's
+    // array (no copy needed) and hoists a compact quantized copy for
+    // Q16.16.
     if (!mem_) {
         for (const TapeGather &g : tape_.modelGathers())
             line("    ",
@@ -568,23 +575,21 @@ Emitter::emitBatch()
     // parameter; register mode folds straight into the caller's grad.
     const std::string gv = mem_ ? "G" : "grad";
     chunkArgs_ = callArgs("grad", true);
-    if (W_ > 1) {
-        const std::string w = std::to_string(W_);
-        line("    ", "for (; r + " + w + " <= n; r += " + w + ") {");
-        line("        ", "const double *restrict R = records + r * COSMIC_RW;");
-        Ctx lane{.lane = true, .sweep = false};
-        emitBody(lane, "        ");
-        // Element-major fold in record order: grad[i] += lane 0, then
-        // lane 1, ... — the scalar accumulation order exactly.
-        for (size_t i = 0; i < grads.size(); ++i)
-            chunkStmt("        ",
-                      "{ double acc = " + gv + "[" + std::to_string(i) +
-                          "]; for (int l = 0; l < " + w + "; ++l) acc += " +
-                          ref(grads[i], lane) + "; " + gv +
-                          "[" + std::to_string(i) + "] = acc; }");
-        flushChunk();
-        line("    ", "}");
-    }
+    const std::string w = std::to_string(kLanes);
+    line("    ", "for (; r + " + w + " <= n; r += " + w + ") {");
+    line("        ", "const double *restrict R = records + r * COSMIC_RW;");
+    Ctx lane{.lane = true, .sweep = false};
+    emitBody(lane, "        ");
+    // Element-major fold in record order: grad[i] += lane 0, then lane
+    // 1, ... — the scalar accumulation order exactly.
+    for (size_t i = 0; i < grads.size(); ++i)
+        chunkStmt("        ",
+                  "{ double acc = " + gv + "[" + std::to_string(i) +
+                      "]; for (int l = 0; l < " + w + "; ++l) acc += " +
+                      ref(grads[i], lane) + "; " + gv + "[" +
+                      std::to_string(i) + "] = acc; }");
+    flushChunk();
+    line("    ", "}");
     line("    ", "for (; r < n; ++r) {");
     line("        ", "const double *restrict R = records + r * COSMIC_RW;");
     Ctx scalar{.lane = false, .sweep = false};
@@ -655,7 +660,7 @@ Emitter::emit()
     analyze();
     const dfg::Translation &tr = tape_.translation();
     std::string head;
-    head += "/* cosmic jit kernel (generated): W=" + std::to_string(W_) +
+    head += "/* cosmic jit kernel (generated): W=" + std::to_string(kLanes) +
             " quantized=" + (q_ ? "1" : "0") +
             " instrs=" + std::to_string(tape_.instructionCount()) + " */\n";
     head += "#include <math.h>\n";
@@ -711,11 +716,9 @@ Emitter::emit()
 } // namespace
 
 KernelSource
-emitKernelSource(const dfg::Tape &tape, int lane_width)
+emitKernelSource(const dfg::Tape &tape)
 {
-    COSMIC_ASSERT(lane_width == 1 || lane_width == 4 || lane_width == 8,
-                  "jit: unsupported lane width " << lane_width);
-    return Emitter(tape, lane_width).emit();
+    return Emitter(tape).emit();
 }
 
 } // namespace cosmic::jit

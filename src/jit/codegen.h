@@ -3,8 +3,8 @@
  * C-source emission for the tape JIT backend.
  *
  * Turns one compiled Tape into a specialized C translation unit — one
- * per (DFG, lane width, quantizer) — that the kernel cache compiles
- * with the system toolchain and dlopen's. The emitted code is the
+ * per (DFG, quantizer) — that the kernel cache compiles with the
+ * system toolchain and dlopen's. The emitted code is the
  * tape's instruction stream lowered to straight-line expressions:
  *
  *  - every scratch slot becomes a C local, so the C compiler's
@@ -12,9 +12,10 @@
  *  - single-use intermediate values are fused into their consumer's
  *    expression (mul+add chains collapse to FMA-shaped expressions),
  *    bounded by a fusion cap so pathological chains stay compilable;
- *  - the lane dimension is unrolled into fixed-trip-count `l < W`
- *    loops over W-element stack arrays — stride-1, no kMaxTapeLanes
- *    stride indirection — which the C compiler auto-vectorizes;
+ *  - the batch kernel runs 8 records at a time: the lane dimension is
+ *    unrolled into fixed-trip-count `l < 8` loops over 8-element
+ *    stack arrays — stride-1 — which the C compiler auto-vectorizes,
+ *    with a one-record loop for the remainder;
  *  - `cosmic_jit_sgd_sweep` folds the SGD update into the gradient
  *    sweep: the whole model lives in C locals across the record loop
  *    and is stored back once at the end.
@@ -52,10 +53,10 @@ struct KernelSource
 };
 
 /**
- * Emits the specialized C source for @p tape at lane width @p
- * lane_width (1, 4 or 8). The tape's quantizer must be null or
- * accel::quantizeToFixed — the kernel cache checks before calling.
+ * Emits the specialized C source for @p tape. The tape's quantizer
+ * must be null or accel::quantizeToFixed — the kernel cache checks
+ * before calling.
  */
-KernelSource emitKernelSource(const dfg::Tape &tape, int lane_width);
+KernelSource emitKernelSource(const dfg::Tape &tape);
 
 } // namespace cosmic::jit

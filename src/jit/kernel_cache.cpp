@@ -220,7 +220,7 @@ KernelCache::fallback(std::unique_lock<std::mutex> &lock,
 }
 
 std::shared_ptr<const NativeTapeKernel>
-KernelCache::acquire(const dfg::Tape &tape, int lane_width)
+KernelCache::acquire(const dfg::Tape &tape)
 {
     std::unique_lock lock(mu_);
     if (tape.quantizer() && tape.quantizer() != &accel::quantizeToFixed)
@@ -231,7 +231,7 @@ KernelCache::acquire(const dfg::Tape &tape, int lane_width)
                             std::to_string(tape.instructionCount()) +
                             " instructions)");
 
-    const KernelSource src = emitKernelSource(tape, lane_width);
+    const KernelSource src = emitKernelSource(tape);
     const std::string cc = compilerCommand();
     const uint64_t key = fnv1a64(src.text, fnv1a64(cc) ^ fnv1a64(kBaseFlags));
 

@@ -3,9 +3,9 @@
  * Process-wide cache of dlopen'ed native tape kernels.
  *
  * The kernel cache sits between the TapeExecutor and the system
- * toolchain. An acquire() emits the C source for one (tape, lane
- * width) pair, content-hashes it together with the resolved compiler
- * command, and resolves it through three tiers:
+ * toolchain. An acquire() emits the C source for one tape,
+ * content-hashes it together with the resolved compiler command, and
+ * resolves it through three tiers:
  *
  *  1. in-memory: the shared object is already loaded in this process —
  *     executors share one NativeTapeKernel (a hit);
@@ -91,12 +91,11 @@ class KernelCache
     static KernelCache &instance();
 
     /**
-     * Resolves the native kernel for @p tape at lane width
-     * @p lane_width. Null on fallback (counted, reason logged once per
-     * distinct reason); never throws for toolchain problems.
+     * Resolves the native kernel for @p tape. Null on fallback
+     * (counted, reason logged once per distinct reason); never throws
+     * for toolchain problems.
      */
-    std::shared_ptr<const NativeTapeKernel> acquire(const dfg::Tape &tape,
-                                                    int lane_width);
+    std::shared_ptr<const NativeTapeKernel> acquire(const dfg::Tape &tape);
 
     JitStats stats() const;
 

@@ -70,7 +70,10 @@ encodeMessage(const sys::Message &msg, PayloadKind payload,
         const size_t bytes = words * sizeof(double);
         const size_t off = out.size();
         out.resize(off + bytes);
-        std::memcpy(out.data() + off, msg.payload.data(), bytes);
+        // An empty payload's data() may be null, and memcpy from null
+        // is undefined even for zero bytes.
+        if (bytes > 0)
+            std::memcpy(out.data() + off, msg.payload.data(), bytes);
     } else {
         const size_t off = out.size();
         out.resize(off + words * sizeof(int32_t));
@@ -160,8 +163,9 @@ decodeMessage(const WireHeader &hdr, const uint8_t *data,
                        : std::vector<double>(hdr.words);
     const uint8_t *body = data + kFrameHeaderBytes;
     if (hdr.payload == PayloadKind::F64) {
-        std::memcpy(out.payload.data(), body,
-                    hdr.words * sizeof(double));
+        if (hdr.words > 0) // an empty payload's data() may be null
+            std::memcpy(out.payload.data(), body,
+                        hdr.words * sizeof(double));
     } else {
         for (uint32_t i = 0; i < hdr.words; ++i) {
             int32_t raw;

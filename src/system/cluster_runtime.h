@@ -61,8 +61,8 @@ struct ClusterConfig
     int acceleratorThreadsPerNode = 2;
     /** Local-SGD shards per node (the accelerator's t_max thread
      *  dimension); 0 = one per accelerator thread. Shards beyond the
-     *  thread count run in tape lanes. The training math depends only
-     *  on this count, never on threads or lane width. */
+     *  thread count are swept in turn by the node's threads. The
+     *  training math depends only on this count, never on threads. */
     int sgdShardsPerNode = 0;
     double learningRate = 0.05;
     /** Mini-batch size b per node per iteration (Eq. 3a). */

@@ -66,38 +66,18 @@ TrainingNode::sweepShardRange(int t, int s0, int s1,
                               const std::vector<double> &model)
 {
     Worker &w = workers_[t];
-    const double mu = config_.learningRate;
-    // Advance the owned shards in lane groups: the group's round-k
-    // segments form the lanes of one multi-lane sweep. With the
-    // classic one-shard-per-thread configuration the group has a
-    // single lane and sgdSweepLanes degenerates to the scalar sweep —
-    // either way, each shard's trajectory is bit-exact.
-    for (int base = s0; base < s1; base += dfg::kMaxTapeLanes) {
-        const int group =
-            std::min<int>(dfg::kMaxTapeLanes, s1 - base);
-        Segment segs[dfg::kMaxTapeLanes][2];
-        int seg_count[dfg::kMaxTapeLanes];
-        for (int i = 0; i < group; ++i) {
-            std::copy(model.begin(), model.end(),
-                      shardModels_[base + i].begin());
-            seg_count[i] = shardSegments(base + i, shards_,
-                                         batch_records, segs[i]);
-        }
-        for (int round = 0; round < 2; ++round) {
-            dfg::TapeExecutor::SweepLane lanes[dfg::kMaxTapeLanes];
-            int n = 0;
-            for (int i = 0; i < group; ++i) {
-                if (round >= seg_count[i])
-                    continue;
-                lanes[n].records = segs[i][round].records;
-                lanes[n].count = segs[i][round].count;
-                lanes[n].model = shardModels_[base + i].data();
-                ++n;
-            }
-            if (n > 0)
-                w.exec->sgdSweepLanes({lanes, static_cast<size_t>(n)},
-                                      mu);
-        }
+    // Each shard is an independent plain-SGD sweep over its records
+    // (at most two segments when the batch wraps the partition).
+    for (int s = s0; s < s1; ++s) {
+        std::vector<double> &shard_model = shardModels_[s];
+        std::copy(model.begin(), model.end(), shard_model.begin());
+        Segment segs[2];
+        const int count = shardSegments(s, shards_, batch_records, segs);
+        for (int k = 0; k < count; ++k)
+            w.exec->sgdSweep(
+                {segs[k].records, static_cast<size_t>(
+                                      segs[k].count * tr_.recordWords)},
+                segs[k].count, shard_model, config_.learningRate);
     }
 }
 
@@ -127,7 +107,7 @@ TrainingNode::computeLocalUpdate(const std::vector<double> &model,
     // Divide the batch into equal sub-partitions (Fig. 1), one per SGD
     // shard; each shard performs plain SGD on its preallocated private
     // model copy (parallelized SGD, Eq. 3a). Threads own contiguous
-    // shard groups and drive them through tape lanes.
+    // shard groups.
     const int per_thread = (shards_ + threads - 1) / threads;
     for (int t = 0; t < threads; ++t) {
         const int s0 = t * per_thread;

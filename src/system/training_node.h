@@ -19,11 +19,10 @@
  * SGD shards are the software analogue of the accelerator template's
  * t_max thread dimension: the node's local-SGD split is over
  * `sgdShards` independent sub-models, which may exceed the OS thread
- * count. Each pool thread drives its shard group through the tape's
- * multi-lane sweep (one tape pass per record step, one lane per
- * shard), so adding shards costs vector lanes, not threads. The
- * training math depends only on the shard count — never on how shards
- * are packed onto threads or lanes.
+ * count. Each pool thread runs its shard group's sweeps one after
+ * another, so adding shards costs compute, not threads. The training
+ * math depends only on the shard count — never on how shards are
+ * packed onto threads.
  */
 #pragma once
 
@@ -49,7 +48,7 @@ struct NodeComputeConfig
      * Independent local-SGD sub-models (the paper's t_max thread
      * dimension). 0 = one per accelerator thread (the classic
      * configuration). When shards exceed threads, each thread
-     * advances its shard group in tape lanes.
+     * sweeps a group of shards in turn.
      */
     int sgdShards = 0;
     /** SGD learning rate. */
@@ -94,7 +93,7 @@ class TrainingNode
     /**
      * Batched-gradient variant (the paper's other parallel SGD family,
      * Sec. 2.2): each worker thread accumulates raw per-record
-     * gradients at the fixed @p model through the lane-batched tape;
+     * gradients at the fixed @p model through the tape's batch call;
      * the node writes the summed gradient over its batch slice into
      * @p grad instead of an updated model. Advances the same batch
      * cursor.

@@ -2,8 +2,7 @@
  * @file
  * JIT backend correctness: bit-exact equivalence of the dlopen'ed
  * native kernels against the interpreter tape across the whole
- * benchmark suite × {F64, Q16.16} × lane widths {1, 4, 8}, kernel
- * cache behaviour (in-memory and on-disk hits), the COSMIC_TAPE_JIT /
+ * benchmark suite × {F64, Q16.16}, kernel cache behaviour (in-memory and on-disk hits), the COSMIC_TAPE_JIT /
  * COSMIC_JIT_CC knobs, graceful degradation when the toolchain is
  * missing or broken, and cluster-level trajectories on both
  * transports.
@@ -81,8 +80,8 @@ jitTestScale(const ml::Workload &w)
 /**
  * The full bit-exactness matrix, one workload per test case: native
  * runBatch (and sgdSweep, where the tape has a sweep form) against the
- * interpreter tape, F64 and Q16.16, lane widths 1/4/8, with a
- * remainder-heavy record count.
+ * interpreter tape, F64 and Q16.16, with a record count that leaves a
+ * remainder after the kernel's 8-record lane loop.
  */
 class JitEquivalence : public ::testing::TestWithParam<std::string>
 {};
@@ -109,36 +108,29 @@ TEST_P(JitEquivalence, NativeKernelsBitExactVsInterpreterTape)
         dfg::TapeExecutor jit_exec(jit_tape);
         ASSERT_FALSE(interp_exec.prepareNative());
 
-        for (int width : {1, 4, 8}) {
-            interp_exec.setLaneWidth(width);
-            jit_exec.setLaneWidth(width);
-            ASSERT_TRUE(jit_exec.prepareNative())
-                << "kernel resolution failed at lane width " << width;
-            ASSERT_TRUE(jit_exec.nativeActive());
+        ASSERT_TRUE(jit_exec.prepareNative()) << "kernel resolution failed";
+        ASSERT_TRUE(jit_exec.nativeActive());
 
-            // 11 records: lane groups plus a scalar remainder (11 % 4
-            // == 3, 11 % 8 == 3) through the native kernel.
-            std::vector<double> want(tr.gradientWords, 0.0);
-            std::vector<double> got(tr.gradientWords, 0.0);
-            interp_exec.runBatch(ds.data, ds.count, model, want);
-            jit_exec.runBatch(ds.data, ds.count, model, got);
-            for (int64_t i = 0; i < tr.gradientWords; ++i)
-                ASSERT_EQ(got[i], want[i])
-                    << "gradient element " << i << " at lane width "
-                    << width
-                    << (quantizer ? " (quantized)" : " (exact)");
+        // 11 records: one 8-record lane group plus a 3-record
+        // remainder through the native kernel.
+        std::vector<double> want(tr.gradientWords, 0.0);
+        std::vector<double> got(tr.gradientWords, 0.0);
+        interp_exec.runBatch(ds.data, ds.count, model, want);
+        jit_exec.runBatch(ds.data, ds.count, model, got);
+        for (int64_t i = 0; i < tr.gradientWords; ++i)
+            ASSERT_EQ(got[i], want[i])
+                << "gradient element " << i
+                << (quantizer ? " (quantized)" : " (exact)");
 
-            if (!has_sweep)
-                continue;
-            std::vector<double> want_model(model), got_model(model);
-            interp_exec.sgdSweep(ds.data, ds.count, want_model, 0.05);
-            jit_exec.sgdSweep(ds.data, ds.count, got_model, 0.05);
-            for (int64_t i = 0; i < tr.modelWords; ++i)
-                ASSERT_EQ(got_model[i], want_model[i])
-                    << "model element " << i << " at lane width "
-                    << width
-                    << (quantizer ? " (quantized)" : " (exact)");
-        }
+        if (!has_sweep)
+            continue;
+        std::vector<double> want_model(model), got_model(model);
+        interp_exec.sgdSweep(ds.data, ds.count, want_model, 0.05);
+        jit_exec.sgdSweep(ds.data, ds.count, got_model, 0.05);
+        for (int64_t i = 0; i < tr.modelWords; ++i)
+            ASSERT_EQ(got_model[i], want_model[i])
+                << "model element " << i
+                << (quantizer ? " (quantized)" : " (exact)");
     }
 }
 
@@ -149,7 +141,12 @@ INSTANTIATE_TEST_SUITE_P(
                       "cancer2"),
     [](const auto &info) { return info.param; });
 
-TEST(Jit, SgdSweepLanesBitExactVsInterpreterLanes)
+/**
+ * Independent sweeps through one executor, as a node's thread runs
+ * its SGD shards: ragged record counts, each shard's own model. The
+ * native sweeps must match the interpreter tape's bit for bit.
+ */
+TEST(Jit, ShardSweepsBitExactVsInterpreterTape)
 {
     if (!jit::KernelCache::toolchainAvailable())
         GTEST_SKIP() << "no C toolchain in this environment";
@@ -166,29 +163,21 @@ TEST(Jit, SgdSweepLanesBitExactVsInterpreterLanes)
         dfg::Tape jit_tape(tr, quantizer, dfg::TapeBackend::Jit);
         dfg::TapeExecutor interp_exec(interp_tape);
         dfg::TapeExecutor jit_exec(jit_tape);
-        for (int n : {3, 4, 8}) {
-            std::vector<std::vector<double>> want(n, model0);
-            std::vector<std::vector<double>> got(n, model0);
-            std::vector<dfg::TapeExecutor::SweepLane> want_lanes;
-            std::vector<dfg::TapeExecutor::SweepLane> got_lanes;
-            int64_t off = 0;
-            for (int l = 0; l < n; ++l) {
-                const int64_t count = 5 + l % 3; // ragged
-                const double *recs =
-                    ds.data.data() + off * tr.recordWords;
-                want_lanes.push_back({recs, count, want[l].data()});
-                got_lanes.push_back({recs, count, got[l].data()});
-                off += count;
-            }
-            interp_exec.sgdSweepLanes(want_lanes, 0.05);
-            jit_exec.sgdSweepLanes(got_lanes, 0.05);
+        int64_t off = 0;
+        for (int shard = 0; shard < 8; ++shard) {
+            const int64_t count = 5 + shard % 3; // ragged
+            const std::span<const double> recs(
+                ds.data.data() + off * tr.recordWords,
+                count * tr.recordWords);
+            off += count;
+            std::vector<double> want(model0), got(model0);
+            interp_exec.sgdSweep(recs, count, want, 0.05);
+            jit_exec.sgdSweep(recs, count, got, 0.05);
             ASSERT_TRUE(jit_exec.nativeActive());
-            for (int l = 0; l < n; ++l)
-                for (int64_t i = 0; i < tr.modelWords; ++i)
-                    ASSERT_EQ(got[l][i], want[l][i])
-                        << "lane " << l << " of " << n << " element "
-                        << i
-                        << (quantizer ? " (quantized)" : " (exact)");
+            for (int64_t i = 0; i < tr.modelWords; ++i)
+                ASSERT_EQ(got[i], want[i])
+                    << "shard " << shard << " element " << i
+                    << (quantizer ? " (quantized)" : " (exact)");
         }
     }
 }
@@ -257,7 +246,7 @@ TEST(Jit, KernelCacheHitsInMemoryThenOnDisk)
     dfg::Tape tape(tr, &accel::quantizeToFixed, dfg::TapeBackend::Jit);
 
     // Cold: one toolchain invocation.
-    auto first = cache.acquire(tape, 8);
+    auto first = cache.acquire(tape);
     ASSERT_NE(first, nullptr);
     jit::JitStats s = cache.stats();
     EXPECT_EQ(s.misses, 1);
@@ -266,7 +255,7 @@ TEST(Jit, KernelCacheHitsInMemoryThenOnDisk)
 
     // Same tape shape again: in-memory hit, same kernel object.
     dfg::Tape same(tr, &accel::quantizeToFixed, dfg::TapeBackend::Jit);
-    auto second = cache.acquire(same, 8);
+    auto second = cache.acquire(same);
     EXPECT_EQ(second.get(), first.get());
     s = cache.stats();
     EXPECT_EQ(s.hits, 1);
@@ -278,7 +267,7 @@ TEST(Jit, KernelCacheHitsInMemoryThenOnDisk)
     first.reset();
     second.reset();
     cache.clearInMemory();
-    auto warm = cache.acquire(tape, 8);
+    auto warm = cache.acquire(tape);
     ASSERT_NE(warm, nullptr);
     s = cache.stats();
     EXPECT_EQ(s.misses, 0);

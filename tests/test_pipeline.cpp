@@ -7,7 +7,7 @@
  * The load-bearing guarantee: every pass leaves trained trajectories
  * bit-exact against the unoptimized graph — in the quantized (Q16.16)
  * datapath as well as plain doubles — for all Table 1 workloads, on
- * the interpreter, the scalar tape, the lane-batched tape, and the
+ * the interpreter, the tape's SGD sweep and batch call, and the
  * JIT-compiled native tape. Both optimize paths (rewrite patterns and
  * legacy passes) are held to it.
  */
@@ -371,14 +371,13 @@ interpTrajectory(const dfg::Translation &tr, const ml::Workload &w,
     return model;
 }
 
-/** Scalar-tape SGD sweep trajectory (laneWidth 1). */
+/** Tape SGD sweep trajectory. */
 std::vector<double>
 tapeSweepTrajectory(const dfg::Translation &tr, const ml::Workload &w,
                     double scale, double (*quantizer)(double))
 {
     dfg::Tape tape(tr, quantizer);
     dfg::TapeExecutor exec(tape);
-    exec.setLaneWidth(1);
     Rng rng(123);
     auto ds = ml::DatasetGenerator::generate(w, scale, 24, rng);
     auto model = ml::DatasetGenerator::initialModel(w, scale, rng);
@@ -387,14 +386,13 @@ tapeSweepTrajectory(const dfg::Translation &tr, const ml::Workload &w,
     return model;
 }
 
-/** Lane-batched minibatch-gradient trajectory (laneWidth 8). */
+/** Tape minibatch-gradient trajectory. */
 std::vector<double>
 tapeBatchTrajectory(const dfg::Translation &tr, const ml::Workload &w,
                     double scale, double (*quantizer)(double))
 {
     dfg::Tape tape(tr, quantizer);
     dfg::TapeExecutor exec(tape);
-    exec.setLaneWidth(8);
     Rng rng(123);
     auto ds = ml::DatasetGenerator::generate(w, scale, 24, rng);
     auto model = ml::DatasetGenerator::initialModel(w, scale, rng);
@@ -408,14 +406,14 @@ tapeBatchTrajectory(const dfg::Translation &tr, const ml::Workload &w,
     return model;
 }
 
-/** Lane-batched JIT trajectory (skips are handled by the caller). */
+/** JIT minibatch-gradient trajectory (skips are handled by the
+ *  caller). */
 std::vector<double>
 jitTrajectory(const dfg::Translation &tr, const ml::Workload &w,
               double scale, double (*quantizer)(double))
 {
     dfg::Tape tape(tr, quantizer, dfg::TapeBackend::Jit);
     dfg::TapeExecutor exec(tape);
-    exec.setLaneWidth(8);
     EXPECT_TRUE(exec.prepareNative()) << "JIT kernel must compile";
     Rng rng(123);
     auto ds = ml::DatasetGenerator::generate(w, scale, 24, rng);

@@ -11,9 +11,9 @@
  * trained trajectory bit-identical to the unoptimized graph's, per
  * engine, in plain F64 and under the Q16.16 quantizer.
  *
- * Engines covered: the interpreter, the scalar tape (lane 1), the
- * lane-batched tape (lane 8) and the scalar tape's SGD sweep (against
- * the interpreter's per-record steps) for every seed, and the
+ * Engines covered: the interpreter, the tape's batch call (also
+ * against the interpreter) and its SGD sweep (against the
+ * interpreter's per-record steps) for every seed, and the
  * JIT-compiled native tape for every 16th seed (native compiles are
  * the expensive leg). The seed range is COSMIC_REWRITE_FUZZ_SEEDS
  * ("lo-hi", default "1-200") so CI can shard it and a nightly sweep
@@ -48,8 +48,7 @@ namespace {
 enum class Engine
 {
     Interp,
-    Tape1,
-    Tape8,
+    Tape,
     Jit,
 };
 
@@ -58,8 +57,7 @@ engineName(Engine e)
 {
     switch (e) {
       case Engine::Interp: return "interp";
-      case Engine::Tape1: return "tape-lane1";
-      case Engine::Tape8: return "tape-lane8";
+      case Engine::Tape: return "tape";
       case Engine::Jit: return "jit";
     }
     return "?";
@@ -128,7 +126,6 @@ trajectory(const dfg::Translation &tr, uint64_t seed,
                                              : dfg::TapeBackend::Interp;
         dfg::Tape tape(tr, quantizer, backend);
         dfg::TapeExecutor exec(tape);
-        exec.setLaneWidth(engine == Engine::Tape1 ? 1 : 8);
         if (engine == Engine::Jit)
             EXPECT_TRUE(exec.prepareNative())
                 << "native kernel must compile for the JIT leg";
@@ -243,12 +240,15 @@ TEST(RewriteFuzz, TrajectoriesBitIdenticalAcrossEngines)
              {static_cast<double (*)(double)>(nullptr),
               &accel::quantizeToFixed}) {
             SCOPED_TRACE(quantizer ? "Q16.16" : "F64");
-            for (auto engine :
-                 {Engine::Interp, Engine::Tape1, Engine::Tape8}) {
+            for (auto engine : {Engine::Interp, Engine::Tape}) {
                 auto a = trajectory(plain, seed, quantizer, engine);
                 auto b = trajectory(rewritten, seed, quantizer, engine);
                 expectBitIdentical(a, b, engineName(engine));
             }
+            expectSameValues(
+                trajectory(plain, seed, quantizer, Engine::Interp),
+                trajectory(plain, seed, quantizer, Engine::Tape),
+                engineName(Engine::Tape));
         }
         if (::testing::Test::HasFailure())
             FAIL() << "stopping at first diverging seed " << seed;

@@ -72,11 +72,9 @@ TEST_P(TapeEquivalence, MatchesInterpreterBitExact)
 }
 
 /**
- * Lane-batched runBatch must be bit-exact against the scalar tape at
- * every supported lane width, for record counts that are not lane
- * multiples (11 % 4 == 3, 11 % 8 == 3 exercises the scalar remainder;
- * 3 < W exercises the all-remainder degenerate batch) and with the
- * quantizer both off and on.
+ * runBatch must be bit-exact against the scalar per-record path for
+ * record counts that are not multiples of the native kernel's 8-record
+ * lane loop (3 and 11), with the quantizer both off and on.
  */
 TEST_P(TapeEquivalence, LaneBatchBitExactVsScalarWithRemainder)
 {
@@ -93,20 +91,21 @@ TEST_P(TapeEquivalence, LaneBatchBitExactVsScalarWithRemainder)
           &accel::quantizeToFixed}) {
         dfg::Tape tape(tr, quantizer);
         dfg::TapeExecutor exec(tape);
+        std::vector<double> grad(tr.gradientWords);
         for (int64_t count : {int64_t{3}, ds.count}) {
             std::vector<double> want(tr.gradientWords, 0.0);
-            exec.setLaneWidth(1);
-            exec.runBatch(ds.data, count, model, want);
-            for (int width : {4, 8}) {
-                std::vector<double> got(tr.gradientWords, 0.0);
-                exec.setLaneWidth(width);
-                exec.runBatch(ds.data, count, model, got);
+            for (int64_t r = 0; r < count; ++r) {
+                exec.run(ds.record(r), model, grad);
                 for (int64_t i = 0; i < tr.gradientWords; ++i)
-                    ASSERT_EQ(got[i], want[i])
-                        << "gradient element " << i << " at lane width "
-                        << width << ", " << count << " records"
-                        << (quantizer ? " (quantized)" : " (exact)");
+                    want[i] += grad[i];
             }
+            std::vector<double> got(tr.gradientWords, 0.0);
+            exec.runBatch(ds.data, count, model, got);
+            for (int64_t i = 0; i < tr.gradientWords; ++i)
+                ASSERT_EQ(got[i], want[i])
+                    << "gradient element " << i << ", " << count
+                    << " records"
+                    << (quantizer ? " (quantized)" : " (exact)");
         }
     }
 }
@@ -165,68 +164,6 @@ INSTANTIATE_TEST_SUITE_P(
         return std::get<0>(info.param) + "_scale" +
                std::to_string(static_cast<int>(std::get<1>(info.param)));
     });
-
-TEST(Tape, LaneWidthValidation)
-{
-    const int lanes = dfg::defaultTapeLanes();
-    EXPECT_TRUE(lanes == 1 || lanes == 4 || lanes == dfg::kMaxTapeLanes);
-
-    auto tr = translateWorkload(ml::Workload::byName("stock"), 64.0);
-    dfg::Tape tape(tr);
-    dfg::TapeExecutor exec(tape);
-    exec.setLaneWidth(4);
-    EXPECT_EQ(exec.laneWidth(), 4);
-    EXPECT_THROW(exec.setLaneWidth(5), cosmic::CosmicError);
-    EXPECT_THROW(exec.setLaneWidth(0), cosmic::CosmicError);
-}
-
-/**
- * sgdSweepLanes advances independent sweeps in lockstep; every lane
- * must be bit-exact against a scalar sgdSweep over the same records.
- * Lane counts are ragged (the lockstep region covers the shortest lane
- * only), and 3 lanes exercise the unsupported-width scalar fallback.
- */
-TEST(Tape, SgdSweepLanesBitExactVsScalarSweeps)
-{
-    const auto &w = ml::Workload::byName("stock");
-    auto tr = translateWorkload(w, 64.0);
-    Rng rng(47);
-    auto ds = ml::DatasetGenerator::generate(w, 64.0, 64, rng);
-    auto model0 = ml::DatasetGenerator::initialModel(w, 64.0, rng);
-    const double mu = 0.05;
-
-    for (double (*quantizer)(double) :
-         {static_cast<double (*)(double)>(nullptr),
-          &accel::quantizeToFixed}) {
-        dfg::Tape tape(tr, quantizer);
-        dfg::TapeExecutor scalar_exec(tape);
-        dfg::TapeExecutor lane_exec(tape);
-        for (int n : {3, 4, 8}) {
-            std::vector<std::vector<double>> want(n, model0);
-            std::vector<std::vector<double>> got(n, model0);
-            std::vector<dfg::TapeExecutor::SweepLane> lanes;
-            int64_t off = 0;
-            for (int l = 0; l < n; ++l) {
-                const int64_t count = 5 + l % 3; // ragged: 5, 6, 7, ...
-                const double *recs =
-                    ds.data.data() + off * tr.recordWords;
-                scalar_exec.sgdSweep(
-                    std::span<const double>(recs,
-                                            count * tr.recordWords),
-                    count, want[l], mu);
-                lanes.push_back({recs, count, got[l].data()});
-                off += count;
-            }
-            lane_exec.sgdSweepLanes(lanes, mu);
-            for (int l = 0; l < n; ++l)
-                for (int64_t i = 0; i < tr.modelWords; ++i)
-                    ASSERT_EQ(got[l][i], want[l][i])
-                        << "lane " << l << " of " << n << " element "
-                        << i
-                        << (quantizer ? " (quantized)" : " (exact)");
-        }
-    }
-}
 
 TEST(Tape, RunBatchMatchesInterpreterAccumulate)
 {
@@ -321,12 +258,9 @@ TEST(Tape, IrregularGradientsMatchInterpreter)
 
         std::vector<double> want_sum;
         interp.accumulate(records, 4, model0, want_sum);
-        for (int width : {1, 4}) {
-            std::vector<double> got_sum(tr.gradientWords, 0.0);
-            exec.setLaneWidth(width);
-            exec.runBatch(records, 4, model0, got_sum);
-            EXPECT_EQ(got_sum, want_sum) << "lane width " << width;
-        }
+        std::vector<double> got_sum(tr.gradientWords, 0.0);
+        exec.runBatch(records, 4, model0, got_sum);
+        EXPECT_EQ(got_sum, want_sum);
 
         std::vector<double> want_model(model0), grad;
         for (int64_t r = 0; r < 4; ++r) {
@@ -342,20 +276,118 @@ TEST(Tape, IrregularGradientsMatchInterpreter)
 }
 
 /**
- * Segment compression guard: the statement expansion's homogeneous
- * stretches must stay strided, so the scalar executor keeps its small
- * per-record dispatch count.
+ * Segment compression guard over the whole suite: no program may take
+ * more segments than node-order lowering gives it (the table), and
+ * the SVMs' alternating mul/select chains must be transposed into a
+ * handful of segments.
  */
 TEST(Tape, SegmentsCompressTheSuitePrograms)
 {
-    auto mnist = translateWorkload(ml::Workload::byName("mnist"), 8.0);
-    dfg::Tape mnist_tape(mnist);
-    EXPECT_LE(mnist_tape.segmentCount(), 1500);
+    const double scales[] = {1.0, 8.0, 16.0, 64.0};
+    struct Row
+    {
+        const char *name;
+        /** Node-order segment count at each of scales[]. */
+        int64_t nodeOrder[4];
+    };
+    const Row rows[] = {
+        {"mnist", {10282, 1364, 727, 224}},
+        {"acoustic", {16751, 2443, 1227, 558}},
+        {"stock", {7, 7, 7, 7}},
+        {"texture", {4, 4, 4, 4}},
+        {"tumor", {8, 8, 8, 8}},
+        {"cancer1", {12, 9, 9, 9}},
+        {"movielens", {120575, 15159, 7635, 1991}},
+        {"netflix", {292425, 36663, 18395, 4665}},
+        {"face", {3493, 444, 226, 64}},
+        {"cancer2", {14271, 1795, 900, 232}},
+    };
+    for (const Row &row : rows)
+        for (int k = 0; k < 4; ++k) {
+            SCOPED_TRACE(std::string(row.name) + " at scale 1/" +
+                         std::to_string(static_cast<int>(scales[k])));
+            auto tr = translateWorkload(ml::Workload::byName(row.name),
+                                        scales[k]);
+            EXPECT_LE(dfg::Tape(tr).segmentCount(), row.nodeOrder[k]);
+        }
 
-    auto texture =
-        translateWorkload(ml::Workload::byName("texture"), 1.0);
-    dfg::Tape texture_tape(texture);
-    EXPECT_LE(texture_tape.segmentCount(), 8);
+    auto face = translateWorkload(ml::Workload::byName("face"), 8.0);
+    EXPECT_LE(dfg::Tape(face).segmentCount(), 32);
+    auto cancer2 =
+        translateWorkload(ml::Workload::byName("cancer2"), 8.0);
+    EXPECT_LE(dfg::Tape(cancer2).segmentCount(), 48);
+}
+
+/**
+ * Transposition legality on interleaved mul/add chains. A running sum
+ * (s_r = s_{r-1} + w_r * x_r) reads only its own chain's earlier
+ * repetition, so lowering emits it chain by chain; a recurrence whose
+ * chain 0 at repetition r reads chain 1 at repetition r-1 (p_r =
+ * s_{r-1} * x_r, s_r = p_r + w_r) has no legal chain-major order and
+ * must stay in node order, one segment per operation. Both must match
+ * the Interpreter bit for bit, in F64 and Q16.16.
+ */
+TEST(Tape, InterleavedChainsTransposeOnlyWhenLegal)
+{
+    constexpr int kReps = 16;
+    for (bool serial : {false, true}) {
+        SCOPED_TRACE(serial ? "serial recurrence" : "running sum");
+        dfg::Translation tr;
+        dfg::Dfg &g = tr.dfg;
+        std::vector<dfg::NodeId> x, w;
+        for (int r = 0; r < kReps; ++r) {
+            x.push_back(g.addDataInput(r, {}));
+            w.push_back(g.addModelInput(r, {}));
+        }
+        dfg::NodeId s = g.addConst(0.5);
+        for (int r = 0; r < kReps; ++r) {
+            if (serial) {
+                const auto p = g.addOp(dfg::OpKind::Mul, s, x[r]);
+                s = g.addOp(dfg::OpKind::Add, p, w[r]);
+            } else {
+                const auto p = g.addOp(dfg::OpKind::Mul, w[r], x[r]);
+                s = g.addOp(dfg::OpKind::Add, s, p);
+            }
+            g.markGradient(s, r, {});
+        }
+        tr.recordWords = kReps;
+        tr.modelWords = kReps;
+        tr.gradientWords = kReps;
+        tr.minibatch = 1;
+
+        Rng rng(53);
+        std::vector<double> records(3 * kReps), model0(kReps);
+        for (double &v : records)
+            v = rng.uniform(-1.0, 1.0);
+        for (double &v : model0)
+            v = rng.uniform(-1.0, 1.0);
+        for (double (*quantizer)(double) :
+             {static_cast<double (*)(double)>(nullptr),
+              &accel::quantizeToFixed}) {
+            SCOPED_TRACE(quantizer ? "Q16.16" : "F64");
+            dfg::Interpreter interp(tr, quantizer);
+            dfg::Tape tape(tr, quantizer);
+            if (serial)
+                EXPECT_EQ(tape.segmentCount(), 2 * kReps);
+            else
+                EXPECT_LE(tape.segmentCount(), 4);
+            dfg::TapeExecutor exec(tape);
+
+            std::vector<double> want_model(model0), want, got(kReps);
+            for (int r = 0; r < 3; ++r) {
+                const auto record =
+                    std::span(records).subspan(r * kReps, kReps);
+                interp.run(record, want_model, want);
+                exec.run(record, want_model, got);
+                EXPECT_EQ(got, want) << "record " << r;
+                for (int i = 0; i < kReps; ++i)
+                    want_model[i] -= 0.1 * want[i];
+            }
+            std::vector<double> got_model(model0);
+            exec.sgdSweep(records, 3, got_model, 0.1);
+            EXPECT_EQ(got_model, want_model);
+        }
+    }
 }
 
 /** An emulated training run: holdout loss per epoch + final model. */
@@ -483,12 +515,11 @@ TEST(Tape, ClusterTrajectoryMatchesInterpreterEmulation)
 
 /**
  * Decoupling shards from threads: with sgdShardsPerNode set, the
- * training math follows the shard count, never the thread/lane
- * packing. threads=1 drives all 4 shards as one multi-lane sweep
- * (the W=4 lane path); threads=3 splits them into groups of 2 (the
- * unsupported-width scalar fallback). Both must match the serial
- * 4-worker emulation — and, since lane batching is bit-exact, match
- * each other to the last bit.
+ * training math follows the shard count, never the thread packing.
+ * threads=1 sweeps all 4 shards on one thread; threads=3 splits them
+ * into groups of 2. Both must match the serial 4-worker emulation —
+ * and, since every shard is the same scalar sweep, match each other
+ * to the last bit.
  */
 TEST(Tape, ShardedClusterTrajectoryIndependentOfThreadCount)
 {
@@ -507,21 +538,20 @@ TEST(Tape, ShardedClusterTrajectoryIndependentOfThreadCount)
                                   cfg.sgdShardsPerNode);
 
     cfg.acceleratorThreadsPerNode = 1;
-    sys::ClusterRuntime lane_runtime(w, scale, cfg);
-    auto lane_report = lane_runtime.train(epochs);
-    expectMatchesTrajectory(lane_report, want);
+    sys::ClusterRuntime one_runtime(w, scale, cfg);
+    auto one_report = one_runtime.train(epochs);
+    expectMatchesTrajectory(one_report, want);
 
     cfg.acceleratorThreadsPerNode = 3;
-    sys::ClusterRuntime fallback_runtime(w, scale, cfg);
-    auto fallback_report = fallback_runtime.train(epochs);
-    expectMatchesTrajectory(fallback_report, want);
+    sys::ClusterRuntime three_runtime(w, scale, cfg);
+    auto three_report = three_runtime.train(epochs);
+    expectMatchesTrajectory(three_report, want);
 
-    ASSERT_EQ(lane_report.finalModel.size(),
-              fallback_report.finalModel.size());
-    for (size_t i = 0; i < lane_report.finalModel.size(); ++i)
-        EXPECT_EQ(lane_report.finalModel[i],
-                  fallback_report.finalModel[i])
-            << "lane and scalar shard packings diverged at " << i;
+    ASSERT_EQ(one_report.finalModel.size(),
+              three_report.finalModel.size());
+    for (size_t i = 0; i < one_report.finalModel.size(); ++i)
+        EXPECT_EQ(one_report.finalModel[i], three_report.finalModel[i])
+            << "1- and 3-thread shard packings diverged at " << i;
 }
 
 TEST(Tape, TrainingReportCarriesPerfCounters)
@@ -543,37 +573,6 @@ TEST(Tape, TrainingReportCarriesPerfCounters)
         EXPECT_GE(report.aggregationWaitSeconds[i], 0.0);
         EXPECT_LE(report.aggregationWaitSeconds[i],
                   report.iterationSeconds[i] * 1.5 + 0.01);
-    }
-}
-
-TEST(Tape, LaneEnvParserAcceptsSupportedWidths)
-{
-    EXPECT_EQ(dfg::parseTapeLanesEnv("1"), 1);
-    EXPECT_EQ(dfg::parseTapeLanesEnv("4"), 4);
-    EXPECT_EQ(dfg::parseTapeLanesEnv("8"), dfg::kMaxTapeLanes);
-}
-
-TEST(Tape, LaneEnvParserRejectsGarbageWithClearError)
-{
-    // A set-but-broken COSMIC_TAPE_LANES must fail loudly instead of
-    // silently running at a width the user did not ask for.
-    EXPECT_THROW(dfg::parseTapeLanesEnv(""), CosmicError);
-    EXPECT_THROW(dfg::parseTapeLanesEnv("banana"), CosmicError);
-    EXPECT_THROW(dfg::parseTapeLanesEnv("4x"), CosmicError);
-    EXPECT_THROW(dfg::parseTapeLanesEnv(" 4"), CosmicError);
-    EXPECT_THROW(dfg::parseTapeLanesEnv("0"), CosmicError);
-    EXPECT_THROW(dfg::parseTapeLanesEnv("2"), CosmicError);
-    EXPECT_THROW(dfg::parseTapeLanesEnv("16"), CosmicError);
-    EXPECT_THROW(dfg::parseTapeLanesEnv("-8"), CosmicError);
-    EXPECT_THROW(dfg::parseTapeLanesEnv("99999999999999999999"),
-                 CosmicError);
-    try {
-        dfg::parseTapeLanesEnv("3");
-        FAIL() << "lane width 3 must be rejected";
-    } catch (const CosmicError &e) {
-        EXPECT_NE(std::string(e.what()).find("COSMIC_TAPE_LANES"),
-                  std::string::npos)
-            << "error must name the knob: " << e.what();
     }
 }
 
