@@ -237,9 +237,9 @@ BM_JitAcquireWarm(benchmark::State &state)
 BENCHMARK(BM_JitAcquireWarm);
 
 /**
- * One JSON line per Table 1 workload: rewrite-stage compile time
- * against the legacy path, the tape-length delta the patterns buy,
- * and the per-pattern hit counters. CI greps these into
+ * One JSON line per Table 1 workload: frontend compile time, the
+ * tape-length delta the patterns buy, and the per-pattern hit
+ * counters. CI greps these into
  * BENCH_hotpath.json next to the hot-path tape numbers.
  */
 void
@@ -254,11 +254,6 @@ reportRewriteStage()
         compile::PipelineReport report;
         auto optimized = compile::translateSource(src, {}, &report);
         auto t1 = clock::now();
-        compiler::CompileOptions legacy_options;
-        legacy_options.useRewritePatterns = false;
-        auto legacy = compile::translateSource(src, legacy_options);
-        (void)legacy;
-        auto t2 = clock::now();
         auto raw = compile::translateSource(
             src, compiler::CompileOptions{}.withDfgPasses(false));
 
@@ -279,10 +274,10 @@ reportRewriteStage()
         }
         std::printf(
             "{\"bench\":\"rewrite\",\"workload\":\"%s\","
-            "\"compile_ms_patterns\":%.3f,\"compile_ms_legacy\":%.3f,"
+            "\"compile_ms_patterns\":%.3f,"
             "\"tape_len_raw\":%lld,\"tape_len_opt\":%lld,"
             "\"sweeps\":%d,\"pattern_hits\":{%s}}\n",
-            w.name.c_str(), ms(t0, t1), ms(t1, t2),
+            w.name.c_str(), ms(t0, t1),
             static_cast<long long>(raw_tape.instructions().size()),
             static_cast<long long>(opt_tape.instructions().size()),
             report.rewriteSweeps, hits.c_str());

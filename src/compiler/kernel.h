@@ -29,27 +29,20 @@ struct CompileOptions
     BusKind bus = BusKind::Hierarchical;
 
     /**
-     * DFG optimization passes (src/dfg/passes.h), run by the compile
-     * pipeline between translation and planning. Default on: every
-     * pass is required to keep trained trajectories bit-exact against
-     * the unoptimized graph in both plain-double and Q16.16 modes.
+     * DFG optimizations, run by the compile pipeline's rewrite stage
+     * (dfg/rewrite.h) between translation and planning. Each flag
+     * gates its same-named pattern (foldConstants -> "fold-constants",
+     * cse -> "cse", deadNodeElim -> "dead-node-elim"). Default on:
+     * every pattern is required to keep trained trajectories bit-exact
+     * against the unoptimized graph in both plain-double and Q16.16
+     * modes.
      */
     bool foldConstants = true;
     bool cse = true;
     bool deadNodeElim = true;
 
-    /**
-     * Run the optimize stage through the pattern-based rewrite
-     * framework (dfg/rewrite.h) instead of the legacy three-pass
-     * sequence. Default on; the legacy path is kept one release
-     * behind this flag. The legacy per-pass booleans above still gate
-     * their same-named patterns (foldConstants -> "fold-constants",
-     * cse -> "cse", deadNodeElim -> "dead-node-elim"), so existing
-     * callers that disable a pass keep meaning what they meant.
-     */
-    bool useRewritePatterns = true;
-
-    /** Sweep budget for the rewrite fixpoint engine. */
+    /** Sweep budget for the rewrite fixpoint engine; 0 skips the
+     *  rewrite stage, leaving the translator's graph as it is. */
     int rewriteMaxSweeps = 8;
 
     /**
@@ -103,8 +96,7 @@ struct CompileOptions
      */
     int64_t elasticBufferBudgetBytes = 0;
 
-    /** Convenience: same options with all DFG optimization toggled
-     *  (legacy passes and the rewrite framework together). */
+    /** Convenience: same options with all DFG optimization toggled. */
     CompileOptions
     withDfgPasses(bool enabled) const
     {
@@ -112,7 +104,7 @@ struct CompileOptions
         o.foldConstants = enabled;
         o.cse = enabled;
         o.deadNodeElim = enabled;
-        o.useRewritePatterns = enabled;
+        o.rewriteMaxSweeps = enabled ? CompileOptions{}.rewriteMaxSweeps : 0;
         return o;
     }
 };

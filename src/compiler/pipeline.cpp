@@ -55,14 +55,14 @@ appendInt(std::string &out, int64_t v)
  * The enabled rewrite-pattern set the optimize stage will run (and
  * the build keys must record): COSMIC_REWRITE_PATTERNS overrides the
  * option field, the spec is resolved strictly (unknown names throw),
- * and the legacy per-pass flags still gate their same-named patterns.
- * Empty when useRewritePatterns is off or everything got filtered
- * away — then the optimize stage runs no patterns.
+ * and the per-pass flags gate their same-named patterns. Empty when
+ * the sweep budget is 0 or everything got filtered away — then the
+ * optimize stage runs no patterns.
  */
 std::vector<std::string>
 effectiveRewritePatterns(const compiler::CompileOptions &o)
 {
-    if (!o.useRewritePatterns)
+    if (o.rewriteMaxSweeps <= 0)
         return {};
     const char *env = std::getenv("COSMIC_REWRITE_PATTERNS");
     std::vector<std::string> enabled =
@@ -85,10 +85,9 @@ frontendOptionsKey(const compiler::CompileOptions &o)
     appendInt(key, o.foldConstants);
     appendInt(key, o.cse);
     appendInt(key, o.deadNodeElim);
-    appendInt(key, o.useRewritePatterns);
     appendInt(key, o.rewriteMaxSweeps);
     // The *effective* pattern set (after the env override and the
-    // legacy-flag gating) enters the key, so changing
+    // per-pass flag gating) enters the key, so changing
     // COSMIC_REWRITE_PATTERNS is an honest cache miss, never a stale
     // hit on a differently-optimized artifact.
     for (const auto &name : effectiveRewritePatterns(o)) {
@@ -213,8 +212,7 @@ PipelineReport::dfgPassCount() const
 {
     int64_t n = 0;
     for (const auto &p : passes)
-        if (p.name == "fold-constants" || p.name == "cse" ||
-            p.name == "dead-node-elim" || p.name == "rewrite")
+        if (p.name == "rewrite")
             ++n;
     return n;
 }
@@ -318,43 +316,22 @@ Pipeline::optimized()
 {
     if (!optimized_) {
         optimized_.emplace(translated());
-        if (options_.useRewritePatterns) {
-            std::vector<std::string> patterns =
-                effectiveRewritePatterns(options_);
-            if (!patterns.empty()) {
-                dfg::RewriteOptions rewrite_options;
-                rewrite_options.patterns = std::move(patterns);
-                rewrite_options.maxSweeps = options_.rewriteMaxSweeps;
-                auto start = std::chrono::steady_clock::now();
-                dfg::RewriteOutcome o =
-                    dfg::rewriteFixpoint(*optimized_, rewrite_options);
-                report_.passes.push_back(
-                    {"rewrite", secondsSince(start),
-                     o.shape.nodesBefore, o.shape.nodesAfter,
-                     o.shape.edgesBefore, o.shape.edgesAfter});
-                report_.patternHits = std::move(o.patterns);
-                report_.rewriteSweeps = o.sweeps;
-                report_.rewriteBudgetExhausted = o.budgetExhausted;
-            }
-        } else {
-            // Legacy three-pass path, kept one release behind the
-            // rewrite framework.
-            auto run = [&](const char *name, bool enabled,
-                           auto &&pass) {
-                if (!enabled)
-                    return;
-                auto start = std::chrono::steady_clock::now();
-                dfg::PassOutcome o = pass(*optimized_);
-                report_.passes.push_back({name, secondsSince(start),
-                                          o.nodesBefore, o.nodesAfter,
-                                          o.edgesBefore, o.edgesAfter});
-            };
-            run("fold-constants", options_.foldConstants,
-                dfg::foldConstants);
-            run("cse", options_.cse,
-                dfg::eliminateCommonSubexpressions);
-            run("dead-node-elim", options_.deadNodeElim,
-                dfg::eliminateDeadNodes);
+        std::vector<std::string> patterns =
+            effectiveRewritePatterns(options_);
+        if (!patterns.empty()) {
+            dfg::RewriteOptions rewrite_options;
+            rewrite_options.patterns = std::move(patterns);
+            rewrite_options.maxSweeps = options_.rewriteMaxSweeps;
+            auto start = std::chrono::steady_clock::now();
+            dfg::RewriteOutcome o =
+                dfg::rewriteFixpoint(*optimized_, rewrite_options);
+            report_.passes.push_back(
+                {"rewrite", secondsSince(start), o.shape.nodesBefore,
+                 o.shape.nodesAfter, o.shape.edgesBefore,
+                 o.shape.edgesAfter});
+            report_.patternHits = std::move(o.patterns);
+            report_.rewriteSweeps = o.sweeps;
+            report_.rewriteBudgetExhausted = o.budgetExhausted;
         }
     }
     return *optimized_;

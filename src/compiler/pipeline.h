@@ -7,8 +7,8 @@
  *
  *   parse      DSL source            -> ParsedProgram
  *   translate  ParsedProgram         -> dfg::Translation (raw)
- *   optimize   Translation           -> Translation (DFG passes:
- *              fold-constants, CSE, dead-node elimination — gated by
+ *   optimize   Translation           -> Translation (the rewrite
+ *              patterns of dfg/rewrite.h run to fixpoint — gated by
  *              compiler::CompileOptions, default on)
  *   plan       Translation           -> planner::PlanResult
  *   map        Translation + Plan    -> compiler::CompiledKernel (the
@@ -41,7 +41,6 @@
 #include "accel/platform.h"
 #include "compiler/kernel.h"
 #include "core/cosmic.h"
-#include "dfg/passes.h"
 #include "dfg/rewrite.h"
 #include "dfg/tape.h"
 #include "dfg/translator.h"
@@ -82,12 +81,13 @@ struct PipelineReport
 {
     std::vector<PassStats> passes;
     /**
-     * Per-pattern hit counters of the optimize stage when it ran
-     * through the rewrite framework (one entry per enabled pattern,
-     * registry order); empty on the legacy pass path.
+     * Per-pattern hit counters of the optimize stage (one entry per
+     * enabled pattern, registry order); empty when it ran no
+     * patterns.
      */
     std::vector<dfg::PatternStats> patternHits;
-    /** Fixpoint sweeps the rewrite engine executed (0 = legacy path). */
+    /** Fixpoint sweeps the rewrite engine executed (0 = no rewrite
+     *  stage). */
     int rewriteSweeps = 0;
     /** True when the sweep budget stopped a still-rewriting run. */
     bool rewriteBudgetExhausted = false;
@@ -103,7 +103,7 @@ struct PipelineReport
 
     double totalSeconds() const;
     const PassStats *pass(const std::string &name) const;
-    /** DFG-transforming passes only (fold/cse/dne, or "rewrite"). */
+    /** DFG-transforming passes only (the "rewrite" stage). */
     int64_t dfgPassCount() const;
     /** Human-readable per-pass table (for --dump-passes). */
     std::string table() const;

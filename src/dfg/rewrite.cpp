@@ -1,10 +1,11 @@
 #include "dfg/rewrite.h"
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "accel/fixed_point.h"
@@ -38,42 +39,6 @@ quantizerSafeFold(OpKind op, double va, double vb, double vc,
     return bitEqualDouble(quantizeToFixed(folded), runtime);
 }
 
-void
-Rebuild::copyNode(NodeId v)
-{
-    const Node &n = src.node(v);
-    switch (n.op) {
-      case OpKind::Const:
-        remap[v] = out.addConst(src.constValue(v));
-        break;
-      case OpKind::Input:
-        remap[v] = n.category == Category::Data
-                       ? out.addDataInput(src.inputPos(v),
-                                          src.elementRef(v))
-                       : out.addModelInput(src.inputPos(v),
-                                           src.elementRef(v));
-        break;
-      default:
-        remap[v] = out.addOp(n.op, remap[n.a], operand(n.b),
-                             operand(n.c));
-        break;
-    }
-}
-
-void
-Rebuild::finish(Translation &tr)
-{
-    const auto &grads = src.gradientNodes();
-    for (size_t g = 0; g < grads.size(); ++g) {
-        NodeId v = grads[g];
-        COSMIC_ASSERT(v != kInvalidNode && remap[v] != kInvalidNode,
-                      "pass dropped gradient output " << g);
-        out.markGradient(remap[v], static_cast<int64_t>(g),
-                         src.elementRef(v));
-    }
-    tr.dfg = std::move(out);
-}
-
 int64_t
 RewriteOutcome::totalHits() const
 {
@@ -94,32 +59,132 @@ mix64(uint64_t x)
     return x ^ (x >> 31);
 }
 
-struct RewriteCtx;
+/**
+ * Incremental graph rebuild: walks the source graph in node order and
+ * re-emits nodes into a fresh Dfg through the public builder API,
+ * tracking old-id -> new-id. Operands precede their consumers in the
+ * source order, so every operand is remapped by the time its consumer
+ * is visited and the rebuilt graph is again topological.
+ */
+struct Rebuild
+{
+    const Dfg &src;
+    Dfg out;
+    std::vector<NodeId> remap;
+
+    explicit Rebuild(const Dfg &dfg)
+        : src(dfg), remap(dfg.size(), kInvalidNode)
+    {}
+
+    NodeId
+    operand(NodeId v) const
+    {
+        return v == kInvalidNode ? kInvalidNode : remap[v];
+    }
+
+    /** Re-emits node @p v unchanged (operands remapped). */
+    void
+    copyNode(NodeId v)
+    {
+        const Node &n = src.node(v);
+        switch (n.op) {
+          case OpKind::Const:
+            remap[v] = out.addConst(src.constValue(v));
+            break;
+          case OpKind::Input:
+            remap[v] = n.category == Category::Data
+                           ? out.addDataInput(src.inputPos(v),
+                                              src.elementRef(v))
+                           : out.addModelInput(src.inputPos(v),
+                                               src.elementRef(v));
+            break;
+          default:
+            remap[v] = out.addOp(n.op, remap[n.a], operand(n.b),
+                                 operand(n.c));
+            break;
+        }
+    }
+
+    /** Re-marks gradient outputs and swaps the graph into @p tr. */
+    void
+    finish(Translation &tr)
+    {
+        const auto &grads = src.gradientNodes();
+        for (size_t g = 0; g < grads.size(); ++g) {
+            NodeId v = grads[g];
+            COSMIC_ASSERT(v != kInvalidNode && remap[v] != kInvalidNode,
+                          "rewrite dropped gradient output " << g);
+            out.markGradient(remap[v], static_cast<int64_t>(g),
+                             src.elementRef(v));
+        }
+        tr.dfg = std::move(out);
+    }
+};
 
 ValueFacts computeFacts(const Dfg &g, NodeId v,
                         const std::vector<ValueFacts> &facts);
 
 /**
- * Per-sweep rewrite context: the rebuild in progress plus value facts
- * over the out graph, computed lazily (the out graph is built in
+ * Per-sweep rewrite context: the graph the sweep is building plus
+ * value facts over it, computed lazily (the graph is built in
  * topological order, so a node's operand facts always exist by the
  * time its own are requested).
+ *
+ * Until the first pattern fires, the graph being built *is* the
+ * source graph. Every Dfg is made by the same deduplicating builder,
+ * so re-emitting a source graph's nodes in order hands each one back
+ * its own id: before the first hit the remap is the identity and the
+ * rebuild would be an exact copy. A quiet sweep therefore reads the
+ * source in place and copies nothing; the first call to
+ * mutableGraph() replays the prefix before the current node into a
+ * fresh Dfg, and the sweep continues as a rebuild from there.
  */
 struct RewriteCtx
 {
-    Rebuild &rb;
-    std::vector<ValueFacts> facts;
+    const Dfg &src;
+    std::vector<ValueFacts> &facts;
+    /** Engaged from the first hit of the sweep on. */
+    std::optional<Rebuild> rb;
+    /** The source node currently offered to the patterns. */
+    NodeId cursor = 0;
+
+    const Dfg &
+    graph() const
+    {
+        return rb ? rb->out : src;
+    }
+
+    NodeId
+    map(NodeId v) const
+    {
+        return rb ? rb->operand(v) : v;
+    }
+
+    /** The graph for patterns that add nodes; starts the rebuild. */
+    Dfg &
+    mutableGraph()
+    {
+        if (!rb) {
+            rb.emplace(src);
+            for (NodeId u = 0; u < cursor; ++u) {
+                rb->copyNode(u);
+                COSMIC_ASSERT(rb->remap[u] == u,
+                              "prefix replay moved node " << u);
+            }
+        }
+        return rb->out;
+    }
 
     bool
     isConst(NodeId v) const
     {
-        return v != kInvalidNode && rb.out.node(v).op == OpKind::Const;
+        return v != kInvalidNode && graph().node(v).op == OpKind::Const;
     }
 
     double
     constVal(NodeId v) const
     {
-        return rb.out.constValue(v);
+        return graph().constValue(v);
     }
 
     const ValueFacts &
@@ -127,7 +192,7 @@ struct RewriteCtx
     {
         while (static_cast<NodeId>(facts.size()) <= v) {
             NodeId u = static_cast<NodeId>(facts.size());
-            facts.push_back(computeFacts(rb.out, u, facts));
+            facts.push_back(computeFacts(graph(), u, facts));
         }
         return facts[v];
     }
@@ -280,29 +345,44 @@ computeFacts(const Dfg &g, NodeId v, const std::vector<ValueFacts> &facts)
 
 /**
  * One rewrite rule. The engine offers every operation node of the
- * sweep to each enabled pattern in registry order with its operands
- * already remapped into the out graph; the first pattern to return a
- * replacement node wins the node. Nodes no pattern claims are copied
- * and then shown to every pattern via observe() (how CSE learns its
- * canonical occurrences).
+ * sweep whose op the pattern matches to each enabled pattern in
+ * registry order, with its operands already remapped into the graph
+ * being built; the first pattern to return a replacement node wins the
+ * node. Nodes no pattern claims are copied and then shown to the
+ * observing patterns via observe() (how CSE learns its canonical
+ * occurrences).
  */
 class Pattern
 {
   public:
-    explicit Pattern(std::string name) : name_(std::move(name)) {}
+    /** @p root is the one op the pattern matches; nullopt is any. */
+    explicit Pattern(std::string name,
+                     std::optional<OpKind> root = std::nullopt)
+        : root(root), name_(std::move(name))
+    {}
     virtual ~Pattern() = default;
 
-    /** Resets per-sweep state (the out graph is fresh each sweep). */
+    /** Resets per-sweep state for a sweep over @p src. */
     virtual void
-    beginSweep()
-    {}
+    beginSweep(const Dfg &src)
+    {
+        (void)src;
+    }
 
     /**
      * Offers op node @p n (never Const/Input) with remapped operands;
-     * returns a replacement node in the out graph or kInvalidNode.
+     * returns a replacement node in ctx.graph() or kInvalidNode. A
+     * pattern that adds nodes does so through ctx.mutableGraph().
      */
     virtual NodeId rewrite(RewriteCtx &ctx, const Node &n, NodeId a,
                            NodeId b, NodeId c) = 0;
+
+    /** True when the pattern wants observe() calls. */
+    virtual bool
+    observes() const
+    {
+        return false;
+    }
 
     /** Sees the copied node @p id when no pattern claimed it. */
     virtual void
@@ -318,6 +398,7 @@ class Pattern
         return name_;
     }
 
+    const std::optional<OpKind> root;
     int64_t hits = 0;
 
   private:
@@ -342,27 +423,28 @@ class Pattern
 class PowExpandPattern final : public Pattern
 {
   public:
-    PowExpandPattern() : Pattern("pow-expand") {}
+    PowExpandPattern() : Pattern("pow-expand", OpKind::Pow) {}
 
     NodeId
     rewrite(RewriteCtx &ctx, const Node &n, NodeId a, NodeId b,
             NodeId c) override
     {
+        (void)n;
         (void)c;
-        if (n.op != OpKind::Pow || !ctx.isConst(b))
+        if (!ctx.isConst(b))
             return kInvalidNode;
         double k = ctx.constVal(b);
         if (k == 0.0)
-            return ctx.rb.out.addConst(1.0);
+            return ctx.mutableGraph().addConst(1.0);
         if (k == 1.0)
             return a;
         if (k == 2.0)
-            return ctx.rb.out.addOp(OpKind::Mul, a, a);
+            return ctx.mutableGraph().addOp(OpKind::Mul, a, a);
         return kInvalidNode;
     }
 };
 
-/** The legacy constant folder as a pattern (same quantizer guard). */
+/** Constant folding under the shared quantizer guard. */
 class FoldConstantsPattern final : public Pattern
 {
   public:
@@ -372,13 +454,12 @@ class FoldConstantsPattern final : public Pattern
     rewrite(RewriteCtx &ctx, const Node &n, NodeId a, NodeId b,
             NodeId c) override
     {
-        Dfg &out = ctx.rb.out;
         if (n.op == OpKind::Select) {
             // A constant condition picks its branch at compile time,
             // provided truthiness survives quantization.
             if (ctx.isConst(a) && b != kInvalidNode &&
                 c != kInvalidNode) {
-                double cond = out.constValue(a);
+                double cond = ctx.constVal(a);
                 if ((cond != 0.0) ==
                     (accel::quantizeToFixed(cond) != 0.0))
                     return cond != 0.0 ? b : c;
@@ -388,13 +469,13 @@ class FoldConstantsPattern final : public Pattern
         if (!ctx.isConst(a) || (n.b != kInvalidNode && !ctx.isConst(b)) ||
             (n.c != kInvalidNode && !ctx.isConst(c)))
             return kInvalidNode;
-        double va = out.constValue(a);
-        double vb = b == kInvalidNode ? 0.0 : out.constValue(b);
-        double vc = c == kInvalidNode ? 0.0 : out.constValue(c);
+        double va = ctx.constVal(a);
+        double vb = b == kInvalidNode ? 0.0 : ctx.constVal(b);
+        double vc = c == kInvalidNode ? 0.0 : ctx.constVal(c);
         double folded = evaluateOp(n.op, va, vb, vc);
         if (!quantizerSafeFold(n.op, va, vb, vc, folded))
             return kInvalidNode;
-        return out.addConst(folded);
+        return ctx.mutableGraph().addConst(folded);
     }
 };
 
@@ -406,15 +487,14 @@ class FoldConstantsPattern final : public Pattern
 class MulOnePattern final : public Pattern
 {
   public:
-    MulOnePattern() : Pattern("mul-one") {}
+    MulOnePattern() : Pattern("mul-one", OpKind::Mul) {}
 
     NodeId
     rewrite(RewriteCtx &ctx, const Node &n, NodeId a, NodeId b,
             NodeId c) override
     {
+        (void)n;
         (void)c;
-        if (n.op != OpKind::Mul)
-            return kInvalidNode;
         if (ctx.isConst(a) && ctx.constVal(a) == 1.0)
             return b;
         if (ctx.isConst(b) && ctx.constVal(b) == 1.0)
@@ -433,15 +513,14 @@ class MulOnePattern final : public Pattern
 class AddZeroPattern final : public Pattern
 {
   public:
-    AddZeroPattern() : Pattern("add-zero") {}
+    AddZeroPattern() : Pattern("add-zero", OpKind::Add) {}
 
     NodeId
     rewrite(RewriteCtx &ctx, const Node &n, NodeId a, NodeId b,
             NodeId c) override
     {
+        (void)n;
         (void)c;
-        if (n.op != OpKind::Add)
-            return kInvalidNode;
         if (NodeId r = trySide(ctx, a, b); r != kInvalidNode)
             return r;
         return trySide(ctx, b, a);
@@ -471,15 +550,14 @@ class AddZeroPattern final : public Pattern
 class MulZeroPattern final : public Pattern
 {
   public:
-    MulZeroPattern() : Pattern("mul-zero") {}
+    MulZeroPattern() : Pattern("mul-zero", OpKind::Mul) {}
 
     NodeId
     rewrite(RewriteCtx &ctx, const Node &n, NodeId a, NodeId b,
             NodeId c) override
     {
+        (void)n;
         (void)c;
-        if (n.op != OpKind::Mul)
-            return kInvalidNode;
         if (NodeId r = trySide(ctx, a, b); r != kInvalidNode)
             return r;
         return trySide(ctx, b, a);
@@ -508,17 +586,16 @@ class MulZeroPattern final : public Pattern
 class DoubleNegPattern final : public Pattern
 {
   public:
-    DoubleNegPattern() : Pattern("double-neg") {}
+    DoubleNegPattern() : Pattern("double-neg", OpKind::Neg) {}
 
     NodeId
     rewrite(RewriteCtx &ctx, const Node &n, NodeId a, NodeId b,
             NodeId c) override
     {
+        (void)n;
         (void)b;
         (void)c;
-        if (n.op != OpKind::Neg)
-            return kInvalidNode;
-        const Node &inner = ctx.rb.out.node(a);
+        const Node &inner = ctx.graph().node(a);
         if (inner.op != OpKind::Neg)
             return kInvalidNode;
         if (ctx.factsOf(inner.a).nonNegative)
@@ -528,11 +605,11 @@ class DoubleNegPattern final : public Pattern
 };
 
 /**
- * The legacy CSE canonicalizer as a pattern: the first occurrence of
- * an (op, operands) tuple is copied and recorded via observe(); later
- * duplicates rewrite to the canonical node. Hash buckets with a full
- * field compare on lookup, so collisions cannot merge distinct
- * expressions.
+ * Common-subexpression elimination by value numbering: the first
+ * occurrence of an (op, operands) tuple is copied and recorded via
+ * observe(); later duplicates rewrite to the canonical node. The table
+ * is sized for the op nodes of each sweep's source graph (each is
+ * recorded at most once) and keeps its allocation across sweeps.
  */
 class CsePattern final : public Pattern
 {
@@ -540,44 +617,32 @@ class CsePattern final : public Pattern
     CsePattern() : Pattern("cse") {}
 
     void
-    beginSweep() override
+    beginSweep(const Dfg &src) override
     {
-        buckets_.clear();
+        table_.reset(src.operationCount());
     }
 
     NodeId
     rewrite(RewriteCtx &ctx, const Node &n, NodeId a, NodeId b,
             NodeId c) override
     {
-        auto it = buckets_.find(hashKey(n.op, a, b, c));
-        if (it == buckets_.end())
-            return kInvalidNode;
-        for (NodeId candidate : it->second) {
-            const Node &m = ctx.rb.out.node(candidate);
-            if (m.op == n.op && m.a == a && m.b == b && m.c == c)
-                return candidate;
-        }
-        return kInvalidNode;
+        return table_.find(ctx.graph(), n.op, a, b, c);
+    }
+
+    bool
+    observes() const override
+    {
+        return true;
     }
 
     void
     observe(RewriteCtx &ctx, NodeId id) override
     {
-        const Node &m = ctx.rb.out.node(id);
-        buckets_[hashKey(m.op, m.a, m.b, m.c)].push_back(id);
+        table_.insert(ctx.graph(), id);
     }
 
   private:
-    static uint64_t
-    hashKey(OpKind op, NodeId a, NodeId b, NodeId c)
-    {
-        return mix64(static_cast<uint64_t>(op)) ^
-               mix64(static_cast<uint64_t>(a) + 1) ^
-               mix64(static_cast<uint64_t>(b + 1) << 21) ^
-               mix64(static_cast<uint64_t>(c + 1) << 42);
-    }
-
-    std::unordered_map<uint64_t, std::vector<NodeId>> buckets_;
+    ValueNumberTable table_;
 };
 
 using PatternFactoryFn = std::unique_ptr<Pattern> (*)();
@@ -644,31 +709,58 @@ canonicalPatternSet(const std::vector<std::string> &requested)
 }
 
 /**
- * One forward sweep: offer every op node to the enabled patterns,
- * copy unclaimed nodes, swap the rebuilt graph in. Returns the number
- * of pattern firings.
+ * The enabled patterns, registry order, indexed for dispatch: per op
+ * kind the patterns whose root matches it, and the observers.
+ */
+struct PatternSet
+{
+    std::vector<std::unique_ptr<Pattern>> all;
+    std::array<std::vector<Pattern *>,
+               static_cast<size_t>(OpKind::Pow) + 1>
+        byOp;
+    std::vector<Pattern *> observers;
+
+    void
+    add(std::unique_ptr<Pattern> p)
+    {
+        for (size_t op = 0; op < byOp.size(); ++op)
+            if (!p->root || static_cast<size_t>(*p->root) == op)
+                byOp[op].push_back(p.get());
+        if (p->observes())
+            observers.push_back(p.get());
+        all.push_back(std::move(p));
+    }
+};
+
+/**
+ * One forward sweep: offer every op node to the enabled patterns and
+ * copy unclaimed nodes. The rebuilt graph is swapped in only when a
+ * pattern fired; a quiet sweep leaves @p translation untouched.
+ * Returns the number of pattern firings.
  */
 int64_t
-runNodeSweep(Translation &translation,
-             std::vector<std::unique_ptr<Pattern>> &patterns)
+runNodeSweep(Translation &translation, PatternSet &patterns,
+             std::vector<ValueFacts> &facts)
 {
     const Dfg &dfg = translation.dfg;
-    Rebuild rb(dfg);
-    RewriteCtx ctx{rb, {}};
-    for (auto &p : patterns)
-        p->beginSweep();
+    facts.clear();
+    RewriteCtx ctx{dfg, facts, std::nullopt, 0};
+    for (auto &p : patterns.all)
+        p->beginSweep(dfg);
     int64_t hits = 0;
     for (NodeId v = 0; v < dfg.size(); ++v) {
+        ctx.cursor = v;
         const Node &n = dfg.node(v);
         if (n.op == OpKind::Const || n.op == OpKind::Input) {
-            rb.copyNode(v);
+            if (ctx.rb)
+                ctx.rb->copyNode(v);
             continue;
         }
-        NodeId a = rb.remap[n.a];
-        NodeId b = rb.operand(n.b);
-        NodeId c = rb.operand(n.c);
+        NodeId a = ctx.map(n.a);
+        NodeId b = ctx.map(n.b);
+        NodeId c = ctx.map(n.c);
         NodeId replacement = kInvalidNode;
-        for (auto &p : patterns) {
+        for (Pattern *p : patterns.byOp[static_cast<size_t>(n.op)]) {
             replacement = p->rewrite(ctx, n, a, b, c);
             if (replacement != kInvalidNode) {
                 ++p->hits;
@@ -677,18 +769,129 @@ runNodeSweep(Translation &translation,
             }
         }
         if (replacement != kInvalidNode) {
-            rb.remap[v] = replacement;
+            // A claimed node ends the identity prefix.
+            ctx.mutableGraph();
+            ctx.rb->remap[v] = replacement;
             continue;
         }
-        rb.remap[v] = rb.out.addOp(n.op, a, b, c);
-        for (auto &p : patterns)
-            p->observe(ctx, rb.remap[v]);
+        NodeId id = v;
+        if (ctx.rb)
+            id = ctx.rb->remap[v] = ctx.rb->out.addOp(n.op, a, b, c);
+        for (Pattern *p : patterns.observers)
+            p->observe(ctx, id);
     }
-    rb.finish(translation);
+    if (ctx.rb)
+        ctx.rb->finish(translation);
     return hits;
 }
 
+/**
+ * Dead-node elimination: marks every node with a path to a gradient
+ * output, and rebuilds the graph without the rest only when at least
+ * one node is dead. @p live is scratch kept across sweeps. Returns the
+ * number of nodes removed.
+ */
+int64_t
+eliminateDeadNodes(Translation &translation, std::vector<char> &live)
+{
+    const Dfg &dfg = translation.dfg;
+    live.assign(static_cast<size_t>(dfg.size()), 0);
+    for (NodeId g : dfg.gradientNodes())
+        if (g != kInvalidNode)
+            live[g] = 1;
+    // Operands precede consumers, so one reverse sweep propagates
+    // liveness from the gradient outputs to everything they reach.
+    int64_t live_count = 0;
+    for (NodeId v = dfg.size() - 1; v >= 0; --v) {
+        if (!live[v])
+            continue;
+        ++live_count;
+        const Node &n = dfg.node(v);
+        if (n.a != kInvalidNode)
+            live[n.a] = 1;
+        if (n.b != kInvalidNode)
+            live[n.b] = 1;
+        if (n.c != kInvalidNode)
+            live[n.c] = 1;
+    }
+    if (live_count == dfg.size())
+        return 0;
+    const int64_t before = dfg.size();
+    Rebuild rb(dfg);
+    for (NodeId v = 0; v < dfg.size(); ++v)
+        if (live[v])
+            rb.copyNode(v);
+    rb.finish(translation);
+    return before - translation.dfg.size();
+}
+
 } // namespace
+
+int64_t
+edgeCount(const Dfg &dfg)
+{
+    int64_t edges = 0;
+    for (NodeId v = 0; v < dfg.size(); ++v) {
+        const Node &n = dfg.node(v);
+        edges += (n.a != kInvalidNode) + (n.b != kInvalidNode) +
+                 (n.c != kInvalidNode);
+    }
+    return edges;
+}
+
+size_t
+ValueNumberTable::capacityFor(int64_t nodes)
+{
+    size_t cap = 16;
+    while (cap < 2 * static_cast<size_t>(nodes))
+        cap *= 2;
+    return cap;
+}
+
+uint64_t
+ValueNumberTable::hash(OpKind op, NodeId a, NodeId b, NodeId c)
+{
+    uint64_t ab = static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32 |
+                  static_cast<uint32_t>(b);
+    uint64_t cop = static_cast<uint64_t>(static_cast<uint32_t>(c)) << 8 |
+                   static_cast<uint64_t>(op);
+    return mix64(ab ^ mix64(cop));
+}
+
+void
+ValueNumberTable::reset(int64_t nodes)
+{
+    slots_.assign(capacityFor(nodes), kInvalidNode);
+    mask_ = slots_.size() - 1;
+    entries_ = 0;
+}
+
+NodeId
+ValueNumberTable::find(const Dfg &g, OpKind op, NodeId a, NodeId b,
+                       NodeId c) const
+{
+    for (size_t i = hash(op, a, b, c) & mask_;; i = (i + 1) & mask_) {
+        NodeId id = slots_[i];
+        if (id == kInvalidNode)
+            return kInvalidNode;
+        const Node &m = g.node(id);
+        if (m.op == op && m.a == a && m.b == b && m.c == c)
+            return id;
+    }
+}
+
+void
+ValueNumberTable::insert(const Dfg &g, NodeId id)
+{
+    COSMIC_ASSERT(2 * (entries_ + 1) <= slots_.size(),
+                  "value-number table over half full");
+    ++entries_;
+    const Node &m = g.node(id);
+    size_t i = hash(m.op, m.a, m.b, m.c) & mask_;
+    while (slots_[i] != kInvalidNode)
+        i = (i + 1) & mask_;
+    slots_[i] = id;
+}
 
 const std::vector<std::string> &
 registeredPatternNames()
@@ -727,7 +930,7 @@ rewriteFixpoint(Translation &translation, const RewriteOptions &options)
     std::vector<std::string> enabled =
         canonicalPatternSet(options.patterns);
 
-    std::vector<std::unique_ptr<Pattern>> patterns;
+    PatternSet patterns;
     bool cleanup = false;
     for (const auto &entry : kRegistry) {
         bool on = false;
@@ -738,7 +941,7 @@ rewriteFixpoint(Translation &translation, const RewriteOptions &options)
         if (entry.cleanup)
             cleanup = true;
         else
-            patterns.push_back(entry.make());
+            patterns.add(entry.make());
     }
 
     RewriteOutcome outcome;
@@ -750,15 +953,18 @@ rewriteFixpoint(Translation &translation, const RewriteOptions &options)
     // (a Pow becomes a Mul), so total hits are bounded and a quiet
     // sweep is reached; maxSweeps is the safety valve, not the
     // expected exit.
+    std::vector<ValueFacts> facts;
+    std::vector<char> live;
     int64_t cleanup_hits = 0;
     bool converged = false;
     while (!converged && outcome.sweeps < options.maxSweeps) {
         ++outcome.sweeps;
         int64_t sweep_hits =
-            patterns.empty() ? 0 : runNodeSweep(translation, patterns);
+            patterns.all.empty()
+                ? 0
+                : runNodeSweep(translation, patterns, facts);
         if (cleanup) {
-            PassOutcome removed = eliminateDeadNodes(translation);
-            int64_t dead = removed.nodesBefore - removed.nodesAfter;
+            int64_t dead = eliminateDeadNodes(translation, live);
             cleanup_hits += dead;
             sweep_hits += dead;
         }
@@ -772,7 +978,7 @@ rewriteFixpoint(Translation &translation, const RewriteOptions &options)
         if (name == "dead-node-elim") {
             stats.hits = cleanup_hits;
         } else {
-            for (const auto &p : patterns)
+            for (const auto &p : patterns.all)
                 if (p->name() == name)
                     stats.hits = p->hits;
         }

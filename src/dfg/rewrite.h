@@ -2,8 +2,7 @@
  * @file
  * Pattern-based DFG rewrite framework.
  *
- * Generalizes the hand-written optimization passes (dfg/passes.h) into
- * a registry of declarative rewrite patterns: each pattern matches a
+ * A registry of declarative rewrite patterns: each pattern matches a
  * root operation (with its already-rewritten operands) and either
  * returns a replacement node or declines. The engine runs every
  * enabled pattern over the graph in sweeps until a sweep produces no
@@ -11,17 +10,17 @@
  * reports per-pattern hit counters that the compile pipeline surfaces
  * through `PipelineReport` and `cosmicc --dump-passes`.
  *
- * The contract is the same bit-exactness invariant the legacy passes
- * honor: a rewrite is only legal if no trained trajectory can observe
- * it — in plain double arithmetic *and* under the Q16.16 quantizer
- * (accel::quantizeToFixed), on the interpreter, the tapes, and the
- * JIT. Two shared ingredients enforce that:
+ * The contract is bit-exactness: a rewrite is only legal if no
+ * trained trajectory can observe it — in plain double arithmetic *and*
+ * under the Q16.16 quantizer (accel::quantizeToFixed), on the
+ * interpreter, the tapes, and the JIT. Two shared ingredients enforce
+ * that:
  *
  *  - `quantizerSafeFold` / `quantizerSafeConstant`: the constant-fold
- *    guard factored out of passes.cpp. A folded value is rejected if
- *    it is NaN or -0.0 (both interact badly with the builder's
- *    by-value constant dedup), or if loading Q(folded) would diverge
- *    from the runtime's staged Q(op(Q(a), Q(b), Q(c))).
+ *    guard. A folded value is rejected if it is NaN or -0.0 (both
+ *    interact badly with the builder's by-value constant dedup), or if
+ *    loading Q(folded) would diverge from the runtime's staged
+ *    Q(op(Q(a), Q(b), Q(c))).
  *  - `ValueFacts`: a conservative forward dataflow analysis (per-node
  *    {notNaN, finite, nonNegative, notNegZero}) that algebraic
  *    patterns consult before firing. x+0 -> x is only bitwise-safe
@@ -38,7 +37,7 @@
  *                   x*x. k >= 3 is guard-rejected: the expansion
  *                   would insert intermediate quantizations
  *                   (Q(Q(x*x)*x) != Q(x*x*x)).
- *   fold-constants  the legacy constant folder as a pattern,
+ *   fold-constants  constant folding under the quantizer guard,
  *                   including Select-on-constant-condition with the
  *                   quantized-truthiness guard.
  *   mul-one         x*1 -> x and 1*x -> x (unconditional: exact in
@@ -54,20 +53,24 @@
  *                   constants).
  *   double-neg      -(-x) -> x under a non-negativity proof for x
  *                   (blocks the Q16.16 INT32_MIN saturation hazard).
- *   cse             the legacy common-subexpression canonicalizer as
- *                   a pattern: the first occurrence of (op, operands)
- *                   becomes the canonical node, later duplicates remap
- *                   to it.
+ *   cse             value numbering in an open-addressed table
+ *                   (ValueNumberTable): the first occurrence of
+ *                   (op, operands) becomes the canonical node, later
+ *                   duplicates remap to it.
  *   dead-node-elim  cleanup fixpoint: after every sweep, nodes with
- *                   no path to a gradient output are swept; its hit
- *                   counter is the number of nodes removed.
+ *                   no path to a gradient output are swept (the graph
+ *                   is rebuilt only when one is dead); its hit counter
+ *                   is the number of nodes removed.
  *
- * The compile pipeline enables the framework by default
- * (compiler::CompileOptions::useRewritePatterns); the legacy
- * three-pass path is kept one release behind the flag. The enabled
- * pattern set folds into the BuildCache content hash, and
- * COSMIC_REWRITE_PATTERNS (comma-separated names, strictly parsed)
- * overrides it per process.
+ * A sweep reads the source graph in place until a pattern first
+ * fires, and rebuilds from that node on; a sweep that claims nothing
+ * copies nothing and leaves the graph untouched.
+ *
+ * The compile pipeline runs the framework as its optimize stage. The
+ * per-pass booleans of compiler::CompileOptions gate their same-named
+ * patterns, the enabled pattern set folds into the BuildCache content
+ * hash, and COSMIC_REWRITE_PATTERNS (comma-separated names, strictly
+ * parsed) overrides it per process.
  */
 #pragma once
 
@@ -75,7 +78,6 @@
 #include <string>
 #include <vector>
 
-#include "dfg/passes.h"
 #include "dfg/translator.h"
 
 namespace cosmic::dfg {
@@ -118,36 +120,59 @@ struct ValueFacts
 };
 
 /**
- * Incremental graph rebuild: walks the source graph in node order and
- * re-emits the surviving nodes into a fresh Dfg through the public
- * builder API, tracking old-id -> new-id. Because operands always
- * precede their consumers in the source order, every operand is
- * already remapped by the time its consumer is visited, and the
- * rebuilt graph's construction order is again topological. Shared by
- * the legacy passes (passes.cpp) and the rewrite engine.
+ * Open-addressed value-number table, the `cse` pattern's state: one
+ * flat NodeId array with linear probing, kept at most half full. An
+ * entry is found by hashing its node's (op, a, b, c) and comparing
+ * every field of each probed node, so a hash collision can never merge
+ * distinct expressions.
  */
-struct Rebuild
+class ValueNumberTable
 {
-    const Dfg &src;
-    Dfg out;
-    std::vector<NodeId> remap;
+  public:
+    /** Slot count for up to @p nodes entries: the smallest power of
+     *  two that is at least twice @p nodes. */
+    static size_t capacityFor(int64_t nodes);
 
-    explicit Rebuild(const Dfg &dfg)
-        : src(dfg), remap(dfg.size(), kInvalidNode)
-    {}
+    /** Probe hash of (op, a, b, c); probing starts at
+     *  hash & (capacity - 1) and walks forward, wrapping at the end. */
+    static uint64_t hash(OpKind op, NodeId a, NodeId b, NodeId c);
 
-    NodeId
-    operand(NodeId v) const
-    {
-        return v == kInvalidNode ? kInvalidNode : remap[v];
-    }
+    /** Empties the table and sizes it for up to @p nodes entries,
+     *  reusing the allocation when it is already large enough. */
+    void reset(int64_t nodes);
 
-    /** Re-emits node @p v unchanged (operands remapped). */
-    void copyNode(NodeId v);
+    /** The entry whose node in @p g is exactly (op, a, b, c), or
+     *  kInvalidNode. */
+    NodeId find(const Dfg &g, OpKind op, NodeId a, NodeId b,
+                NodeId c) const;
 
-    /** Re-marks gradient outputs and swaps the graph into @p tr. */
-    void finish(Translation &tr);
+    /** Adds node @p id of @p g; at most the @p nodes given to the
+     *  last reset() may be added. */
+    void insert(const Dfg &g, NodeId id);
+
+  private:
+    std::vector<NodeId> slots_;
+    size_t mask_ = 0;
+    size_t entries_ = 0;
 };
+
+/** Node/edge deltas of a rewrite run (for PipelineReport). */
+struct PassOutcome
+{
+    int64_t nodesBefore = 0;
+    int64_t nodesAfter = 0;
+    int64_t edgesBefore = 0;
+    int64_t edgesAfter = 0;
+
+    bool
+    changed() const
+    {
+        return nodesAfter != nodesBefore || edgesAfter != edgesBefore;
+    }
+};
+
+/** Operand references over all nodes (the report's edge count). */
+int64_t edgeCount(const Dfg &dfg);
 
 /** Rewrite-engine knobs. */
 struct RewriteOptions
@@ -203,9 +228,9 @@ std::vector<std::string> resolvePatternList(const std::string &spec);
 
 /**
  * Runs the enabled patterns over @p translation to fixpoint (bounded
- * by the sweep budget). The graph invariants of dfg/passes.h hold:
- * node ids stay topological, gradient outputs stay marked, and the
- * record/model/gradient layouts are untouched.
+ * by the sweep budget). Node ids stay a topological order, gradient
+ * outputs stay marked, and the record/model/gradient layouts are
+ * untouched. A sweep that claims nothing leaves the graph as it is.
  */
 RewriteOutcome rewriteFixpoint(Translation &translation,
                                const RewriteOptions &options = {});

@@ -21,8 +21,9 @@ namespace {
 /** Status snapshot word layout inside a JobStatus payload. */
 constexpr size_t kStatusWords = 5;
 
-void
-sendAll(int fd, const uint8_t *data, size_t size)
+/** Sends all of @p data; false (errno set) when the send fails. */
+bool
+trySendAll(int fd, const uint8_t *data, size_t size)
 {
     size_t sent = 0;
     while (sent < size) {
@@ -31,11 +32,18 @@ sendAll(int fd, const uint8_t *data, size_t size)
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            COSMIC_FATAL("service: send failed: "
-                         << std::strerror(errno));
+            return false;
         }
         sent += static_cast<size_t>(n);
     }
+    return true;
+}
+
+void
+sendAll(int fd, const uint8_t *data, size_t size)
+{
+    if (!trySendAll(fd, data, size))
+        COSMIC_FATAL("service: send failed: " << std::strerror(errno));
 }
 
 /** Encodes @p progress as a JobStatus frame for @p job_id. */
@@ -104,27 +112,59 @@ struct ServiceFrontDoor::Connection
 {
     int fd = -1;
     std::mutex writeMu;
+    /** No more frames go out (the peer hung up, or shutdown/close). */
+    bool shut = false;
     bool closed = false;
 
+    /**
+     * Sends @p msg. A peer that hung up (EPIPE, ECONNRESET) does not
+     * throw: progress pushes run on the job's thread, and a subscriber
+     * leaving must not fail the job. The connection is shut down
+     * instead, which drops this and every later frame and wakes the
+     * handler's recv(), which then closes the fd.
+     */
     void
     write(const sys::Message &msg)
     {
         std::lock_guard<std::mutex> lock(writeMu);
-        if (closed)
+        if (shut)
             return;
         std::vector<uint8_t> frame;
         net::encodeMessage(msg, net::PayloadKind::F64, frame);
-        sendAll(fd, frame.data(), frame.size());
+        if (!trySendAll(fd, frame.data(), frame.size()))
+            shutdownLocked();
+    }
+
+    /**
+     * Ends all traffic and wakes a recv() blocked on the fd. The fd
+     * stays open until close(), so its number cannot be reused under
+     * a handler still inside recv().
+     */
+    void
+    shutdown()
+    {
+        std::lock_guard<std::mutex> lock(writeMu);
+        shutdownLocked();
     }
 
     void
     close()
     {
         std::lock_guard<std::mutex> lock(writeMu);
+        shutdownLocked();
         if (!closed) {
-            ::shutdown(fd, SHUT_RDWR);
             ::close(fd);
             closed = true;
+        }
+    }
+
+  private:
+    void
+    shutdownLocked()
+    {
+        if (!shut) {
+            ::shutdown(fd, SHUT_RDWR);
+            shut = true;
         }
     }
 };
@@ -175,10 +215,14 @@ ServiceFrontDoor::stop()
         std::lock_guard<std::mutex> lock(mu_);
         handlers.swap(handlers_);
     }
+    // Wake every handler, and close each fd only once its handler has
+    // left recv().
     for (auto &[id, h] : handlers)
-        h.conn->close();
-    for (auto &[id, h] : handlers)
+        h.conn->shutdown();
+    for (auto &[id, h] : handlers) {
         h.thread.join();
+        h.conn->close();
+    }
     scheduler_.shutdown();
 }
 
@@ -227,8 +271,8 @@ ServiceFrontDoor::acceptLoop(int listen_fd)
                             try {
                                 handle(conn);
                             } catch (const std::exception &) {
-                                // A reply to a client that already
-                                // hung up; nothing is left to serve.
+                                // Nothing is left to serve on this
+                                // connection.
                                 conn->close();
                             }
                             std::lock_guard<std::mutex> lock(mu_);

@@ -1,15 +1,13 @@
 /**
  * @file
- * Compile-pipeline tests: the DFG optimization passes (the rewrite
- * framework and the legacy fold/CSE/DNE path one release behind it),
+ * Compile-pipeline tests: the DFG optimizations of the rewrite stage,
  * the content-hashed build cache, and the pipeline's stage artifacts.
  *
  * The load-bearing guarantee: every pass leaves trained trajectories
  * bit-exact against the unoptimized graph — in the quantized (Q16.16)
  * datapath as well as plain doubles — for all Table 1 workloads, on
  * the interpreter, the tape's SGD sweep and batch call, and the
- * JIT-compiled native tape. Both optimize paths (rewrite patterns and
- * legacy passes) are held to it.
+ * JIT-compiled native tape.
  */
 #include <gtest/gtest.h>
 
@@ -21,7 +19,7 @@
 #include "common/rng.h"
 #include "compiler/pipeline.h"
 #include "dfg/interp.h"
-#include "dfg/passes.h"
+#include "dfg/rewrite.h"
 #include "dfg/tape.h"
 #include "jit/kernel_cache.h"
 #include "kernel_compare.h"
@@ -37,13 +35,13 @@ passesOff()
     return compiler::CompileOptions{}.withDfgPasses(false);
 }
 
-/** The pre-rewrite optimize stage: legacy fold/CSE/DNE sequence. */
-compiler::CompileOptions
-legacyPasses()
+/** Runs the rewrite engine with only @p patterns enabled. */
+dfg::PassOutcome
+runPatterns(dfg::Translation &tr, std::vector<std::string> patterns)
 {
-    compiler::CompileOptions options;
-    options.useRewritePatterns = false;
-    return options;
+    dfg::RewriteOptions options;
+    options.patterns = std::move(patterns);
+    return dfg::rewriteFixpoint(tr, options).shape;
 }
 
 // ---------------------------------------------------------------- passes
@@ -62,7 +60,7 @@ TEST(DfgPasses, CseMergesDuplicateSubtrees)
     )",
                               passesOff());
     auto before = tr.dfg.size();
-    auto outcome = dfg::eliminateCommonSubexpressions(tr);
+    auto outcome = runPatterns(tr, {"cse"});
     EXPECT_TRUE(outcome.changed());
     EXPECT_EQ(outcome.nodesBefore, before);
     EXPECT_EQ(outcome.nodesAfter, before - 2);
@@ -89,7 +87,7 @@ TEST(DfgPasses, DeadNodeEliminationRemovesUnreachableNodes)
         g[i] = w[i] * x[i];
     )",
                                 passesOff());
-    auto outcome = dfg::eliminateDeadNodes(tr);
+    auto outcome = runPatterns(tr, {"dead-node-elim"});
     EXPECT_TRUE(outcome.changed());
     EXPECT_EQ(tr.dfg.size(), live.dfg.size());
     EXPECT_EQ(tr.dfg.operationCount(), live.dfg.operationCount());
@@ -107,9 +105,9 @@ TEST(DfgPasses, ConstantFoldingFoldsExactProducts)
         g[i] = w[i] * (2 * 3);
     )",
                               passesOff());
-    auto fold = dfg::foldConstants(tr);
+    auto fold = runPatterns(tr, {"fold-constants"});
     EXPECT_TRUE(fold.changed());
-    dfg::eliminateDeadNodes(tr);
+    runPatterns(tr, {"dead-node-elim"});
     // Remaining operation: the single live mul by the folded 6.
     EXPECT_EQ(tr.dfg.operationCount(), 1);
 }
@@ -134,10 +132,9 @@ TEST(DfgPasses, ConstantFoldingRespectsQuantizedSemantics)
     )",
                               passesOff());
     auto ops_before = tr.dfg.operationCount();
-    auto fold = dfg::foldConstants(tr);
+    runPatterns(tr, {"fold-constants"});
     EXPECT_EQ(tr.dfg.operationCount(), ops_before)
         << "quantizer-unsafe fold must be rejected";
-    (void)fold;
 }
 
 TEST(DfgPasses, PipelineReportRecordsPassDeltas)
@@ -170,29 +167,6 @@ TEST(DfgPasses, PipelineReportRecordsPassDeltas)
     EXPECT_GE(fold_hits, 1) << "2*3 must fold";
     ASSERT_NE(report.pass("parse"), nullptr);
     EXPECT_FALSE(report.table().empty());
-    (void)tr;
-}
-
-TEST(DfgPasses, LegacyPathRecordsThreePassDeltas)
-{
-    // The legacy sequence (one release behind the rewrite framework)
-    // still reports its three named passes.
-    PipelineReport report;
-    auto tr = translateSource(R"(
-        model_input x[1];
-        model w[1];
-        gradient g[1];
-        iterator i[0:1];
-        g[i] = sigmoid(w[i] * x[i] + 1) + sigmoid(w[i] * x[i] + 1) +
-               w[i] * (2 * 3);
-    )",
-                              legacyPasses(), &report);
-    EXPECT_EQ(report.dfgPassCount(), 3);
-    ASSERT_NE(report.pass("cse"), nullptr);
-    EXPECT_LT(report.pass("cse")->nodesAfter,
-              report.pass("cse")->nodesBefore);
-    EXPECT_EQ(report.pass("rewrite"), nullptr);
-    EXPECT_TRUE(report.patternHits.empty());
     (void)tr;
 }
 
@@ -434,18 +408,17 @@ using TrajectoryFn = std::vector<double> (*)(const dfg::Translation &,
                                              double (*)(double));
 
 /**
- * Asserts that both optimize paths (rewrite framework and legacy
- * passes) reproduce the raw graph's trajectory bit-for-bit.
+ * Asserts that the rewritten graph reproduces the raw graph's
+ * trajectory bit-for-bit.
  */
 void
-expectOptimizePathsBitExact(const std::string &workload,
-                            TrajectoryFn traj, const char *label)
+expectRewriteBitExact(const std::string &workload, TrajectoryFn traj,
+                      const char *label)
 {
     const auto &w = ml::Workload::byName(workload);
     const double scale = 64.0;
     auto plain = translateSource(w.dslSource(scale), passesOff());
     auto rewritten = translateSource(w.dslSource(scale));
-    auto legacy = translateSource(w.dslSource(scale), legacyPasses());
     ASSERT_LE(rewritten.dfg.size(), plain.dfg.size());
 
     for (double (*quantizer)(double) :
@@ -454,18 +427,12 @@ expectOptimizePathsBitExact(const std::string &workload,
         SCOPED_TRACE(quantizer ? "Q16.16" : "double");
         auto a = traj(plain, w, scale, quantizer);
         auto b = traj(rewritten, w, scale, quantizer);
-        auto c = traj(legacy, w, scale, quantizer);
         ASSERT_EQ(a.size(), b.size());
-        ASSERT_EQ(a.size(), c.size());
         for (size_t i = 0; i < a.size(); ++i) {
             ASSERT_TRUE(
                 std::memcmp(&a[i], &b[i], sizeof(double)) == 0)
                 << label << " rewrite model word " << i << ": "
                 << a[i] << " vs " << b[i];
-            ASSERT_TRUE(
-                std::memcmp(&a[i], &c[i], sizeof(double)) == 0)
-                << label << " legacy model word " << i << ": " << a[i]
-                << " vs " << c[i];
         }
     }
 }
@@ -475,12 +442,9 @@ class PassesAreBitExact : public ::testing::TestWithParam<std::string>
 
 TEST_P(PassesAreBitExact, OnAllExecutionModes)
 {
-    expectOptimizePathsBitExact(GetParam(), &interpTrajectory,
-                                "interp");
-    expectOptimizePathsBitExact(GetParam(), &tapeSweepTrajectory,
-                                "tape-sweep");
-    expectOptimizePathsBitExact(GetParam(), &tapeBatchTrajectory,
-                                "tape-batch");
+    expectRewriteBitExact(GetParam(), &interpTrajectory, "interp");
+    expectRewriteBitExact(GetParam(), &tapeSweepTrajectory, "tape-sweep");
+    expectRewriteBitExact(GetParam(), &tapeBatchTrajectory, "tape-batch");
 }
 
 TEST_P(PassesAreBitExact, OnTheJitKernel)
@@ -496,7 +460,7 @@ TEST_P(PassesAreBitExact, OnTheJitKernel)
         jit::KernelCache::maxTapeInstructions())
         GTEST_SKIP() << "tape over the JIT size limit; interpreter "
                         "fallback is by design";
-    expectOptimizePathsBitExact(GetParam(), &jitTrajectory, "jit");
+    expectRewriteBitExact(GetParam(), &jitTrajectory, "jit");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -547,10 +511,6 @@ TEST(RewriteGolden, WorkloadShapeDeltas)
         EXPECT_EQ(opt.dfg.size(), g.opt_nodes);
         EXPECT_EQ(dfg::edgeCount(raw.dfg), g.raw_edges);
         EXPECT_EQ(dfg::edgeCount(opt.dfg), g.opt_edges);
-        // The rewrite framework never does worse than the legacy
-        // passes it re-expresses.
-        auto legacy = translateSource(w.dslSource(64.0), legacyPasses());
-        EXPECT_LE(opt.dfg.size(), legacy.dfg.size());
     }
 }
 

@@ -4,8 +4,9 @@
  * minimal hand-built DFGs, the guard rejections that keep Q16.16
  * trajectories bit-exact, fixpoint termination under the sweep budget,
  * hit-counter reconciliation against PipelineReport, strict pattern
- * list parsing, the COSMIC_REWRITE_PATTERNS override, and the audit
- * regressions for the guards shared with the legacy passes.
+ * list parsing, the COSMIC_REWRITE_PATTERNS override, the audit
+ * regressions for the shared guards, and the engine's own mechanisms:
+ * the open-addressed CSE table and sweeps that leave the graph alone.
  */
 #include <gtest/gtest.h>
 
@@ -379,6 +380,82 @@ TEST(RewritePattern, CseMergesDuplicatesKeepsDistinctOps)
     EXPECT_EQ(outcome.shape.nodesAfter, before - 1);
 }
 
+TEST(RewritePattern, CseTableMergesLikePairwiseCompareUnderCollisions)
+{
+    // Data inputs, their negations (distinct leaf ops), then binary
+    // ops over the negations, which the builder does not value-number.
+    // Every key is picked so that its home slot is among the last 8 of
+    // the table the engine sizes for this graph; with more than 8
+    // distinct keys there, the probe chains are long and wrap past the
+    // end of the table.
+    constexpr int kLeaves = 32;
+    constexpr int kKeyNodes = 256;
+    constexpr size_t kTail = 8;
+    // The engine sizes the table for the source graph's op nodes.
+    const size_t cap =
+        dfg::ValueNumberTable::capacityFor(kLeaves + kKeyNodes);
+    struct Key
+    {
+        dfg::OpKind op;
+        dfg::NodeId a, b;
+    };
+    std::vector<Key> keys;
+    for (auto op : {dfg::OpKind::Add, dfg::OpKind::Sub, dfg::OpKind::Mul,
+                    dfg::OpKind::Min, dfg::OpKind::Max})
+        for (dfg::NodeId i = kLeaves; i < 2 * kLeaves; ++i)
+            for (dfg::NodeId j = kLeaves; j < 2 * kLeaves; ++j) {
+                uint64_t h = dfg::ValueNumberTable::hash(op, i, j,
+                                                         dfg::kInvalidNode);
+                if ((h & (cap - 1)) >= cap - kTail && keys.size() < 24)
+                    keys.push_back({op, i, j});
+            }
+    ASSERT_GT(keys.size(), kTail)
+        << "test premise: more tail keys than tail slots, so probing wraps";
+
+    dfg::Dfg g;
+    for (int i = 0; i < kLeaves; ++i)
+        g.addDataInput(i, {});
+    for (dfg::NodeId i = 0; i < kLeaves; ++i)
+        ASSERT_EQ(g.addOp(dfg::OpKind::Neg, i), kLeaves + i);
+    std::vector<Key> sequence;
+    for (int n = 0; n < kKeyNodes; ++n)
+        sequence.push_back(keys[(n * 7 + n / 11) % keys.size()]);
+    dfg::NodeId last = dfg::kInvalidNode;
+    for (const Key &k : sequence)
+        last = g.addOp(k.op, k.a, k.b);
+    auto tr = finishGraph(std::move(g), {last}, kLeaves, 0);
+    ASSERT_EQ(tr.dfg.size(), 2 * kLeaves + kKeyNodes)
+        << "test premise: the builder must not merge the key nodes";
+
+    // Brute force: a key node merges iff an earlier one has the same
+    // fields; the survivors are the first occurrences, in order.
+    auto same = [](const Key &x, const Key &y) {
+        return x.op == y.op && x.a == y.a && x.b == y.b;
+    };
+    std::vector<Key> survivors;
+    int64_t merges = 0;
+    for (const Key &k : sequence) {
+        bool seen = false;
+        for (const Key &s : survivors)
+            seen = seen || same(s, k);
+        if (seen)
+            ++merges;
+        else
+            survivors.push_back(k);
+    }
+
+    auto outcome = run(tr, {"cse"});
+    EXPECT_EQ(hitsFor(outcome, "cse"), merges);
+    ASSERT_EQ(tr.dfg.size(),
+              2 * kLeaves + static_cast<int64_t>(survivors.size()));
+    for (size_t i = 0; i < survivors.size(); ++i) {
+        const dfg::Node &n =
+            tr.dfg.node(static_cast<dfg::NodeId>(2 * kLeaves + i));
+        EXPECT_TRUE(same({n.op, n.a, n.b}, survivors[i])) << "key " << i;
+        EXPECT_EQ(n.c, dfg::kInvalidNode);
+    }
+}
+
 // ------------------------------------------------- fixpoint and budget
 
 TEST(RewriteFixpoint, CascadesAcrossSweepsToQuiescence)
@@ -423,14 +500,45 @@ TEST(RewriteFixpoint, BudgetStopsAStillRewritingRun)
 TEST(RewriteFixpoint, AlreadyOptimalGraphConvergesInOneSweep)
 {
     dfg::Dfg g;
-    auto x = g.addDataInput(0, {});
-    auto w = g.addModelInput(0, {});
+    auto x = g.addDataInput(0, {7, 3});
+    auto w = g.addModelInput(0, {1, 0});
+    auto two = g.addConst(2.0);
     auto m = g.addOp(dfg::OpKind::Mul, x, w);
-    auto tr = finishGraph(std::move(g), {m}, 1, 1);
+    auto s = g.addOp(dfg::OpKind::Add, m, two);
+    auto e = g.addOp(dfg::OpKind::Exp, s);
+    auto tr = finishGraph(std::move(g), {e, m}, 1, 1);
+    const dfg::Dfg before = tr.dfg;
+    const dfg::Node *storage = &tr.dfg.node(0);
     auto outcome = run(tr, {});
+    EXPECT_EQ(&tr.dfg.node(0), storage)
+        << "a quiet sweep must leave the graph in place, not rebuild it";
     EXPECT_EQ(outcome.sweeps, 1);
     EXPECT_EQ(outcome.totalHits(), 0);
     EXPECT_FALSE(outcome.budgetExhausted);
+    // The quiet sweep hands the graph back node for node.
+    ASSERT_EQ(tr.dfg.size(), before.size());
+    for (dfg::NodeId v = 0; v < before.size(); ++v) {
+        SCOPED_TRACE("node " + std::to_string(v));
+        const dfg::Node &a = before.node(v);
+        const dfg::Node &b = tr.dfg.node(v);
+        EXPECT_EQ(a.op, b.op);
+        EXPECT_EQ(a.category, b.category);
+        EXPECT_EQ(a.a, b.a);
+        EXPECT_EQ(a.b, b.b);
+        EXPECT_EQ(a.c, b.c);
+        EXPECT_EQ(before.elementRef(v).tensor,
+                  tr.dfg.elementRef(v).tensor);
+        EXPECT_EQ(before.elementRef(v).element,
+                  tr.dfg.elementRef(v).element);
+        if (a.op == dfg::OpKind::Const) {
+            EXPECT_TRUE(dfg::bitEqualDouble(before.constValue(v),
+                                            tr.dfg.constValue(v)));
+        }
+        if (a.op == dfg::OpKind::Input) {
+            EXPECT_EQ(before.inputPos(v), tr.dfg.inputPos(v));
+        }
+    }
+    EXPECT_EQ(tr.dfg.gradientNodes(), before.gradientNodes());
 }
 
 // --------------------------------------------- report reconciliation
@@ -471,23 +579,6 @@ TEST(RewriteReport, HitCountersReconcileWithPipelineReport)
     EXPECT_NE(table.find("rewrite"), std::string::npos);
     EXPECT_NE(table.find("pow-expand"), std::string::npos);
     EXPECT_NE(table.find("fixpoint"), std::string::npos);
-}
-
-TEST(RewriteReport, LegacyPassPathStaysOneReleaseBehind)
-{
-    auto src = ml::templates::linearRegression(4, 8);
-    compiler::CompileOptions legacy;
-    legacy.useRewritePatterns = false;
-    compile::PipelineReport report;
-    auto tr = compile::translateSource(src, legacy, &report);
-    (void)tr;
-    EXPECT_EQ(report.dfgPassCount(), 3);
-    EXPECT_NE(report.pass("fold-constants"), nullptr);
-    EXPECT_NE(report.pass("cse"), nullptr);
-    EXPECT_NE(report.pass("dead-node-elim"), nullptr);
-    EXPECT_EQ(report.pass("rewrite"), nullptr);
-    EXPECT_TRUE(report.patternHits.empty());
-    EXPECT_EQ(report.rewriteSweeps, 0);
 }
 
 TEST(RewriteReport, LegacyPerPassFlagsGateSameNamedPatterns)
@@ -631,8 +722,8 @@ TEST(RewriteGuards, QuantizerSafeFoldMatchesStagedRuntime)
 
 TEST(RewriteGuards, CseRequiresFullFieldMatch)
 {
-    // Same operands, different op: never merged (the legacy pass and
-    // the pattern both compare every field, not just the hash).
+    // Same operands, different op: never merged (the value-number
+    // table compares every field, not just the hash).
     dfg::Dfg g;
     auto x = g.addDataInput(0, {});
     auto w = g.addModelInput(0, {});

@@ -722,6 +722,51 @@ TEST(ServiceFrontDoor, ResultOutlivesReleasedCluster)
     EXPECT_EQ(client.status(id).state, sys::JobState::Done);
 }
 
+TEST(ServiceFrontDoor, SubscriberHangingUpMidRunDoesNotFailTheJob)
+{
+    sys::JobSpec spec = smallJob("stock");
+    spec.epochs = 60;
+    sys::Session solo(spec);
+    const std::vector<double> want = solo.run().finalModel;
+
+    sys::SchedulerConfig cfg;
+    cfg.totalNodes = 2;
+    cfg.maxConcurrent = 1;
+    sys::ServiceFrontDoor door(cfg, "127.0.0.1:0");
+    const std::string endpoint =
+        "127.0.0.1:" + std::to_string(door.port());
+    sys::ServiceClient owner(endpoint);
+    const uint64_t id = owner.submit(spec);
+    {
+        // Subscribe, take the first push of the running job, then
+        // vanish: the socket closes with unread pushes queued, so the
+        // kernel resets the connection and the next push from the
+        // job's thread fails with EPIPE or ECONNRESET.
+        sys::ServiceClient subscriber(endpoint);
+        struct HungUp
+        {};
+        EXPECT_THROW(subscriber.wait(id,
+                                     [](const sys::JobProgress &p) {
+                                         if (p.state ==
+                                             sys::JobState::Running)
+                                             throw HungUp{};
+                                     }),
+                     HungUp);
+    }
+    // The owner polls rather than subscribes, so the dead connection
+    // keeps the job's progress sink.
+    door.scheduler().drain();
+    const sys::JobProgress done = owner.status(id);
+    ASSERT_EQ(done.state, sys::JobState::Done) << done.error;
+    EXPECT_EQ(done.epochsDone, spec.epochs);
+    EXPECT_TRUE(bitEqual(owner.result(id), want));
+
+    // The front door keeps serving a second client.
+    sys::ServiceClient second(endpoint);
+    const uint64_t next = second.submit(smallJob("tumor"));
+    EXPECT_EQ(second.wait(next).state, sys::JobState::Done);
+}
+
 TEST(ServiceFrontDoor, ReapsClosedConnections)
 {
     sys::SchedulerConfig cfg;
