@@ -408,15 +408,13 @@ runNode(const Options &opt, int self,
     const sys::NodeAssignment assign = topo.nodes[self];
     const bool is_master = assign.role == sys::NodeRole::MasterSigma;
 
-    // Same synthesis as the in-process runtime: one full dataset so
-    // every partition shares the hidden ground truth; this process
-    // trains on partition `self` only.
+    // Same synthesis as the in-process runtime: one teacher keyed by
+    // the cluster seed, so every partition shares the hidden ground
+    // truth; this process synthesizes and trains on partition `self`
+    // only.
     Rng rng(cfg.seed);
-    const int64_t holdout_count =
-        std::min<int64_t>(128, cfg.recordsPerNode);
-    auto full = ml::DatasetGenerator::generate(
-        workload, opt.scale,
-        nodes * cfg.recordsPerNode + holdout_count, rng);
+    const ml::Teacher teacher(workload, opt.scale,
+                              ml::DatasetGenerator::drawKey(rng));
 
     sys::NodeComputeConfig node_config;
     node_config.acceleratorThreads = cfg.acceleratorThreadsPerNode;
@@ -425,7 +423,7 @@ runNode(const Options &opt, int self,
     node_config.tapeBackend = cfg.compile.tapeBackend;
     sys::TrainingNode node(
         translation,
-        full.partition(self * cfg.recordsPerNode, cfg.recordsPerNode),
+        teacher.records(self * cfg.recordsPerNode, cfg.recordsPerNode),
         node_config);
 
     auto pool = std::make_shared<sys::BufferPool>();
@@ -458,8 +456,9 @@ runNode(const Options &opt, int self,
     ml::Reference reference(workload, opt.scale);
     ml::Dataset holdout;
     if (is_master) {
-        holdout = full.partition(nodes * cfg.recordsPerNode,
-                                 holdout_count);
+        holdout = teacher.records(nodes * cfg.recordsPerNode,
+                                  std::min<int64_t>(128,
+                                                    cfg.recordsPerNode));
         std::printf("cosmicd: %d nodes, workload %s, %s, %s payload\n",
                     nodes, workload.name.c_str(),
                     opt.mode == sys::TrainingMode::ModelAveraging

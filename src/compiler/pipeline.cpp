@@ -314,8 +314,8 @@ Pipeline::translated()
 const dfg::Translation &
 Pipeline::optimized()
 {
-    if (!optimized_) {
-        optimized_.emplace(translated());
+    if (!optimizeRan_) {
+        const dfg::Translation &raw = translated();
         std::vector<std::string> patterns =
             effectiveRewritePatterns(options_);
         if (!patterns.empty()) {
@@ -323,8 +323,12 @@ Pipeline::optimized()
             rewrite_options.patterns = std::move(patterns);
             rewrite_options.maxSweeps = options_.rewriteMaxSweeps;
             auto start = std::chrono::steady_clock::now();
-            dfg::RewriteOutcome o =
-                dfg::rewriteFixpoint(*optimized_, rewrite_options);
+            dfg::RewriteOutcome o;
+            // A rewrite that changes nothing leaves the raw artifact
+            // as the optimized one: no copy of the translation.
+            if (std::optional<dfg::Dfg> g =
+                    dfg::rewriteGraph(raw.dfg, rewrite_options, o))
+                optimized_.emplace(raw.withGraph(std::move(*g)));
             report_.passes.push_back(
                 {"rewrite", secondsSince(start), o.shape.nodesBefore,
                  o.shape.nodesAfter, o.shape.edgesBefore,
@@ -333,8 +337,9 @@ Pipeline::optimized()
             report_.rewriteSweeps = o.sweeps;
             report_.rewriteBudgetExhausted = o.budgetExhausted;
         }
+        optimizeRan_ = true;
     }
-    return *optimized_;
+    return optimized_ ? *optimized_ : *raw_;
 }
 
 const planner::PlanResult &
@@ -407,9 +412,7 @@ dfg::Translation
 Pipeline::takeOptimized()
 {
     optimized();
-    dfg::Translation tr = std::move(*optimized_);
-    optimized_.reset();
-    return tr;
+    return std::move(optimized_ ? *optimized_ : *raw_);
 }
 
 const dfg::Translation &

@@ -165,6 +165,10 @@ class Pipeline
 
     std::optional<ParsedProgram> parsed_;
     std::optional<dfg::Translation> raw_;
+    /** The optimize stage has run. */
+    bool optimizeRan_ = false;
+    /** Engaged only when the rewrite changed the graph; otherwise the
+     *  raw translation is the optimized one. */
     std::optional<dfg::Translation> optimized_;
     std::optional<planner::PlanResult> planned_;
     /** The map stage has been recorded in report_. */

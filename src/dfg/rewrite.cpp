@@ -10,6 +10,7 @@
 
 #include "accel/fixed_point.h"
 #include "common/error.h"
+#include "common/splitmix.h"
 #include "dfg/interp.h"
 
 namespace cosmic::dfg {
@@ -49,15 +50,6 @@ RewriteOutcome::totalHits() const
 }
 
 namespace {
-
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
 
 /**
  * Incremental graph rebuild: walks the source graph in node order and
@@ -105,9 +97,9 @@ struct Rebuild
         }
     }
 
-    /** Re-marks gradient outputs and swaps the graph into @p tr. */
-    void
-    finish(Translation &tr)
+    /** Re-marks gradient outputs and hands the rebuilt graph out. */
+    Dfg
+    finish()
     {
         const auto &grads = src.gradientNodes();
         for (size_t g = 0; g < grads.size(); ++g) {
@@ -117,7 +109,24 @@ struct Rebuild
             out.markGradient(remap[v], static_cast<int64_t>(g),
                              src.elementRef(v));
         }
-        tr.dfg = std::move(out);
+        return std::move(out);
+    }
+};
+
+/**
+ * The graph a rewrite run works on: the caller's source, read in
+ * place, until the first sweep that changes something; from then on
+ * the run's own rebuilt graph.
+ */
+struct WorkingGraph
+{
+    const Dfg &source;
+    std::optional<Dfg> owned;
+
+    const Dfg &
+    current() const
+    {
+        return owned ? *owned : source;
     }
 };
 
@@ -734,15 +743,15 @@ struct PatternSet
 
 /**
  * One forward sweep: offer every op node to the enabled patterns and
- * copy unclaimed nodes. The rebuilt graph is swapped in only when a
- * pattern fired; a quiet sweep leaves @p translation untouched.
+ * copy unclaimed nodes. The rebuilt graph replaces @p graph's current
+ * one only when a pattern fired; a quiet sweep copies nothing.
  * Returns the number of pattern firings.
  */
 int64_t
-runNodeSweep(Translation &translation, PatternSet &patterns,
+runNodeSweep(WorkingGraph &graph, PatternSet &patterns,
              std::vector<ValueFacts> &facts)
 {
-    const Dfg &dfg = translation.dfg;
+    const Dfg &dfg = graph.current();
     facts.clear();
     RewriteCtx ctx{dfg, facts, std::nullopt, 0};
     for (auto &p : patterns.all)
@@ -781,7 +790,7 @@ runNodeSweep(Translation &translation, PatternSet &patterns,
             p->observe(ctx, id);
     }
     if (ctx.rb)
-        ctx.rb->finish(translation);
+        graph.owned = ctx.rb->finish();
     return hits;
 }
 
@@ -792,9 +801,9 @@ runNodeSweep(Translation &translation, PatternSet &patterns,
  * number of nodes removed.
  */
 int64_t
-eliminateDeadNodes(Translation &translation, std::vector<char> &live)
+eliminateDeadNodes(WorkingGraph &graph, std::vector<char> &live)
 {
-    const Dfg &dfg = translation.dfg;
+    const Dfg &dfg = graph.current();
     live.assign(static_cast<size_t>(dfg.size()), 0);
     for (NodeId g : dfg.gradientNodes())
         if (g != kInvalidNode)
@@ -821,8 +830,8 @@ eliminateDeadNodes(Translation &translation, std::vector<char> &live)
     for (NodeId v = 0; v < dfg.size(); ++v)
         if (live[v])
             rb.copyNode(v);
-    rb.finish(translation);
-    return before - translation.dfg.size();
+    graph.owned = rb.finish();
+    return before - graph.owned->size();
 }
 
 } // namespace
@@ -855,7 +864,7 @@ ValueNumberTable::hash(OpKind op, NodeId a, NodeId b, NodeId c)
                   static_cast<uint32_t>(b);
     uint64_t cop = static_cast<uint64_t>(static_cast<uint32_t>(c)) << 8 |
                    static_cast<uint64_t>(op);
-    return mix64(ab ^ mix64(cop));
+    return splitmix64(ab ^ splitmix64(cop));
 }
 
 void
@@ -921,8 +930,9 @@ resolvePatternList(const std::string &spec)
     return canonicalPatternSet(requested);
 }
 
-RewriteOutcome
-rewriteFixpoint(Translation &translation, const RewriteOptions &options)
+std::optional<Dfg>
+rewriteGraph(const Dfg &source, const RewriteOptions &options,
+             RewriteOutcome &outcome)
 {
     COSMIC_ASSERT(options.maxSweeps > 0,
                   "rewrite budget must be positive, got "
@@ -944,15 +954,16 @@ rewriteFixpoint(Translation &translation, const RewriteOptions &options)
             patterns.add(entry.make());
     }
 
-    RewriteOutcome outcome;
-    outcome.shape.nodesBefore = translation.dfg.size();
-    outcome.shape.edgesBefore = edgeCount(translation.dfg);
+    outcome = RewriteOutcome{};
+    outcome.shape.nodesBefore = source.size();
+    outcome.shape.edgesBefore = edgeCount(source);
 
     // Termination: no pattern increases the op-node count, and every
     // firing either removes a node or retires an irreproducible match
     // (a Pow becomes a Mul), so total hits are bounded and a quiet
     // sweep is reached; maxSweeps is the safety valve, not the
     // expected exit.
+    WorkingGraph graph{source, std::nullopt};
     std::vector<ValueFacts> facts;
     std::vector<char> live;
     int64_t cleanup_hits = 0;
@@ -962,9 +973,9 @@ rewriteFixpoint(Translation &translation, const RewriteOptions &options)
         int64_t sweep_hits =
             patterns.all.empty()
                 ? 0
-                : runNodeSweep(translation, patterns, facts);
+                : runNodeSweep(graph, patterns, facts);
         if (cleanup) {
-            int64_t dead = eliminateDeadNodes(translation, live);
+            int64_t dead = eliminateDeadNodes(graph, live);
             cleanup_hits += dead;
             sweep_hits += dead;
         }
@@ -984,8 +995,17 @@ rewriteFixpoint(Translation &translation, const RewriteOptions &options)
         }
         outcome.patterns.push_back(std::move(stats));
     }
-    outcome.shape.nodesAfter = translation.dfg.size();
-    outcome.shape.edgesAfter = edgeCount(translation.dfg);
+    outcome.shape.nodesAfter = graph.current().size();
+    outcome.shape.edgesAfter = edgeCount(graph.current());
+    return std::move(graph.owned);
+}
+
+RewriteOutcome
+rewriteFixpoint(Translation &translation, const RewriteOptions &options)
+{
+    RewriteOutcome outcome;
+    if (std::optional<Dfg> g = rewriteGraph(translation.dfg, options, outcome))
+        translation.dfg = std::move(*g);
     return outcome;
 }
 

@@ -75,6 +75,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -227,10 +228,20 @@ const std::vector<std::string> &registeredPatternNames();
 std::vector<std::string> resolvePatternList(const std::string &spec);
 
 /**
- * Runs the enabled patterns over @p translation to fixpoint (bounded
- * by the sweep budget). Node ids stay a topological order, gradient
- * outputs stay marked, and the record/model/gradient layouts are
- * untouched. A sweep that claims nothing leaves the graph as it is.
+ * Runs the enabled patterns over @p source to fixpoint (bounded by
+ * the sweep budget) without modifying it, and reports what ran into
+ * @p outcome. Returns the rewritten graph, or nothing when no sweep
+ * changed the graph: @p source is then the result, and the run copied
+ * nothing. Node ids stay a topological order and gradient outputs stay
+ * marked.
+ */
+std::optional<Dfg> rewriteGraph(const Dfg &source,
+                                const RewriteOptions &options,
+                                RewriteOutcome &outcome);
+
+/**
+ * rewriteGraph over @p translation's graph, in place. The
+ * record/model/gradient layouts are untouched.
  */
 RewriteOutcome rewriteFixpoint(Translation &translation,
                                const RewriteOptions &options = {});

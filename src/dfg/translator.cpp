@@ -18,6 +18,20 @@ Translation::tensor(const std::string &name) const
 }
 
 Translation
+Translation::withGraph(Dfg graph) const
+{
+    Translation out;
+    out.dfg = std::move(graph);
+    out.tensors = tensors;
+    out.recordWords = recordWords;
+    out.modelWords = modelWords;
+    out.gradientWords = gradientWords;
+    out.aggregator = aggregator;
+    out.minibatch = minibatch;
+    return out;
+}
+
+Translation
 Translator::translate(const dsl::Program &program)
 {
     Translation out;

@@ -62,6 +62,10 @@ struct Translation
 
     /** Looks up a tensor by name; throws if absent. */
     const TensorInfo &tensor(const std::string &name) const;
+
+    /** This translation's layout metadata around another graph (a
+     *  rewrite of this one). */
+    Translation withGraph(Dfg graph) const;
 };
 
 /** Walks the program statements and builds the Translation. */

@@ -100,19 +100,17 @@ ClusterRuntime::ClusterRuntime(
     pool_ = std::make_shared<BufferPool>();
     config_.aggregation.pool = pool_;
 
-    // One synthesis call so every partition (and the holdout) shares
-    // the same hidden ground-truth model.
-    int64_t holdout_count =
-        std::min<int64_t>(128, config_.recordsPerNode);
-    auto full = ml::DatasetGenerator::generate(
-        workload_, scale_,
-        config_.nodes * config_.recordsPerNode + holdout_count, rng);
-
+    // One teacher, so every partition (and the holdout) shares the
+    // same hidden ground-truth model; each node's records are then
+    // synthesized in place, exactly as slices of
+    // generate(nodes * recordsPerNode + holdout, Rng(seed)).
+    const ml::Teacher teacher(workload_, scale_,
+                              ml::DatasetGenerator::drawKey(rng));
     for (int i = 0; i < config_.nodes; ++i) {
         nodes_.push_back(std::make_unique<TrainingNode>(
             frontend_->translation,
-            full.partition(i * config_.recordsPerNode,
-                           config_.recordsPerNode),
+            teacher.records(i * config_.recordsPerNode,
+                            config_.recordsPerNode),
             node_config));
     }
     // The fabric: in-process channels by default, TCP when selected —
@@ -127,8 +125,9 @@ ClusterRuntime::ClusterRuntime(
                 std::make_unique<AggregationEngine>(config_.aggregation);
     }
 
-    holdout_ = full.partition(config_.nodes * config_.recordsPerNode,
-                              holdout_count);
+    holdout_ = teacher.records(config_.nodes * config_.recordsPerNode,
+                               std::min<int64_t>(128,
+                                                 config_.recordsPerNode));
 
     // Fault injection and the failure-tolerant protocol: zero-cost
     // when disabled (no injector, blocking receives, identical math).

@@ -271,6 +271,9 @@ class ClusterRuntime
                                      uint64_t seq,
                                      IterationStats *stats = nullptr);
 
+    /** Node @p id's compute state, its data partition included. */
+    const TrainingNode &node(int id) const { return *nodes_.at(id); }
+
     /** The current role map — repairs replace it between iterations. */
     const ClusterTopology &topology() const { return topology_; }
     const dfg::Translation &translation() const;
