@@ -446,7 +446,6 @@ runNode(const Options &opt, int self,
     nc.mode = cfg.mode;
     nc.learningRate = cfg.learningRate;
     nc.minibatchPerNode = cfg.minibatchPerNode;
-    nc.seed = cfg.seed;
     nc.adoptBroadcast = true; // the broadcast IS our next model
     nc.payload = opt.payload;
     sys::NodeRuntime runtime(translation, nc, node, *transport,

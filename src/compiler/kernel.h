@@ -29,27 +29,22 @@ struct CompileOptions
     BusKind bus = BusKind::Hierarchical;
 
     /**
-     * DFG optimizations, run by the compile pipeline's rewrite stage
-     * (dfg/rewrite.h) between translation and planning. Each flag
-     * gates its same-named pattern (foldConstants -> "fold-constants",
-     * cse -> "cse", deadNodeElim -> "dead-node-elim"). Default on:
-     * every pattern is required to keep trained trajectories bit-exact
+     * Sweep budget for the rewrite fixpoint engine: the DFG
+     * optimizations the compile pipeline's rewrite stage
+     * (dfg/rewrite.h) runs between translation and planning. 0 skips
+     * the stage, leaving the translator's graph as it is. Every
+     * pattern is required to keep trained trajectories bit-exact
      * against the unoptimized graph in both plain-double and Q16.16
      * modes.
      */
-    bool foldConstants = true;
-    bool cse = true;
-    bool deadNodeElim = true;
-
-    /** Sweep budget for the rewrite fixpoint engine; 0 skips the
-     *  rewrite stage, leaving the translator's graph as it is. */
     int rewriteMaxSweeps = 8;
 
     /**
      * Comma-separated enabled-pattern list for the rewrite engine
-     * (empty = all registered patterns); unknown names are a
-     * configuration error. The COSMIC_REWRITE_PATTERNS environment
-     * variable, when set, overrides this field.
+     * (empty = all registered patterns, e.g. "fold-constants",
+     * "cse", "dead-node-elim"); unknown names are a configuration
+     * error. The COSMIC_REWRITE_PATTERNS environment variable, when
+     * set, overrides this field.
      */
     std::string rewritePatterns;
 
@@ -101,9 +96,6 @@ struct CompileOptions
     withDfgPasses(bool enabled) const
     {
         CompileOptions o = *this;
-        o.foldConstants = enabled;
-        o.cse = enabled;
-        o.deadNodeElim = enabled;
         o.rewriteMaxSweeps = enabled ? CompileOptions{}.rewriteMaxSweeps : 0;
         return o;
     }

@@ -1,6 +1,5 @@
 #include "compiler/pipeline.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -54,10 +53,9 @@ appendInt(std::string &out, int64_t v)
 /**
  * The enabled rewrite-pattern set the optimize stage will run (and
  * the build keys must record): COSMIC_REWRITE_PATTERNS overrides the
- * option field, the spec is resolved strictly (unknown names throw),
- * and the per-pass flags gate their same-named patterns. Empty when
- * the sweep budget is 0 or everything got filtered away — then the
- * optimize stage runs no patterns.
+ * option field and the spec is resolved strictly (unknown names
+ * throw). Empty when the sweep budget is 0 — then the optimize stage
+ * runs no patterns.
  */
 std::vector<std::string>
 effectiveRewritePatterns(const compiler::CompileOptions &o)
@@ -65,31 +63,18 @@ effectiveRewritePatterns(const compiler::CompileOptions &o)
     if (o.rewriteMaxSweeps <= 0)
         return {};
     const char *env = std::getenv("COSMIC_REWRITE_PATTERNS");
-    std::vector<std::string> enabled =
-        dfg::resolvePatternList(env ? env : o.rewritePatterns);
-    auto gated = [&](const std::string &name) {
-        return (name == "fold-constants" && !o.foldConstants) ||
-               (name == "cse" && !o.cse) ||
-               (name == "dead-node-elim" && !o.deadNodeElim);
-    };
-    enabled.erase(std::remove_if(enabled.begin(), enabled.end(), gated),
-                  enabled.end());
-    return enabled;
+    return dfg::resolvePatternList(env ? env : o.rewritePatterns);
 }
 
-/** Pass flags only — all that affects the frontend artifact. */
+/** Rewrite options only — all that affects the frontend artifact. */
 std::string
 frontendOptionsKey(const compiler::CompileOptions &o)
 {
     std::string key;
-    appendInt(key, o.foldConstants);
-    appendInt(key, o.cse);
-    appendInt(key, o.deadNodeElim);
     appendInt(key, o.rewriteMaxSweeps);
-    // The *effective* pattern set (after the env override and the
-    // per-pass flag gating) enters the key, so changing
-    // COSMIC_REWRITE_PATTERNS is an honest cache miss, never a stale
-    // hit on a differently-optimized artifact.
+    // The *effective* pattern set (after the env override) enters the
+    // key, so changing COSMIC_REWRITE_PATTERNS is an honest cache miss,
+    // never a stale hit on a differently-optimized artifact.
     for (const auto &name : effectiveRewritePatterns(o)) {
         key += name;
         key += '|';

@@ -248,30 +248,8 @@ class SegmentBuilder
 /** Most interleaved chains one transposed stretch may hold. */
 constexpr int64_t kMaxChains = 8;
 
-/** The node-order instructions read in region-layout slots. */
-class RegionView
-{
-  public:
-    RegionView(const std::vector<TapeInstr> &instrs,
-               const std::vector<int32_t> &region)
-        : instrs_(instrs), region_(region)
-    {
-    }
-
-    int64_t size() const { return static_cast<int64_t>(instrs_.size()); }
-    OpKind op(int64_t i) const { return instrs_[i].op; }
-
-    TapeInstr operator[](int64_t i) const
-    {
-        const TapeInstr &in = instrs_[i];
-        return {in.op, region_[in.dst], region_[in.a], region_[in.b],
-                region_[in.c]};
-    }
-
-  private:
-    const std::vector<TapeInstr> &instrs_;
-    const std::vector<int32_t> &region_;
-};
+/** The node-order instructions, in region-layout slots. */
+using Instrs = std::span<const TapeInstr>;
 
 /**
  * A stretch of the node-order instructions: [begin, begin + chains *
@@ -290,7 +268,7 @@ struct Stretch
 
 /** Feeds @p s's instructions to @p out chain by chain. */
 void
-emitTransposed(const RegionView &x, const Stretch &s, SegmentBuilder &out)
+emitTransposed(Instrs x, const Stretch &s, SegmentBuilder &out)
 {
     for (int64_t j = 0; j < s.chains; ++j)
         for (int64_t r = 0; r < s.reps; ++r)
@@ -299,7 +277,7 @@ emitTransposed(const RegionView &x, const Stretch &s, SegmentBuilder &out)
 
 /** Segments of x[begin, end) in node order, counted in isolation. */
 int64_t
-nodeOrderSegments(const RegionView &x, int64_t begin, int64_t end)
+nodeOrderSegments(Instrs x, int64_t begin, int64_t end)
 {
     SegmentBuilder count;
     for (int64_t i = begin; i < end; ++i)
@@ -309,12 +287,12 @@ nodeOrderSegments(const RegionView &x, int64_t begin, int64_t end)
 
 /** Length of the node-order segment that starts at x[i]. */
 int64_t
-runLength(const RegionView &x, int64_t i)
+runLength(Instrs x, int64_t i)
 {
-    TapeSegment seg{.op = x.op(i), .count = 1};
+    TapeSegment seg{.op = x[i].op, .count = 1};
     TapeInstr prev = x[i];
     int64_t e = i + 1;
-    for (; e < x.size(); ++e) {
+    for (; e < std::ssize(x); ++e) {
         const TapeInstr next = x[e];
         if (!continueSegment(seg, prev, next))
             break;
@@ -334,10 +312,10 @@ runLength(const RegionView &x, int64_t i)
  * slots, so the test is arithmetic.
  */
 int64_t
-stretchReps(const RegionView &x, int64_t i, int64_t k)
+stretchReps(Instrs x, int64_t i, int64_t k)
 {
     for (int64_t j = 0; j < k; ++j)
-        if (x.op(i + k + j) != x.op(i + j))
+        if (x[i + k + j].op != x[i + j].op)
             return 1;
     TapeSegment chain[kMaxChains];
     TapeInstr last[kMaxChains];
@@ -361,7 +339,7 @@ stretchReps(const RegionView &x, int64_t i, int64_t k)
         return false;
     };
     int64_t reps = 1;
-    for (; i + (reps + 1) * k <= x.size(); ++reps) {
+    for (; i + (reps + 1) * k <= std::ssize(x); ++reps) {
         for (int64_t j = 0; j < k; ++j) {
             const TapeInstr in = x[i + reps * k + j];
             if (!continueSegment(chain[j], last[j], in))
@@ -389,11 +367,11 @@ stretchReps(const RegionView &x, int64_t i, int64_t k)
  * keeps the walk linear: long same-opcode runs are skipped whole.
  */
 std::vector<Stretch>
-findStretches(const RegionView &x,
+findStretches(Instrs x,
               const std::vector<TapeSegment> &node_order)
 {
     std::vector<Stretch> found;
-    const int64_t n = x.size();
+    const int64_t n = std::ssize(x);
     // The node-order segment holding position i starts at seg_begin.
     size_t seg = 0;
     int64_t seg_begin = 0;
@@ -454,54 +432,48 @@ Tape::Tape(const Translation &translation, double (*quantizer)(double),
                       std::numeric_limits<int32_t>::max(),
                   "DFG too large for 32-bit tape slots");
 
-    // Instruction view: slot = node + 1, slot 0 the pinned zero absent
-    // operands resolve to. region[slot] is the same value's slot in
-    // the region layout.
-    const auto slot_of = [](NodeId v) {
-        return static_cast<int32_t>(v) + 1;
+    // Region slot of each node, -1 until assigned; absent operands
+    // (kInvalidNode) resolve to the pinned zero.
+    std::vector<int32_t> slot(n, -1);
+    const auto at = [&](NodeId v) {
+        return v == kInvalidNode ? 0 : slot[v];
     };
-    std::vector<int32_t> region(n + 1, -1);
-    region[0] = 0;
     dataBase_ = static_cast<int32_t>(modelBase_ + tr_->modelWords);
     int32_t next = static_cast<int32_t>(dataBase_ + tr_->recordWords);
 
     // The gradient region needs every gradient to be a distinct
-    // operation node; otherwise gradients read through
-    // regionGradSlots_.
+    // operation node; otherwise gradients are read slot by slot.
     bool distinct = true;
     for (NodeId g : grads) {
         if (g == kInvalidNode || dfg.node(g).op == OpKind::Const ||
-            dfg.node(g).op == OpKind::Input || region[slot_of(g)] >= 0) {
+            dfg.node(g).op == OpKind::Input || slot[g] >= 0) {
             distinct = false;
             break;
         }
-        region[slot_of(g)] = next++;
+        slot[g] = next++;
     }
     if (distinct) {
         gradBase_ = static_cast<int32_t>(dataBase_ + tr_->recordWords);
     } else {
         for (NodeId g : grads)
             if (g != kInvalidNode)
-                region[slot_of(g)] = -1;
+                slot[g] = -1;
         next = static_cast<int32_t>(dataBase_ + tr_->recordWords);
     }
-    int32_t next_const = next;
-    int32_t next_op = static_cast<int32_t>(next + consts);
-    image_.assign(next_op + ops - (distinct ? grads.size() : 0), 0.0);
+    constBase_ = next;
+    opBase_ = static_cast<int32_t>(next + consts);
+    int32_t next_const = constBase_;
+    int32_t next_op = opBase_;
+    image_.assign(opBase_ + ops - (distinct ? grads.size() : 0), 0.0);
 
     instrs_.reserve(ops);
-    dataGather_.reserve(dfg.dataInputCount());
-    modelGather_.reserve(dfg.modelInputCount());
-    // The node-order segments, in region slots.
-    SegmentBuilder node_order(&segments_);
     for (NodeId v = 0; v < n; ++v) {
         const Node &node = dfg.node(v);
-        const int32_t s = slot_of(v);
         switch (node.op) {
           case OpKind::Const: {
             double value = dfg.constValue(v);
-            region[s] = next_const++;
-            image_[region[s]] = quantizer_ ? quantizer_(value) : value;
+            slot[v] = next_const++;
+            image_[slot[v]] = quantizer_ ? quantizer_(value) : value;
             break;
           }
           case OpKind::Input: {
@@ -514,39 +486,34 @@ Tape::Tape(const Translation &translation, double (*quantizer)(double),
                               << " input position " << pos
                               << " outside the translation's " << words
                               << "-word layout");
-            (data ? dataGather_ : modelGather_)
-                .push_back({s, static_cast<int32_t>(pos)});
-            region[s] = static_cast<int32_t>(
+            slot[v] = static_cast<int32_t>(
                 (data ? dataBase_ : modelBase_) + pos);
             break;
           }
           default:
-            instrs_.push_back({node.op, s, slot_of(node.a),
-                               slot_of(node.b), slot_of(node.c)});
-            if (region[s] < 0)
-                region[s] = next_op++;
-            // Operands precede their consumer, so their region slots
-            // are assigned.
-            node_order.add({node.op, region[s], region[slot_of(node.a)],
-                            region[slot_of(node.b)],
-                            region[slot_of(node.c)]});
+            if (slot[v] < 0)
+                slot[v] = next_op++;
+            // Operands precede their consumer, so their slots are
+            // assigned.
+            instrs_.push_back({node.op, slot[v], at(node.a), at(node.b),
+                               at(node.c)});
             break;
         }
     }
     COSMIC_ASSERT(static_cast<size_t>(next_op) == image_.size(),
                   "region layout miscounted its operation slots");
 
-    gradSlots_.reserve(grads.size());
+    regionGradSlots_.reserve(grads.size());
     for (NodeId g : grads)
-        gradSlots_.push_back(slot_of(g));
-    if (!distinct)
-        for (int32_t s : gradSlots_)
-            regionGradSlots_.push_back(region[s]);
+        regionGradSlots_.push_back(at(g));
 
     // Execution order: node order with the interleaved chains
     // transposed, kept only if that has fewer segments.
+    SegmentBuilder node_order(&segments_);
+    for (const TapeInstr &in : instrs_)
+        node_order.add(in);
     const int64_t node_order_segments = node_order.finish();
-    const RegionView x(instrs_, region);
+    const Instrs x(instrs_);
     const std::vector<Stretch> stretches = findStretches(x, segments_);
     if (!stretches.empty()) {
         std::vector<TapeSegment> planned;
@@ -558,7 +525,7 @@ Tape::Tape(const Translation &translation, double (*quantizer)(double),
             emitTransposed(x, st, build);
             i = st.end();
         }
-        for (; i < x.size(); ++i)
+        for (; i < std::ssize(x); ++i)
             build.add(x[i]);
         if (build.finish() < node_order_segments)
             segments_ = std::move(planned);
@@ -570,7 +537,8 @@ Tape::Tape(const Translation &translation, double (*quantizer)(double),
 TapeExecutor::TapeExecutor(const Tape &tape)
     : tape_(tape), scratch_(tape.image_)
 {
-    gradBuf_.resize(tape.regionGradSlots_.size());
+    if (!tape.hasGradientRegion())
+        gradBuf_.resize(tape.regionGradSlots_.size());
 }
 
 bool
@@ -667,7 +635,8 @@ TapeExecutor::run(std::span<const double> record,
 
     std::fill(grad_out.begin(), grad_out.begin() + tr.gradientWords,
               0.0);
-    std::copy_n(gradients(), tape_.gradSlots_.size(), grad_out.begin());
+    std::copy_n(gradients(), tape_.regionGradSlots_.size(),
+                grad_out.begin());
 }
 
 void
@@ -708,7 +677,7 @@ TapeExecutor::accumulate(const double *records, int64_t record_count,
     if (record_count <= 0)
         return;
     const int64_t stride = tape_.tr_->recordWords;
-    const size_t grads = tape_.gradSlots_.size();
+    const size_t grads = tape_.regionGradSlots_.size();
     // The model is frozen for the whole batch: load it once.
     loadModel<Quantized>(model);
     for (int64_t r = 0; r < record_count; ++r) {
@@ -742,7 +711,7 @@ TapeExecutor::sgdSweep(std::span<const double> records,
 
     const double *rec = records.data();
     double *mod = model.data();
-    const size_t grads = tape_.gradSlots_.size();
+    const size_t grads = tape_.regionGradSlots_.size();
     if (tape_.quantizer_) {
         // The raw model stays in the caller's array and is
         // re-quantized into the model region before every record.

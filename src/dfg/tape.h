@@ -6,30 +6,30 @@
  * node — constants, inputs and operations alike — once per training
  * record. That is fine for cross-checks but it is the inner loop of the
  * whole scale-out runtime: every gradient in the cluster flows through
- * it. The Tape lowers a Translation once into two views of the same
- * operations:
+ * it. The Tape lowers a Translation once, into one slot numbering: a
+ * region layout in which data is laid out before operations (the
+ * paper's "map data before operations"). Slot 0 is a pinned zero
+ * (absent operands point at it, so no consumer has a kInvalidNode
+ * branch), then come the model region (model word p at modelBase + p),
+ * the data region (record word p at dataBase + p), the gradient region
+ * (gradient i at gradientBase + i), constants (preloaded and
+ * pre-quantized at lowering time), then the remaining operations in
+ * node order. Loading a model or a record is one contiguous copy, and
+ * so is reading the gradient. The gradient region exists only when
+ * every gradient is a distinct operation node (true of every suite
+ * program); otherwise gradients are read slot by slot.
  *
- *  - Segments over a region layout, for the executor. Data is laid out
- *    before operations (the paper's "map data before operations"):
- *    slot 0 is a pinned zero (absent operands point at it, so the loop
- *    has no kInvalidNode branches), then the model region (model word
- *    p at modelBase + p), the data region (record word p at dataBase +
- *    p), the gradient region (gradient i at gradientBase + i),
- *    constants (preloaded and pre-quantized at lowering time), then the
- *    remaining operations in node order. Loading a model or a record
- *    is one contiguous copy, and so is reading the gradient. The
- *    gradient region exists only when every gradient is a distinct
- *    operation node (true of every suite program); otherwise gradients
- *    are read slot by slot. A segment is a run of same-opcode
- *    operations whose dst/a/b/c slots each advance by a constant
- *    stride; the executor runs it as one strided loop with no
- *    per-operation instruction load, and a segment with a unit dst
- *    stride and no dependency inside it as a restrict-qualified loop
- *    the compiler vectorizes. The Translator's statement expansion
- *    makes segments long: mnist's 34k operations form about 1,400.
- *  - The instruction view, for the JIT emitter: one TapeInstr per
- *    operation in node order with slots numbered by node (slot = node
- *    + 1), DATA/MODEL gather lists and the gradient slots.
+ * Both consumers read that one lowering. The node-order instruction
+ * list (one TapeInstr per operation, in region slots) feeds the JIT
+ * emitter (src/jit/), which tells an operand's kind from the region
+ * its slot falls in and takes constants from the region image. The
+ * executor runs segments: a segment is a run of same-opcode operations
+ * whose dst/a/b/c slots each advance by a constant stride, run as one
+ * strided loop with no per-operation instruction load, and a segment
+ * with a unit dst stride and no dependency inside it as a
+ * restrict-qualified loop the compiler vectorizes. The Translator's
+ * statement expansion makes segments long: mnist's 34k operations
+ * form about 1,400.
  *
  * Segments follow node order except where lowering transposes a
  * stretch of interleaved chains. An SVM's gradient alternates
@@ -96,7 +96,7 @@ bool parseTapeJitEnv(const char *env);
 struct TapeInstr
 {
     OpKind op = OpKind::Add;
-    /** Scratch slot indices; absent operands resolve to slot 0 (zero). */
+    /** Region-layout slots; absent operands resolve to slot 0 (zero). */
     int32_t dst = 0;
     int32_t a = 0;
     int32_t b = 0;
@@ -126,11 +126,15 @@ struct TapeSegment
     int32_t cStride = 0;
 };
 
-/** One input gather: scratch[slot] = source[pos]. */
-struct TapeGather
+/** What a region-layout slot holds. The gradient region holds
+ *  operation results, so its slots are Operation slots. */
+enum class TapeSlotKind : uint8_t
 {
-    int32_t slot = 0;
-    int32_t pos = 0;
+    Zero,
+    Model,
+    Data,
+    Constant,
+    Operation,
 };
 
 /** The compiled, immutable execution schedule for one Translation. */
@@ -138,7 +142,8 @@ class Tape
 {
   public:
     /**
-     * Lowers @p translation into segments and the instruction view.
+     * Lowers @p translation into the region layout, its node-order
+     * instructions and their segments.
      *
      * @param quantizer Optional value-rounding hook applied to every
      *        buffered value, exactly as in the Interpreter (constants
@@ -157,21 +162,40 @@ class Tape
     double (*quantizer() const)(double) { return quantizer_; }
     TapeBackend backend() const { return backend_; }
 
-    /** Read-only node-order views for the native-code emitter
-     *  (src/jit/); constants are read from the DFG. */
+    /** The operations in node order, in region-layout slots. */
     std::span<const TapeInstr> instructions() const { return instrs_; }
-    std::span<const TapeGather> dataGathers() const
-    {
-        return dataGather_;
-    }
-    std::span<const TapeGather> modelGathers() const
-    {
-        return modelGather_;
-    }
-    std::span<const int32_t> gradientSlots() const { return gradSlots_; }
 
-    /** Instruction-view slots (slot 0 is the pinned zero). */
-    int64_t slotCount() const { return tr_->dfg.size() + 1; }
+    /** Region-layout slot of each flattened-gradient element. */
+    std::span<const int32_t> gradientSlots() const
+    {
+        return regionGradSlots_;
+    }
+
+    /** The region image, one value per slot: constants preloaded (and
+     *  pre-quantized), every other slot zero. */
+    std::span<const double> image() const { return image_; }
+
+    /** First slot of the model region: model word p is at
+     *  modelBase() + p. */
+    int32_t modelBase() const { return modelBase_; }
+
+    /** First slot of the data region: record word p is at
+     *  dataBase() + p. */
+    int32_t dataBase() const { return dataBase_; }
+
+    /** Which region @p slot (< image().size()) falls in. */
+    TapeSlotKind slotKind(int32_t slot) const
+    {
+        if (slot == 0)
+            return TapeSlotKind::Zero;
+        if (slot < dataBase_)
+            return TapeSlotKind::Model;
+        if (slot < dataBase_ + tr_->recordWords)
+            return TapeSlotKind::Data;
+        if (slot >= constBase_ && slot < opBase_)
+            return TapeSlotKind::Constant;
+        return TapeSlotKind::Operation;
+    }
 
     /** Executable operations on the tape (== dfg.operationCount()). */
     int64_t instructionCount() const
@@ -197,21 +221,19 @@ class Tape
     double (*quantizer_)(double) = nullptr;
     TapeBackend backend_ = TapeBackend::Auto;
     std::vector<TapeInstr> instrs_;
-    std::vector<TapeGather> dataGather_;
-    std::vector<TapeGather> modelGather_;
-    /** Instruction-view slot of each flattened-gradient element. */
-    std::vector<int32_t> gradSlots_;
 
     /** Execution order: node order with interleaved chains
      *  transposed. */
     std::vector<TapeSegment> segments_;
     /** First slot of the model region (modelWords slots), the data
-     *  region (recordWords slots) and the gradient region (-1: none). */
+     *  region (recordWords slots), the gradient region (-1: none), the
+     *  constants and the remaining operations. */
     int32_t modelBase_ = 1;
     int32_t dataBase_ = 1;
     int32_t gradBase_ = -1;
-    /** Region-layout slot of each gradient element; filled only when
-     *  there is no gradient region. */
+    int32_t constBase_ = 1;
+    int32_t opBase_ = 1;
+    /** Region-layout slot of each gradient element. */
     std::vector<int32_t> regionGradSlots_;
     /** Region-layout image: constants preloaded, the rest zero. */
     std::vector<double> image_;

@@ -12,10 +12,9 @@ namespace cosmic::jit {
 
 namespace {
 
-using dfg::Category;
 using dfg::OpKind;
-using dfg::TapeGather;
 using dfg::TapeInstr;
+using dfg::TapeSlotKind;
 
 /** Max operations folded into one C expression. Fusion never changes
  *  the IEEE operation sequence, so the cap is purely about keeping the
@@ -23,26 +22,15 @@ using dfg::TapeInstr;
 constexpr int kFuseCap = 24;
 
 /**
- * Tapes up to this many instructions emit every materialized value as
- * a named local ("register mode") — ideal code for small kernels, but
- * thousands of live locals in one function send the C compiler's
- * register allocator superlinear (minutes for the Table-1 matrix
- * models). Larger tapes switch to "memory mode": materialized values
- * live in indexed stack arrays, model words are read straight from the
- * caller's contiguous array, and the sweep's gradient/update step is a
- * vectorizable loop — near-identical runtime, compile time linear in
- * tape size.
- */
-constexpr int64_t kRegModeMaxInstrs = 64;
-
-/**
- * Memory-mode statements per noinline helper function. The C
- * compiler's alias walking and allocation passes are superlinear in
- * single-function size — one flat function for a matrix-factorization
- * tape takes minutes at -O2 while the same statements split across
- * small helpers compile in seconds. Helpers share state through the
- * caller's D / V / M arrays, so splitting changes nothing about the
- * operation sequence.
+ * Statements per noinline helper function. Materialized values live in
+ * indexed stack arrays rather than named locals: thousands of live
+ * locals in one function send the C compiler's register allocator
+ * superlinear. Its alias walking and allocation passes are superlinear
+ * in single-function size too — one flat function for a
+ * matrix-factorization tape takes minutes at -O2 while the same
+ * statements split across small helpers compile in seconds. Helpers
+ * share state through the caller's D / V arrays, so splitting changes
+ * nothing about the operation sequence.
  */
 constexpr int kChunkStmts = 64;
 
@@ -135,10 +123,10 @@ operandWeights(OpKind op, int w[3])
 struct Ctx
 {
     /** Inside the kLanes-record lane loop: values are kLanes-element
-     *  arrays indexed [l], data loads offset by l * recordWords. */
+     *  array cells indexed [l], data loads offset by l * recordWords. */
     bool lane = false;
-    /** Model reads resolve to the sweep's raw weight locals (w<pos>)
-     *  instead of the batch's hoisted pre-quantized scalars (m<slot>). */
+    /** Model reads re-quantize the sweep's live weights instead of
+     *  reading the batch's frozen, already quantized model. */
     bool sweep = false;
 };
 
@@ -146,8 +134,7 @@ class Emitter
 {
   public:
     explicit Emitter(const dfg::Tape &tape)
-        : tape_(tape), dfg_(tape.translation().dfg), q_(tape.quantized()),
-          mem_(tape.instructionCount() > kRegModeMaxInstrs)
+        : tape_(tape), q_(tape.quantized())
     {
     }
 
@@ -159,11 +146,17 @@ class Emitter
     {
         return q_ ? "q16(" + std::move(e) + ")" : std::move(e);
     }
+    /** One past the data region's last slot. */
+    int32_t dataEnd() const
+    {
+        return tape_.dataBase() +
+               static_cast<int32_t>(tape_.translation().recordWords);
+    }
     std::string dataLoad(int32_t slot, const Ctx &ctx) const;
     std::string cell(const char *arr, int32_t slot, const Ctx &ctx) const;
     std::string ref(int32_t slot, const Ctx &ctx) const;
     std::string opExpr(const TapeInstr &in, const Ctx &ctx) const;
-    std::string callArgs(const char *g, bool has_m) const;
+    std::string callArgs(const char *model, const char *g) const;
     void chunkStmt(const char *pad, const std::string &text);
     void flushChunk();
     void emitBody(const Ctx &ctx, const char *pad);
@@ -177,30 +170,24 @@ class Emitter
     }
 
     const dfg::Tape &tape_;
-    const dfg::Dfg &dfg_;
     const bool q_;
-    const bool mem_;
 
-    /** Weighted textual use count per scratch slot. */
+    /** Weighted textual use count per region slot. */
     std::vector<int> use_;
     /** Fused-operation count of the expression rooted at an op slot. */
     std::vector<int> size_;
     /** Slot's value is folded into its consumer (no own statement). */
     std::vector<char> inline_;
-    /** Gather position for input slots, -1 elsewhere. */
-    std::vector<int64_t> pos_;
     /** Instruction index producing an op slot, -1 elsewhere. */
     std::vector<int32_t> instrIdx_;
-    /** Memory mode: dense index into the D / M / V stack arrays for
-     *  materialized data loads, model gathers and op values; -1 when
-     *  the slot has no array cell. */
+    /** Dense index into the D / V stack arrays for materialized data
+     *  loads and op values; -1 when the slot has no array cell. */
     std::vector<int32_t> memIdx_;
     int32_t nData_ = 0;
-    int32_t nModel_ = 0;
     int32_t nVal_ = 0;
 
-    /** Memory-mode noinline helper definitions (placed before the
-     *  entry points) and the state of the currently open helper. */
+    /** Noinline helper definitions (placed before the entry points)
+     *  and the state of the currently open helper. */
     std::string funcs_;
     std::string chunkArgs_;
     int chunkId_ = 0;
@@ -209,13 +196,14 @@ class Emitter
     std::string out_;
 };
 
-/** Argument list for a helper call: arrays that exist in the calling
- *  scope by their own names, 0 placeholders for the rest. */
+/** Argument list for a helper call: the model array the helpers read
+ *  (@p model), then arrays that exist in the calling scope by their own
+ *  names, 0 placeholders for the rest. */
 std::string
-Emitter::callArgs(const char *g, bool has_m) const
+Emitter::callArgs(const char *model, const char *g) const
 {
-    std::string s = "(R, model, ";
-    s += has_m && q_ && nModel_ > 0 ? "M" : "0";
+    std::string s = "(R, ";
+    s += model;
     s += ", ";
     s += nData_ > 0 ? "D" : "0";
     s += ", ";
@@ -226,21 +214,16 @@ Emitter::callArgs(const char *g, bool has_m) const
     return s;
 }
 
-/** Emits one memory-mode statement into the open helper function,
- *  opening a fresh one (and emitting its call) every kChunkStmts
- *  statements. Register mode emits straight into the caller. */
+/** Emits one statement into the open helper function, opening a fresh
+ *  one (and emitting its call) every kChunkStmts statements. */
 void
 Emitter::chunkStmt(const char *pad, const std::string &text)
 {
-    if (!mem_) {
-        line(pad, text);
-        return;
-    }
     if (chunkStmts_ == 0) {
         const std::string name = "chunk" + std::to_string(chunkId_);
         funcs_ += "static void __attribute__((noinline)) " + name +
                   "(const double *restrict R,\n"
-                  "    const double *restrict model, const double *restrict M,\n"
+                  "    const double *restrict model,\n"
                   "    double *restrict D, double *restrict V,\n"
                   "    double *restrict G)\n{\n";
         line(pad, name + chunkArgs_ + ";");
@@ -265,17 +248,12 @@ Emitter::flushChunk()
 void
 Emitter::analyze()
 {
-    const int64_t slots = tape_.slotCount();
+    const int64_t slots = std::ssize(tape_.image());
     use_.assign(slots, 0);
     size_.assign(slots, 0);
     inline_.assign(slots, 0);
-    pos_.assign(slots, -1);
     instrIdx_.assign(slots, -1);
-
-    for (const TapeGather &g : tape_.dataGathers())
-        pos_[g.slot] = g.pos;
-    for (const TapeGather &g : tape_.modelGathers())
-        pos_[g.slot] = g.pos;
+    memIdx_.assign(slots, -1);
 
     const auto instrs = tape_.instructions();
     for (size_t i = 0; i < instrs.size(); ++i) {
@@ -291,11 +269,14 @@ Emitter::analyze()
     for (int32_t slot : tape_.gradientSlots())
         use_[slot] += 1;
 
-    // Inputs fold into their single consumer; shared loads materialize.
-    for (const TapeGather &g : tape_.dataGathers())
-        inline_[g.slot] = use_[g.slot] <= 1;
-    for (const TapeGather &g : tape_.modelGathers())
-        inline_[g.slot] = use_[g.slot] <= 1;
+    // Record words fold into their single consumer; shared loads
+    // materialize.
+    const int32_t data_end = dataEnd();
+    for (int32_t s = tape_.dataBase(); s < data_end; ++s) {
+        inline_[s] = use_[s] <= 1;
+        if (!inline_[s])
+            memIdx_[s] = nData_++;
+    }
 
     // Forward pass in instruction (= topological) order: operands are
     // decided before their consumers, so fused sizes compose exactly.
@@ -303,30 +284,19 @@ Emitter::analyze()
         int sz = 1;
         const int32_t ops[3] = {in.a, in.b, in.c};
         for (int32_t o : ops)
-            if (o != 0 && instrIdx_[o] >= 0 && inline_[o])
+            if (instrIdx_[o] >= 0 && inline_[o])
                 sz += size_[o];
         size_[in.dst] = sz;
         inline_[in.dst] = use_[in.dst] == 1 && sz <= kFuseCap;
-    }
-
-    if (!mem_)
-        return;
-    // Memory mode: dense cells in the D / M / V stack arrays.
-    memIdx_.assign(slots, -1);
-    for (const TapeGather &g : tape_.dataGathers())
-        if (!inline_[g.slot])
-            memIdx_[g.slot] = nData_++;
-    for (const TapeGather &g : tape_.modelGathers())
-        memIdx_[g.slot] = nModel_++;
-    for (const TapeInstr &in : instrs)
         if (!inline_[in.dst])
             memIdx_[in.dst] = nVal_++;
+    }
 }
 
 std::string
 Emitter::dataLoad(int32_t slot, const Ctx &ctx) const
 {
-    const std::string p = std::to_string(pos_[slot]);
+    const std::string p = std::to_string(slot - tape_.dataBase());
     if (ctx.lane)
         return "R[(long long)l * COSMIC_RW + " + p + "]";
     return "R[" + p + "]";
@@ -345,44 +315,30 @@ Emitter::cell(const char *arr, int32_t slot, const Ctx &ctx) const
 std::string
 Emitter::ref(int32_t slot, const Ctx &ctx) const
 {
-    if (slot == 0)
+    switch (tape_.slotKind(slot)) {
+      case TapeSlotKind::Zero:
         return "0.0";
-    const dfg::Node &n = dfg_.node(slot - 1);
-    if (n.op == OpKind::Const) {
-        const double v = dfg_.constValue(slot - 1);
-        return lit(q_ ? tape_.quantizer()(v) : v);
-    }
-    if (n.op == OpKind::Input) {
-        if (n.category == Category::Data) {
-            if (inline_[slot])
-                return quant(dataLoad(slot, ctx));
-            if (mem_)
-                return cell("D", slot, ctx);
-            return "d" + std::to_string(slot) + (ctx.lane ? "[l]" : "");
-        }
-        // Model input. The batch model is frozen, so reads resolve to
-        // the hoisted pre-quantized scalar (register mode) or the
-        // caller's contiguous array / the hoisted quantized copy
-        // (memory mode). The sweep re-reads (and re-quantizes) the
-        // live weights — locals in register mode, the model array
-        // itself in memory mode (re-quantizing the same raw weight is
-        // bit-stable, so inline multi-use is exact).
-        if (mem_) {
-            if (ctx.sweep)
-                return quant("model[" + std::to_string(pos_[slot]) + "]");
-            if (!q_)
-                return "model[" + std::to_string(pos_[slot]) + "]";
-            return "M[" + std::to_string(memIdx_[slot]) + "]";
-        }
-        if (!ctx.sweep || !inline_[slot])
-            return "m" + std::to_string(slot);
-        return quant("w" + std::to_string(pos_[slot]));
+      case TapeSlotKind::Constant:
+        return lit(tape_.image()[slot]);
+      case TapeSlotKind::Data:
+        if (inline_[slot])
+            return quant(dataLoad(slot, ctx));
+        return cell("D", slot, ctx);
+      case TapeSlotKind::Model: {
+        // The batch model is frozen, and the helpers' model array
+        // already holds it quantized. The sweep re-reads and
+        // re-quantizes the live weights (re-quantizing the same raw
+        // weight is bit-stable, so inline multi-use is exact).
+        const std::string m =
+            "model[" + std::to_string(slot - tape_.modelBase()) + "]";
+        return ctx.sweep ? quant(m) : m;
+      }
+      case TapeSlotKind::Operation:
+        break;
     }
     if (inline_[slot])
         return opExpr(tape_.instructions()[instrIdx_[slot]], ctx);
-    if (mem_)
-        return cell("V", slot, ctx);
-    return "v" + std::to_string(slot) + (ctx.lane ? "[l]" : "");
+    return cell("V", slot, ctx);
 }
 
 std::string
@@ -481,33 +437,22 @@ Emitter::opExpr(const TapeInstr &in, const Ctx &ctx) const
 }
 
 /**
- * Materialized statements of one tape pass: shared data loads, (sweep
- * only) shared model reads, then every non-fused operation in
- * instruction order. Lane contexts emit each statement as a
- * fixed-trip-count `l < kLanes` loop over a kLanes-element stack
- * array — stride-1 and auto-vectorizable.
+ * Materialized statements of one tape pass: shared record loads, then
+ * every non-fused operation in instruction order, each stored to its
+ * cell of the D / V stack arrays (function-scope spill space the
+ * register allocator never has to reason about). Lane contexts emit
+ * each statement as a fixed-trip-count `l < kLanes` loop over the
+ * value's kLanes cells — stride-1 and auto-vectorizable.
  */
 void
 Emitter::emitBody(const Ctx &ctx, const char *pad)
 {
     const std::string w = std::to_string(kLanes);
     const int lanes = ctx.lane ? kLanes : 1;
-    if (mem_) {
-        // One flat array per value class; a store per statement. The
-        // arrays are function-scope spill space the register allocator
-        // never has to reason about.
-        if (nData_ > 0)
-            line(pad, "double D[" + std::to_string(nData_ * lanes) + "];");
-        if (nVal_ > 0)
-            line(pad, "double V[" + std::to_string(nVal_ * lanes) + "];");
-    }
-    const auto decl = [&](const std::string &name, const std::string &e) {
-        if (ctx.lane)
-            line(pad, "double " + name + "[" + w + "]; for (int l = 0; l < " +
-                          w + "; ++l) " + name + "[l] = " + e + ";");
-        else
-            line(pad, "const double " + name + " = " + e + ";");
-    };
+    if (nData_ > 0)
+        line(pad, "double D[" + std::to_string(nData_ * lanes) + "];");
+    if (nVal_ > 0)
+        line(pad, "double V[" + std::to_string(nVal_ * lanes) + "];");
     const auto stmt = [&](const char *arr, int32_t slot,
                           const std::string &e) {
         if (ctx.lane)
@@ -516,26 +461,13 @@ Emitter::emitBody(const Ctx &ctx, const char *pad)
         else
             chunkStmt(pad, cell(arr, slot, ctx) + " = " + e + ";");
     };
-    for (const TapeGather &g : tape_.dataGathers())
-        if (!inline_[g.slot]) {
-            if (mem_)
-                stmt("D", g.slot, quant(dataLoad(g.slot, ctx)));
-            else
-                decl("d" + std::to_string(g.slot),
-                     quant(dataLoad(g.slot, ctx)));
-        }
-    if (ctx.sweep && !mem_)
-        for (const TapeGather &g : tape_.modelGathers())
-            if (!inline_[g.slot])
-                line(pad, "const double m" + std::to_string(g.slot) + " = " +
-                              quant("w" + std::to_string(g.pos)) + ";");
+    const int32_t data_end = dataEnd();
+    for (int32_t s = tape_.dataBase(); s < data_end; ++s)
+        if (!inline_[s])
+            stmt("D", s, quant(dataLoad(s, ctx)));
     for (const TapeInstr &in : tape_.instructions())
-        if (!inline_[in.dst]) {
-            if (mem_)
-                stmt("V", in.dst, opExpr(in, ctx));
-            else
-                decl("v" + std::to_string(in.dst), opExpr(in, ctx));
-        }
+        if (!inline_[in.dst])
+            stmt("V", in.dst, opExpr(in, ctx));
     flushChunk();
 }
 
@@ -545,36 +477,21 @@ Emitter::emitBatch()
     out_ += "void " + std::string(kBatchSymbol) +
             "(const double *restrict records, long long n,\n"
             "    const double *restrict model, double *restrict grad)\n{\n";
-    // The batch model is frozen: gather + quantize once, like the
-    // executor's once-per-batch model load. Register mode hoists one
-    // scalar per gather; memory mode keeps F64 reads on the caller's
-    // array (no copy needed) and hoists a compact quantized copy for
-    // Q16.16.
-    if (!mem_) {
-        for (const TapeGather &g : tape_.modelGathers())
-            line("    ",
-                 "const double m" + std::to_string(g.slot) + " = " +
-                     quant("model[" + std::to_string(g.pos) + "]") + ";");
-    } else if (q_ && nModel_ > 0) {
-        std::string tbl = "static const long long MPOS[] = {";
-        const auto gathers = tape_.modelGathers();
-        for (size_t k = 0; k < gathers.size(); ++k) {
-            if (k > 0)
-                tbl += k % 16 == 0 ? ",\n        " : ",";
-            tbl += std::to_string(gathers[k].pos);
-        }
-        tbl += "};";
-        line("    ", tbl);
-        line("    ", "double M[" + std::to_string(nModel_) + "];");
-        line("    ", "for (int k = 0; k < " + std::to_string(nModel_) +
-                         "; ++k) M[k] = q16(model[MPOS[k]]);");
+    // The batch model is frozen: F64 helpers read the caller's array;
+    // Q16.16 ones read a copy quantized once, like the executor's
+    // once-per-batch model load. The model region is contiguous, so
+    // the copy is word for word.
+    const int64_t mw = tape_.translation().modelWords;
+    const bool hoist = q_ && mw > 0;
+    if (hoist) {
+        line("    ", "double M[" + std::to_string(mw) + "];");
+        line("    ", "for (long long k = 0; k < " + std::to_string(mw) +
+                         "; ++k) M[k] = q16(model[k]);");
     }
     line("    ", "long long r = 0;");
     const auto grads = tape_.gradientSlots();
-    // Inside memory-mode helpers the gradient array is the G
-    // parameter; register mode folds straight into the caller's grad.
-    const std::string gv = mem_ ? "G" : "grad";
-    chunkArgs_ = callArgs("grad", true);
+    // Inside the helpers the gradient array is the G parameter.
+    chunkArgs_ = callArgs(hoist ? "M" : "model", "grad");
     const std::string w = std::to_string(kLanes);
     line("    ", "for (; r + " + w + " <= n; r += " + w + ") {");
     line("        ", "const double *restrict R = records + r * COSMIC_RW;");
@@ -584,10 +501,10 @@ Emitter::emitBatch()
     // 1, ... — the scalar accumulation order exactly.
     for (size_t i = 0; i < grads.size(); ++i)
         chunkStmt("        ",
-                  "{ double acc = " + gv + "[" + std::to_string(i) +
+                  "{ double acc = G[" + std::to_string(i) +
                       "]; for (int l = 0; l < " + w + "; ++l) acc += " +
-                      ref(grads[i], lane) + "; " + gv + "[" +
-                      std::to_string(i) + "] = acc; }");
+                      ref(grads[i], lane) + "; G[" + std::to_string(i) +
+                      "] = acc; }");
     flushChunk();
     line("    ", "}");
     line("    ", "for (; r < n; ++r) {");
@@ -595,7 +512,7 @@ Emitter::emitBatch()
     Ctx scalar{.lane = false, .sweep = false};
     emitBody(scalar, "        ");
     for (size_t i = 0; i < grads.size(); ++i)
-        chunkStmt("        ", gv + "[" + std::to_string(i) +
+        chunkStmt("        ", "G[" + std::to_string(i) +
                                   "] += " + ref(grads[i], scalar) + ";");
     flushChunk();
     line("    ", "}");
@@ -605,52 +522,32 @@ Emitter::emitBatch()
 void
 Emitter::emitSweep()
 {
-    const int64_t mw = tape_.translation().modelWords;
     out_ += "void " + std::string(kSweepSymbol) +
             "(const double *restrict records, long long n,\n"
             "    double *restrict model, double lr)\n{\n";
-    // Register mode: the whole model lives in locals across the record
-    // loop; raw (unquantized) values, exactly like the executor's
-    // model vector — quantization happens at each gather. Memory mode
-    // leaves the model in the caller's array and updates it in place
-    // after each record's full gradient is computed.
-    if (!mem_)
-        for (int64_t p = 0; p < mw; ++p)
-            line("    ", "double w" + std::to_string(p) + " = model[" +
-                             std::to_string(p) + "];");
+    // The model stays in the caller's array, raw (unquantized) like the
+    // executor's model vector, and is updated in place after each
+    // record's full gradient is computed.
     line("    ", "for (long long r = 0; r < n; ++r) {");
     line("        ", "const double *restrict R = records + r * COSMIC_RW;");
     Ctx sweep{.lane = false, .sweep = true};
-    chunkArgs_ = callArgs("0", false);
+    chunkArgs_ = callArgs("model", "0");
     emitBody(sweep, "        ");
     // All gradient elements are computed against the pre-update
     // weights before any update lands (the executor finishes the tape
     // pass, then applies the updates).
     const auto grads = tape_.gradientSlots();
-    if (mem_) {
-        line("        ", "double G[" + std::to_string(grads.size()) + "];");
-        chunkArgs_ = callArgs("G", false);
-        for (size_t i = 0; i < grads.size(); ++i)
-            chunkStmt("        ", "G[" + std::to_string(i) + "] = " +
-                                      ref(grads[i], sweep) + ";");
-        flushChunk();
-        // Element-wise update: exact regardless of vectorization.
-        line("        ", "for (long long i = 0; i < " +
-                             std::to_string(grads.size()) +
-                             "; ++i) model[i] -= lr * G[i];");
-    } else {
-        for (size_t i = 0; i < grads.size(); ++i)
-            line("        ", "const double g" + std::to_string(i) + " = " +
-                                 ref(grads[i], sweep) + ";");
-        for (size_t i = 0; i < grads.size(); ++i)
-            line("        ", "w" + std::to_string(i) + " -= lr * g" +
-                                 std::to_string(i) + ";");
-    }
+    line("        ", "double G[" + std::to_string(grads.size()) + "];");
+    chunkArgs_ = callArgs("model", "G");
+    for (size_t i = 0; i < grads.size(); ++i)
+        chunkStmt("        ", "G[" + std::to_string(i) + "] = " +
+                                  ref(grads[i], sweep) + ";");
+    flushChunk();
+    // Element-wise update: exact regardless of vectorization.
+    line("        ", "for (long long i = 0; i < " +
+                         std::to_string(grads.size()) +
+                         "; ++i) model[i] -= lr * G[i];");
     line("    ", "}");
-    if (!mem_)
-        for (int64_t p = 0; p < mw; ++p)
-            line("    ", "model[" + std::to_string(p) + "] = w" +
-                             std::to_string(p) + ";");
     out_ += "}\n";
 }
 
@@ -707,8 +604,7 @@ Emitter::emit()
     src.hasSweep = tr.gradientWords == tr.modelWords;
     if (src.hasSweep)
         emitSweep();
-    // Memory-mode helper definitions come before the entry points that
-    // call them.
+    // Helper definitions come before the entry points that call them.
     src.text = std::move(head) + funcs_ + out_;
     return src;
 }

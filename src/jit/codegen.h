@@ -5,20 +5,26 @@
  * Turns one compiled Tape into a specialized C translation unit — one
  * per (DFG, quantizer) — that the kernel cache compiles with the
  * system toolchain and dlopen's. The emitted code is the
- * tape's instruction stream lowered to straight-line expressions:
+ * tape's node-order instruction list lowered to straight-line
+ * expressions, read in the tape's region layout:
  *
- *  - every scratch slot becomes a C local, so the C compiler's
- *    register allocator replaces the interpreter's slot loads/stores;
+ *  - an operand's slot says what it is: the pinned zero, a model word
+ *    (read from the model array), a record word (read from the
+ *    record), a constant (a literal from the tape's pre-quantized
+ *    region image) or an operation result;
  *  - single-use intermediate values are fused into their consumer's
  *    expression (mul+add chains collapse to FMA-shaped expressions),
  *    bounded by a fusion cap so pathological chains stay compilable;
+ *    the rest live in indexed stack arrays, and the statements are
+ *    split across small noinline helpers, so compile time stays
+ *    linear in tape size;
  *  - the batch kernel runs 8 records at a time: the lane dimension is
  *    unrolled into fixed-trip-count `l < 8` loops over 8-element
- *    stack arrays — stride-1 — which the C compiler auto-vectorizes,
+ *    array cells — stride-1 — which the C compiler auto-vectorizes,
  *    with a one-record loop for the remainder;
  *  - `cosmic_jit_sgd_sweep` folds the SGD update into the gradient
- *    sweep: the whole model lives in C locals across the record loop
- *    and is stored back once at the end.
+ *    sweep: after each record's full gradient, the caller's model is
+ *    updated in place.
  *
  * Bit-exactness contract (the repo's core invariant): the emitted
  * arithmetic is the exact IEEE operation sequence of evaluateOp() and

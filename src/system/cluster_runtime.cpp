@@ -38,9 +38,6 @@ ClusterConfig::validate() const
     if (recordsPerNode <= 0)
         COSMIC_FATAL("ClusterConfig: recordsPerNode must be positive "
                      "(got " << recordsPerNode << ")");
-    if (maxStragglerDelayMs < 0.0)
-        COSMIC_FATAL("ClusterConfig: maxStragglerDelayMs must be "
-                     ">= 0 (got " << maxStragglerDelayMs << ")");
     if (maxStaleness < 0)
         COSMIC_FATAL("ClusterConfig: maxStaleness must be >= 0 (got "
                      << maxStaleness << ")");
@@ -192,8 +189,6 @@ ClusterRuntime::makeNodeRuntime(int id)
     nc.mode = config_.mode;
     nc.learningRate = config_.learningRate;
     nc.minibatchPerNode = config_.minibatchPerNode;
-    nc.maxStragglerDelayMs = config_.maxStragglerDelayMs;
-    nc.seed = config_.seed;
     nc.faultTolerance = config_.faultTolerance;
     nc.faultsActive = faultsActive_;
     // In-process: every role shares the master's new_model by

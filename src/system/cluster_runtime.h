@@ -87,15 +87,6 @@ struct ClusterConfig
     compiler::CompileOptions compile;
 
     /**
-     * Failure/straggler injection: each node sleeps a deterministic
-     * pseudo-random amount up to this bound before computing its
-     * partial update. Training results must not change — the
-     * synchronous aggregation protocol tolerates arbitrary skew — and
-     * the tests assert exactly that.
-     */
-    double maxStragglerDelayMs = 0.0;
-
-    /**
      * Deterministic fault schedule (crashes, link faults,
      * stragglers). A non-empty plan activates the failure-tolerant
      * protocol; an empty plan leaves the runtime on the original

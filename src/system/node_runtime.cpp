@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <thread>
 
 #include "common/error.h"
-#include "common/rng.h"
 
 namespace cosmic::sys {
 
@@ -170,15 +168,6 @@ NodeRuntime::runRole(const NodeAssignment &assign,
     const int64_t words = translation_.modelWords;
     const int master = topo.masterId();
 
-    if (config_.maxStragglerDelayMs > 0.0) {
-        // Deterministic injected skew (failure-injection mode).
-        Rng jitter(config_.seed ^
-                   (static_cast<uint64_t>(assign.id) << 32) ^ seq);
-        auto delay = std::chrono::microseconds(static_cast<int64_t>(
-            jitter.uniform(0.0, config_.maxStragglerDelayMs) *
-            1000.0));
-        std::this_thread::sleep_for(delay);
-    }
     auto compute_start = std::chrono::steady_clock::now();
     // Pooled partial-update buffer: filled here, shipped as a
     // message payload (deltas/sigmas) and eventually recycled
@@ -453,15 +442,6 @@ NodeRuntime::runPipelined(const NodeAssignment &assign,
             ++res.staleness.staleComputes;
             res.staleness.maxEpochLag =
                 std::max(res.staleness.maxEpochLag, seq - epoch);
-        }
-        if (config_.maxStragglerDelayMs > 0.0) {
-            Rng jitter(config_.seed ^
-                       (static_cast<uint64_t>(assign.id) << 32) ^ seq);
-            auto delay =
-                std::chrono::microseconds(static_cast<int64_t>(
-                    jitter.uniform(0.0, config_.maxStragglerDelayMs) *
-                    1000.0));
-            std::this_thread::sleep_for(delay);
         }
         const uint64_t used_epoch = epoch;
         const auto compute_start = std::chrono::steady_clock::now();

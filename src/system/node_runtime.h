@@ -51,9 +51,6 @@ struct NodeRuntimeConfig
     TrainingMode mode = TrainingMode::ModelAveraging;
     double learningRate = 0.05;
     int64_t minibatchPerNode = 64;
-    /** Deterministic pre-compute skew injection (0 = off). */
-    double maxStragglerDelayMs = 0.0;
-    uint64_t seed = 0x5eed;
     /** Timeout/retry policy; consulted only when faultsActive. */
     FaultToleranceConfig faultTolerance;
     /** Timed tolerant receives instead of blocking ones. */

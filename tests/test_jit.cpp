@@ -22,6 +22,7 @@
 #include "dfg/tape.h"
 #include "jit/kernel_cache.h"
 #include "ml/dataset.h"
+#include "ml/templates.h"
 #include "ml/workloads.h"
 #include "net/transport.h"
 #include "system/cluster_runtime.h"
@@ -78,10 +79,49 @@ jitTestScale(const ml::Workload &w)
 }
 
 /**
- * The full bit-exactness matrix, one workload per test case: native
- * runBatch (and sgdSweep, where the tape has a sweep form) against the
- * interpreter tape, F64 and Q16.16, with a record count that leaves a
- * remainder after the kernel's 8-record lane loop.
+ * Native runBatch (and sgdSweep, where the tape has a sweep form)
+ * against the interpreter tape over @p count records, F64 and Q16.16.
+ */
+void
+expectNativeBitExact(const dfg::Translation &tr,
+                     std::span<const double> records, int64_t count,
+                     const std::vector<double> &model)
+{
+    const bool has_sweep = tr.gradientWords == tr.modelWords;
+    for (double (*quantizer)(double) :
+         {static_cast<double (*)(double)>(nullptr),
+          &accel::quantizeToFixed}) {
+        SCOPED_TRACE(quantizer ? "Q16.16" : "F64");
+        dfg::Tape interp_tape(tr, quantizer, dfg::TapeBackend::Interp);
+        dfg::Tape jit_tape(tr, quantizer, dfg::TapeBackend::Jit);
+        dfg::TapeExecutor interp_exec(interp_tape);
+        dfg::TapeExecutor jit_exec(jit_tape);
+        ASSERT_FALSE(interp_exec.prepareNative());
+
+        ASSERT_TRUE(jit_exec.prepareNative()) << "kernel resolution failed";
+        ASSERT_TRUE(jit_exec.nativeActive());
+
+        std::vector<double> want(tr.gradientWords, 0.0);
+        std::vector<double> got(tr.gradientWords, 0.0);
+        interp_exec.runBatch(records, count, model, want);
+        jit_exec.runBatch(records, count, model, got);
+        for (int64_t i = 0; i < tr.gradientWords; ++i)
+            ASSERT_EQ(got[i], want[i]) << "gradient element " << i;
+
+        if (!has_sweep)
+            continue;
+        std::vector<double> want_model(model), got_model(model);
+        interp_exec.sgdSweep(records, count, want_model, 0.05);
+        jit_exec.sgdSweep(records, count, got_model, 0.05);
+        for (int64_t i = 0; i < tr.modelWords; ++i)
+            ASSERT_EQ(got_model[i], want_model[i]) << "model element " << i;
+    }
+}
+
+/**
+ * The full bit-exactness matrix, one workload per test case, with a
+ * record count that leaves a remainder after the kernel's 8-record
+ * lane loop.
  */
 class JitEquivalence : public ::testing::TestWithParam<std::string>
 {};
@@ -95,43 +135,11 @@ TEST_P(JitEquivalence, NativeKernelsBitExactVsInterpreterTape)
     auto tr = translateWorkload(w, scale);
 
     Rng rng(17);
+    // 11 records: one 8-record lane group plus a 3-record remainder
+    // through the native kernel.
     auto ds = ml::DatasetGenerator::generate(w, scale, 11, rng);
     auto model = ml::DatasetGenerator::initialModel(w, scale, rng);
-    const bool has_sweep = tr.gradientWords == tr.modelWords;
-
-    for (double (*quantizer)(double) :
-         {static_cast<double (*)(double)>(nullptr),
-          &accel::quantizeToFixed}) {
-        dfg::Tape interp_tape(tr, quantizer, dfg::TapeBackend::Interp);
-        dfg::Tape jit_tape(tr, quantizer, dfg::TapeBackend::Jit);
-        dfg::TapeExecutor interp_exec(interp_tape);
-        dfg::TapeExecutor jit_exec(jit_tape);
-        ASSERT_FALSE(interp_exec.prepareNative());
-
-        ASSERT_TRUE(jit_exec.prepareNative()) << "kernel resolution failed";
-        ASSERT_TRUE(jit_exec.nativeActive());
-
-        // 11 records: one 8-record lane group plus a 3-record
-        // remainder through the native kernel.
-        std::vector<double> want(tr.gradientWords, 0.0);
-        std::vector<double> got(tr.gradientWords, 0.0);
-        interp_exec.runBatch(ds.data, ds.count, model, want);
-        jit_exec.runBatch(ds.data, ds.count, model, got);
-        for (int64_t i = 0; i < tr.gradientWords; ++i)
-            ASSERT_EQ(got[i], want[i])
-                << "gradient element " << i
-                << (quantizer ? " (quantized)" : " (exact)");
-
-        if (!has_sweep)
-            continue;
-        std::vector<double> want_model(model), got_model(model);
-        interp_exec.sgdSweep(ds.data, ds.count, want_model, 0.05);
-        jit_exec.sgdSweep(ds.data, ds.count, got_model, 0.05);
-        for (int64_t i = 0; i < tr.modelWords; ++i)
-            ASSERT_EQ(got_model[i], want_model[i])
-                << "model element " << i
-                << (quantizer ? " (quantized)" : " (exact)");
-    }
+    expectNativeBitExact(tr, ds.data, ds.count, model);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -179,6 +187,76 @@ TEST(Jit, ShardSweepsBitExactVsInterpreterTape)
                     << "shard " << shard << " element " << i
                     << (quantizer ? " (quantized)" : " (exact)");
         }
+    }
+}
+
+/**
+ * The JIT twin of Tape.IrregularGradientsMatchInterpreter. Gradients
+ * that are a model input, a constant, one operation twice and an
+ * absent node leave the tape without a gradient region, so the kernel
+ * reads every gradient through its own slot; the model-input gradient
+ * must be read before the sweep's update lands.
+ */
+TEST(Jit, IrregularGradientsBitExactVsInterpreterTape)
+{
+    if (!jit::KernelCache::toolchainAvailable())
+        GTEST_SKIP() << "no C toolchain in this environment";
+    dfg::Translation tr;
+    dfg::Dfg &g = tr.dfg;
+    const auto x = g.addDataInput(0, {});
+    const auto w0 = g.addModelInput(0, {});
+    const auto w1 = g.addModelInput(1, {});
+    const auto half = g.addConst(0.5);
+    const auto prod = g.addOp(dfg::OpKind::Mul, w0, x);
+    const auto sum = g.addOp(dfg::OpKind::Add, prod, w1);
+    const auto act = g.addOp(dfg::OpKind::Sigmoid, sum);
+    g.markGradient(act, 0, {});
+    g.markGradient(w0, 1, {});
+    g.markGradient(half, 2, {});
+    g.markGradient(act, 4, {}); // gradient 3 stays absent
+    tr.recordWords = 1;
+    tr.modelWords = 5;
+    tr.gradientWords = 5;
+    tr.minibatch = 1;
+    ASSERT_EQ(g.gradientNodes()[3], dfg::kInvalidNode);
+    ASSERT_FALSE(dfg::Tape(tr).hasGradientRegion());
+
+    // 11 records: one 8-record lane group plus a remainder.
+    const std::vector<double> records = {0.75, -1.5,  2.0,   0.125,
+                                         -0.5, 3.25,  -2.75, 1.0,
+                                         0.0,  -0.25, 1.625};
+    const std::vector<double> model = {0.3, -0.7, 0.25, 1.0, -2.0};
+    expectNativeBitExact(tr, records, std::ssize(records), model);
+}
+
+/**
+ * Tapes of at most 64 instructions, a range that once had an emitter
+ * mode of its own, through the one emitter: suite templates small
+ * enough to fit, over 11 records (an 8-record lane group plus a
+ * remainder).
+ */
+TEST(Jit, SmallTapesBitExactVsInterpreterTape)
+{
+    if (!jit::KernelCache::toolchainAvailable())
+        GTEST_SKIP() << "no C toolchain in this environment";
+    const std::string sources[] = {
+        ml::templates::logisticRegression(6, 8),
+        ml::templates::svm(4, 8),
+        ml::templates::huberRegression(4, 8),
+        ml::templates::mlp(2, 3, 1, 8),
+    };
+    for (const std::string &src : sources) {
+        auto tr = compile::translateSource(src);
+        SCOPED_TRACE(src);
+        ASSERT_LE(dfg::Tape(tr).instructionCount(), 64);
+        Rng rng(31);
+        std::vector<double> records(11 * tr.recordWords);
+        std::vector<double> model(tr.modelWords);
+        for (double &v : records)
+            v = rng.uniform(-1.0, 1.0);
+        for (double &v : model)
+            v = rng.uniform(-0.5, 0.5);
+        expectNativeBitExact(tr, records, 11, model);
     }
 }
 

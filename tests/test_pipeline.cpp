@@ -452,14 +452,20 @@ TEST_P(PassesAreBitExact, OnTheJitKernel)
     if (!jit::KernelCache::toolchainAvailable())
         GTEST_SKIP() << "no native toolchain in this environment";
     // The collaborative-filtering graphs exceed the JIT's tape limit
-    // at this scale; the executor declines them by design.
+    // at this scale. The executor declines them by design: it runs the
+    // interpreter tape, and the kernel cache counts the fallback.
     auto raw = translateSource(
         ml::Workload::byName(GetParam()).dslSource(64.0), passesOff());
-    dfg::Tape probe(raw, nullptr, dfg::TapeBackend::Interp);
-    if (static_cast<int64_t>(probe.instructions().size()) >
-        jit::KernelCache::maxTapeInstructions())
-        GTEST_SKIP() << "tape over the JIT size limit; interpreter "
-                        "fallback is by design";
+    dfg::Tape tape(raw, nullptr, dfg::TapeBackend::Jit);
+    if (tape.instructionCount() > jit::KernelCache::maxTapeInstructions()) {
+        dfg::TapeExecutor exec(tape);
+        const int64_t before = jit::KernelCache::instance().stats().fallbacks;
+        EXPECT_FALSE(exec.prepareNative());
+        EXPECT_FALSE(exec.nativeActive());
+        EXPECT_EQ(jit::KernelCache::instance().stats().fallbacks,
+                  before + 1);
+        return;
+    }
     expectRewriteBitExact(GetParam(), &jitTrajectory, "jit");
 }
 

@@ -581,20 +581,6 @@ TEST(RewriteReport, HitCountersReconcileWithPipelineReport)
     EXPECT_NE(table.find("fixpoint"), std::string::npos);
 }
 
-TEST(RewriteReport, LegacyPerPassFlagsGateSameNamedPatterns)
-{
-    // cse = false must keep the cse pattern out of the rewrite run.
-    auto src = ml::templates::linearRegression(4, 8);
-    compiler::CompileOptions options;
-    options.cse = false;
-    compile::PipelineReport report;
-    auto tr = compile::translateSource(src, options, &report);
-    (void)tr;
-    ASSERT_NE(report.pass("rewrite"), nullptr);
-    for (const auto &p : report.patternHits)
-        EXPECT_NE(p.name, "cse");
-}
-
 // ------------------------------------------------ pattern list parsing
 
 TEST(RewriteConfig, ResolvePatternListIsStrictAndCanonical)

@@ -549,13 +549,13 @@ TEST(Scheduler, ReleasesClusterAtTerminalState)
 
 TEST(BuildCacheConcurrency, SameKeyRaceAdoptsOneWinner)
 {
-    // A (source, options) pair no other test compiles: distinct pass
-    // flags change the frontend key.
+    // A (source, options) pair no other test compiles: a distinct
+    // pattern subset changes the frontend key.
     const std::string source =
         ml::Workload::byName("stock").dslSource(62.0);
     compiler::CompileOptions options;
-    options.cse = false;
-    options.foldConstants = false;
+    options.rewritePatterns =
+        "pow-expand,mul-one,add-zero,mul-zero,double-neg,dead-node-elim";
 
     const auto before = compile::BuildCache::instance().stats();
     constexpr int kRacers = 8;
