@@ -10,6 +10,11 @@
  * functional-runtime iteration to show the persistent-worker system
  * layer end to end, with one and with eight SGD shards per node.
  *
+ * Each body runs in 9 rounds of alternating 50 ms windows in this one
+ * process; rates are the medians of its windows, and speedups the
+ * median of the per-round ratios, which cancels most of a shared
+ * host's run-to-run drift.
+ *
  * The last two lines of output are machine-readable JSON summaries so
  * the perf trajectory can be tracked:
  *   {"bench":"hotpath_tape","scale":...,"results":[{"workload":...,
@@ -46,14 +51,12 @@ using namespace cosmic;
 
 namespace {
 
-/** Runs @p body repeatedly until ~minSeconds elapsed; returns
+/** Runs @p body repeatedly until @p min_seconds elapsed; returns
  *  records/sec (body processes @p records records per call). */
 double
 measureRps(int64_t records, const std::function<void()> &body,
-           double min_seconds = 0.2)
+           double min_seconds)
 {
-    // Warm-up pass (touches every buffer, trains the branch predictor).
-    body();
     int64_t reps = 0;
     auto start = std::chrono::steady_clock::now();
     double elapsed = 0.0;
@@ -67,16 +70,48 @@ measureRps(int64_t records, const std::function<void()> &body,
     return static_cast<double>(records) * reps / elapsed;
 }
 
-/** Best of three measurements: scheduling noise only ever slows a
- *  run down, so the max is the stable estimate of attainable
- *  throughput (this box shares its single core with the world). */
 double
-measureBestRps(int64_t records, const std::function<void()> &body)
+median(std::vector<double> v)
 {
-    double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep)
-        best = std::max(best, measureRps(records, body));
-    return best;
+    std::sort(v.begin(), v.end());
+    const size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/** Timing windows per body, and each window's length. */
+constexpr int kRounds = 9;
+constexpr double kWindowSeconds = 0.05;
+
+/**
+ * Records/sec of each body in kRounds rounds of alternating windows:
+ * round r times one window of every body in turn, so the host's slow
+ * spells land on all bodies alike. rps[i][r] is body i in round r.
+ */
+std::vector<std::vector<double>>
+alternateRps(int64_t records,
+             const std::vector<std::function<void()>> &bodies)
+{
+    // Warm-up pass (touches every buffer, trains the branch predictor).
+    for (const auto &body : bodies)
+        body();
+    std::vector<std::vector<double>> rps(bodies.size());
+    for (int r = 0; r < kRounds; ++r)
+        for (size_t i = 0; i < bodies.size(); ++i)
+            rps[i].push_back(measureRps(records, bodies[i],
+                                        kWindowSeconds));
+    return rps;
+}
+
+/** Median over rounds of num[r] / den[r]: the windows of one round
+ *  ran back to back, so their ratio cancels most host drift. */
+double
+medianRatio(const std::vector<double> &num,
+            const std::vector<double> &den)
+{
+    std::vector<double> ratio;
+    for (size_t r = 0; r < num.size(); ++r)
+        ratio.push_back(num[r] / den[r]);
+    return median(std::move(ratio));
 }
 
 /** Average per-iteration seconds / records-per-second of one run. */
@@ -115,17 +150,21 @@ main()
     const bool have_toolchain = jit::KernelCache::toolchainAvailable();
     TablePrinter table("Training hot path: single-thread records/sec, "
                        "interpreter vs tape vs jit (scale 1/" +
-                       std::to_string(static_cast<int>(scale)) + ")");
+                       std::to_string(static_cast<int>(scale)) +
+                       "; medians of " + std::to_string(kRounds) +
+                       " alternating windows)");
     table.setHeader({"Benchmark", "Algorithm", "DFG ops", "Interp rec/s",
                      "Tape rec/s", "SGD rec/s", "JIT rec/s", "Tape x",
                      "JIT x"});
 
     std::ostringstream json;
     json << "{\"bench\":\"hotpath_tape\",\"scale\":" << scale
-         << ",\"records\":" << records << ",\"results\":[";
+         << ",\"records\":" << records << ",\"rounds\":" << kRounds
+         << ",\"results\":[";
     std::ostringstream jit_json;
     jit_json << "{\"bench\":\"jit\",\"scale\":" << scale
-             << ",\"records\":" << records << ",\"results\":[";
+             << ",\"records\":" << records << ",\"rounds\":" << kRounds
+             << ",\"results\":[";
 
     bool tape_ok = true;
     bool jit_ok = true;
@@ -151,38 +190,41 @@ main()
         std::vector<double> grad;
         std::vector<double> grad_accum(tr.gradientWords, 0.0);
 
-        double interp_rps = measureBestRps(records, [&] {
-            for (int64_t r = 0; r < records; ++r)
-                interp.run(ds.record(r), model, grad);
-        });
-        double tape_rps = measureBestRps(records, [&] {
-            exec.runBatch(ds.data, records, model, grad_accum);
-        });
-
-        // The sweep default training runs; every call restarts from
-        // the initial model so the weights never drift.
-        double sgd_rps = 0.0;
-        if (tr.gradientWords == tr.modelWords) {
-            std::vector<double> sweep_model(model.size());
-            sgd_rps = measureBestRps(records, [&] {
-                std::copy(model.begin(), model.end(),
-                          sweep_model.begin());
-                exec.sgdSweep(ds.data, records, sweep_model, 1e-3);
-            });
-        }
-
         // Same batch through the native backend; oversized tapes and
         // missing toolchains degrade to the interpreter path, so the
         // column stays honest (speedup ~1x, fallback counted).
         dfg::Tape jit_tape(tr, nullptr, dfg::TapeBackend::Jit);
         dfg::TapeExecutor jit_exec(jit_tape);
-        double jit_rps = measureBestRps(records, [&] {
-            jit_exec.runBatch(ds.data, records, model, grad_accum);
-        });
+
+        // The sweep default training runs; every call restarts from
+        // the initial model so the weights never drift.
+        const bool sgd = tr.gradientWords == tr.modelWords;
+        std::vector<double> sweep_model(model.size());
+        std::vector<std::function<void()>> bodies = {
+            [&] {
+                for (int64_t r = 0; r < records; ++r)
+                    interp.run(ds.record(r), model, grad);
+            },
+            [&] { exec.runBatch(ds.data, records, model, grad_accum); },
+            [&] {
+                jit_exec.runBatch(ds.data, records, model, grad_accum);
+            },
+        };
+        if (sgd)
+            bodies.push_back([&] {
+                std::copy(model.begin(), model.end(),
+                          sweep_model.begin());
+                exec.sgdSweep(ds.data, records, sweep_model, 1e-3);
+            });
+        const auto rps = alternateRps(records, bodies);
+        const double interp_rps = median(rps[0]);
+        const double tape_rps = median(rps[1]);
+        const double jit_rps = median(rps[2]);
+        const double sgd_rps = sgd ? median(rps[3]) : 0.0;
         const bool jit_native = jit_exec.nativeActive();
 
-        double speedup = tape_rps / interp_rps;
-        double jit_speedup = jit_rps / tape_rps;
+        const double speedup = medianRatio(rps[1], rps[0]);
+        const double jit_speedup = medianRatio(rps[2], rps[1]);
 
         bool is_regression =
             w.algorithm == ml::Algorithm::LinearRegression ||

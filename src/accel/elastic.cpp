@@ -17,17 +17,6 @@ using dfg::kInvalidNode;
 using dfg::NodeId;
 using dfg::OpKind;
 
-namespace {
-
-bool
-isOperation(const dfg::Dfg &dfg, NodeId v)
-{
-    OpKind op = dfg.node(v).op;
-    return op != OpKind::Const && op != OpKind::Input;
-}
-
-} // namespace
-
 int32_t
 ElasticSimulator::linkIndexFor(int src_pe, int dst_pe)
 {

@@ -27,9 +27,18 @@
  * whose dst/a/b/c slots each advance by a constant stride, run as one
  * strided loop with no per-operation instruction load, and a segment
  * with a unit dst stride and no dependency inside it as a
- * restrict-qualified loop the compiler vectorizes. The Translator's
- * statement expansion makes segments long: mnist's 34k operations
- * form about 1,400.
+ * restrict-qualified loop the compiler vectorizes.
+ *
+ * Every dot product the Translator expands (`sum[i](a * b)`: n
+ * products, then the n - 1 adds of its balanced pairwise tree) is one
+ * execution item, a dot tree: its products and partial sums never
+ * reach scratch, and only the root is written. A dot segment is a run
+ * of trees with one leaf count and constant leaf strides; it runs
+ * eight trees at a time, one per SIMD lane, each lane doing exactly
+ * the scalar tree's rounded products and pairwise levels (the odd
+ * element carried up). The Translator's statement expansion and the
+ * trees make segments long: mnist at scale 1/8 has 34k operations in
+ * 224 segments.
  *
  * Segments follow node order except where lowering transposes a
  * stretch of interleaved chains. An SVM's gradient alternates
@@ -38,7 +47,8 @@
  * are emitted chain by chain instead, one segment per chain. The
  * transposition is legal only when every operand produced inside the
  * stretch comes from an earlier chain, or from the same chain's
- * earlier repetition — so the emitted order stays topological — and
+ * earlier repetition — so the emitted order stays topological; a dot
+ * tree's operands are its whole leaf ranges — and
  * lowering applies it only where it cuts the stretch's segment count
  * (and keeps node order if the whole tape would not get shorter).
  * Reordering independent SSA operations changes no value: tape
@@ -107,14 +117,26 @@ struct TapeInstr
  * A run of @c count same-opcode operations whose dst/a/b/c slots each
  * advance by a constant stride: operation k < count is
  * scratch[dst + k * dstStride] = op(scratch[a + k * aStride], ...).
+ *
+ * A dot segment (leaves > 0) is a run of @c count dot trees instead:
+ * tree k sums, in the Translator's pairwise order, the @c leaves
+ * products scratch[a + k * aStride + l * leafAStride] *
+ * scratch[b + k * bStride + l * leafBStride], l < leaves, into
+ * scratch[dst + k * dstStride].
  */
 struct TapeSegment
 {
     OpKind op = OpKind::Add;
-    /** Unit dst stride and no operand reads a slot the segment
-     *  writes: the operations are independent, safe to vectorize. */
+    /** Plain segments: unit dst stride and no operand reads a slot
+     *  the segment writes, so the operations are independent, safe to
+     *  vectorize. Dot segments: no leaf reads a root the segment
+     *  writes, so the trees may run side by side. */
     bool flat = false;
     int32_t count = 0;
+    /** Leaves per dot tree; 0 for a plain segment. */
+    int32_t leaves = 0;
+    int32_t leafAStride = 0;
+    int32_t leafBStride = 0;
     /** Region-layout slots of the first operation. */
     int32_t dst = 0;
     int32_t a = 0;
@@ -222,9 +244,12 @@ class Tape
     TapeBackend backend_ = TapeBackend::Auto;
     std::vector<TapeInstr> instrs_;
 
-    /** Execution order: node order with interleaved chains
-     *  transposed. */
+    /** Execution order: node order with each dot tree one item and
+     *  interleaved chains transposed. */
     std::vector<TapeSegment> segments_;
+    /** Words of executor buffer the largest dot segment needs: eight
+     *  lanes' rows per leaf, or two halves for lone trees. */
+    int64_t dotWords_ = 0;
     /** First slot of the model region (modelWords slots), the data
      *  region (recordWords slots), the gradient region (-1: none), the
      *  constants and the remaining operations. */
@@ -318,6 +343,9 @@ class TapeExecutor
     std::vector<double> scratch_;
     /** Gradient copy for tapes without a gradient region. */
     std::vector<double> gradBuf_;
+    /** The dot trees' products and partial sums
+     *  (Tape::dotWords_). */
+    std::vector<double> dotBuf_;
     /** Resolved native kernel (null = interpreter tape); shared with
      *  the process-wide kernel cache, which owns the dlopen handle. */
     std::shared_ptr<const jit::NativeTapeKernel> native_;

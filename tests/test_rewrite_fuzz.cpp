@@ -14,8 +14,9 @@
  * Engines covered: the interpreter, the tape's batch call (also
  * against the interpreter) and its SGD sweep (against the
  * interpreter's per-record steps) for every seed, and the
- * JIT-compiled native tape for every 16th seed (native compiles are
- * the expensive leg). The seed range is COSMIC_REWRITE_FUZZ_SEEDS
+ * JIT-compiled native tape's batch call and sweep (against the
+ * interpreted tape) for every 16th seed (native compiles are the
+ * expensive leg). The seed range is COSMIC_REWRITE_FUZZ_SEEDS
  * ("lo-hi", default "1-200") so CI can shard it and a nightly sweep
  * can widen it.
  *
@@ -71,8 +72,9 @@ constexpr double kRecordHazards[] = {
     0.0, -0.0, 1.0, -1.0, 0.5, -32768.0, 32767.9, 1e9, -1e9,
 };
 
-/** Training records per trajectory. */
-constexpr int64_t kRecords = 6;
+/** Training records per trajectory: more than the native kernel's
+ *  8-record group, so its lane loop and its remainder both run. */
+constexpr int64_t kRecords = 11;
 
 /** A seed's training records (hazards mixed in) and initial model. */
 struct TrainingData
@@ -96,7 +98,7 @@ trainingData(const dfg::Translation &tr, uint64_t seed)
 }
 
 /**
- * Trains 3 minibatch steps over 6 records and returns the model
+ * Trains 3 minibatch steps over kRecords records and returns the model
  * concatenated with the final gradient — the observable trajectory.
  */
 std::vector<double>
@@ -138,22 +140,27 @@ trajectory(const dfg::Translation &tr, uint64_t seed,
 }
 
 /**
- * Two plain-SGD sweeps over the trajectory's 6 records and returns the
- * final model: the tape's sgdSweep when @p tape is set, else the
- * interpreter's gradient with an explicit per-record step.
+ * Two plain-SGD sweeps over the trajectory's records and returns the
+ * final model: the tape's (or native kernel's) sgdSweep, or for the
+ * interpreter its gradient with an explicit per-record step.
  */
 std::vector<double>
 sweepTrajectory(const dfg::Translation &tr, uint64_t seed,
-                double (*quantizer)(double), bool tape)
+                double (*quantizer)(double), Engine engine)
 {
     TrainingData data = trainingData(tr, seed);
     const std::vector<double> &records = data.records;
     std::vector<double> &model = data.model;
     constexpr double kRate = 0.03;
 
-    if (tape) {
-        dfg::Tape t(tr, quantizer, dfg::TapeBackend::Interp);
+    if (engine != Engine::Interp) {
+        dfg::Tape t(tr, quantizer,
+                    engine == Engine::Jit ? dfg::TapeBackend::Jit
+                                          : dfg::TapeBackend::Interp);
         dfg::TapeExecutor exec(t);
+        if (engine == Engine::Jit)
+            EXPECT_TRUE(exec.prepareNative())
+                << "native kernel must compile for the JIT leg";
         for (int s = 0; s < 2; ++s)
             exec.sgdSweep(records, kRecords, model, kRate);
         return model;
@@ -275,18 +282,26 @@ TEST(RewriteFuzz, SgdSweepMatchesInterpreterSteps)
              {static_cast<double (*)(double)>(nullptr),
               &accel::quantizeToFixed}) {
             SCOPED_TRACE(quantizer ? "Q16.16" : "F64");
-            auto want = sweepTrajectory(plain, seed, quantizer, false);
-            auto got = sweepTrajectory(plain, seed, quantizer, true);
+            auto want =
+                sweepTrajectory(plain, seed, quantizer, Engine::Interp);
+            auto got =
+                sweepTrajectory(plain, seed, quantizer, Engine::Tape);
             expectSameValues(want, got, "tape-sweep");
-            expectBitIdentical(
-                got, sweepTrajectory(rewritten, seed, quantizer, true),
-                "tape-sweep");
+            expectBitIdentical(got,
+                               sweepTrajectory(rewritten, seed, quantizer,
+                                               Engine::Tape),
+                               "tape-sweep");
         }
         if (::testing::Test::HasFailure())
             FAIL() << "stopping at first diverging seed " << seed;
     }
 }
 
+/**
+ * The native leg: the JIT's batch trajectory must be bit-identical on
+ * the plain and the rewritten graph, and its batch trajectory and SGD
+ * sweep must match the interpreted tape's.
+ */
 TEST(RewriteFuzz, JitTrajectoriesBitIdentical)
 {
     if (!jit::KernelCache::toolchainAvailable())
@@ -307,6 +322,13 @@ TEST(RewriteFuzz, JitTrajectoriesBitIdentical)
             auto b =
                 trajectory(rewritten, seed, quantizer, Engine::Jit);
             expectBitIdentical(a, b, engineName(Engine::Jit));
+            expectSameValues(
+                trajectory(plain, seed, quantizer, Engine::Tape), a,
+                engineName(Engine::Jit));
+            expectSameValues(
+                sweepTrajectory(plain, seed, quantizer, Engine::Tape),
+                sweepTrajectory(plain, seed, quantizer, Engine::Jit),
+                "jit-sweep");
         }
         if (::testing::Test::HasFailure())
             FAIL() << "stopping at first diverging seed " << seed;

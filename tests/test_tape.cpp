@@ -3,12 +3,15 @@
  * Tape executor correctness: bit-exact gradient equivalence against the
  * Interpreter (with and without the fixed-point quantizer) across the
  * whole benchmark suite at two scales, the zero-allocation batch and
- * SGD entry points, and an end-to-end check that the persistent-worker
- * runtime reproduces the seed training trajectory.
+ * SGD entry points, hand-built dot segments (fusion, lanes and their
+ * remainders, and the cases that must not fuse), and an end-to-end
+ * check that the persistent-worker runtime reproduces the seed
+ * training trajectory.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <tuple>
 
@@ -211,6 +214,66 @@ TEST(Tape, AbsentOperandsReadPinnedZero)
         EXPECT_EQ(got[i], want[i]);
 }
 
+/** Bitwise equality: -0.0 against 0.0 counts as a mismatch. */
+void
+expectSameBits(std::span<const double> got, std::span<const double> want,
+               const char *what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+            << what << " word " << i << ": tape " << got[i]
+            << ", interpreter " << want[i];
+}
+
+/**
+ * The tape against the Interpreter, bit for bit, in F64 and Q16.16:
+ * run() on every record, runBatch() against accumulate(), and
+ * sgdSweep() against per-record SGD steps (@p tr has one gradient
+ * element per parameter).
+ */
+void
+expectTapeMatchesInterpreter(const dfg::Translation &tr,
+                             std::span<const double> records,
+                             std::span<const double> model0)
+{
+    const int64_t count =
+        static_cast<int64_t>(records.size()) / tr.recordWords;
+    for (double (*quantizer)(double) :
+         {static_cast<double (*)(double)>(nullptr),
+          &accel::quantizeToFixed}) {
+        SCOPED_TRACE(quantizer ? "Q16.16" : "F64");
+        dfg::Interpreter interp(tr, quantizer);
+        dfg::Tape tape(tr, quantizer);
+        dfg::TapeExecutor exec(tape);
+
+        std::vector<double> want, got(tr.gradientWords);
+        for (int64_t r = 0; r < count; ++r) {
+            const auto record =
+                records.subspan(r * tr.recordWords, tr.recordWords);
+            interp.run(record, model0, want);
+            exec.run(record, model0, got);
+            expectSameBits(got, want, "run");
+        }
+
+        interp.accumulate(records, count, model0, want);
+        std::vector<double> sum(tr.gradientWords, 0.0);
+        exec.runBatch(records, count, model0, sum);
+        expectSameBits(sum, want, "runBatch");
+
+        std::vector<double> want_model(model0.begin(), model0.end());
+        for (int64_t r = 0; r < count; ++r) {
+            interp.run(records.subspan(r * tr.recordWords, tr.recordWords),
+                       want_model, want);
+            for (int64_t i = 0; i < tr.gradientWords; ++i)
+                want_model[i] -= 0.05 * want[i];
+        }
+        std::vector<double> got_model(model0.begin(), model0.end());
+        exec.sgdSweep(records, count, got_model, 0.05);
+        expectSameBits(got_model, want_model, "sgdSweep");
+    }
+}
+
 /**
  * Gradients that are not distinct operation nodes — a model input, a
  * data input, a constant and the same node twice — leave the tape
@@ -241,45 +304,16 @@ TEST(Tape, IrregularGradientsMatchInterpreter)
 
     const std::vector<double> records = {0.75, -1.5, 2.0, 0.125};
     const std::vector<double> model0 = {0.3, -0.7, 0.25, 1.0, -2.0};
-    const double mu = 0.1;
-    for (double (*quantizer)(double) :
-         {static_cast<double (*)(double)>(nullptr),
-          &accel::quantizeToFixed}) {
-        SCOPED_TRACE(quantizer ? "Q16.16" : "F64");
-        dfg::Interpreter interp(tr, quantizer);
-        dfg::Tape tape(tr, quantizer);
-        EXPECT_FALSE(tape.hasGradientRegion());
-        dfg::TapeExecutor exec(tape);
-
-        std::vector<double> want, got(tr.gradientWords);
-        interp.run(std::span(records).first(1), model0, want);
-        exec.run(std::span(records).first(1), model0, got);
-        EXPECT_EQ(got, want);
-
-        std::vector<double> want_sum;
-        interp.accumulate(records, 4, model0, want_sum);
-        std::vector<double> got_sum(tr.gradientWords, 0.0);
-        exec.runBatch(records, 4, model0, got_sum);
-        EXPECT_EQ(got_sum, want_sum);
-
-        std::vector<double> want_model(model0), grad;
-        for (int64_t r = 0; r < 4; ++r) {
-            interp.run(std::span(records).subspan(r, 1), want_model,
-                       grad);
-            for (int64_t i = 0; i < tr.gradientWords; ++i)
-                want_model[i] -= mu * grad[i];
-        }
-        std::vector<double> got_model(model0);
-        exec.sgdSweep(records, 4, got_model, mu);
-        EXPECT_EQ(got_model, want_model);
-    }
+    EXPECT_FALSE(dfg::Tape(tr).hasGradientRegion());
+    expectTapeMatchesInterpreter(tr, records, model0);
 }
 
 /**
  * Segment compression guard over the whole suite: no program may take
- * more segments than node-order lowering gives it (the table), and
- * the SVMs' alternating mul/select chains must be transposed into a
- * handful of segments.
+ * more segments than node-order lowering without dot trees gives it
+ * (the table), the SVMs' alternating mul/select chains must be
+ * transposed into a handful of segments, and mnist's dot trees must
+ * fold its layers into dot segments.
  */
 TEST(Tape, SegmentsCompressTheSuitePrograms)
 {
@@ -287,7 +321,8 @@ TEST(Tape, SegmentsCompressTheSuitePrograms)
     struct Row
     {
         const char *name;
-        /** Node-order segment count at each of scales[]. */
+        /** Node-order segment count without dot trees at each of
+         *  scales[]. */
         int64_t nodeOrder[4];
     };
     const Row rows[] = {
@@ -316,6 +351,8 @@ TEST(Tape, SegmentsCompressTheSuitePrograms)
     auto cancer2 =
         translateWorkload(ml::Workload::byName("cancer2"), 8.0);
     EXPECT_LE(dfg::Tape(cancer2).segmentCount(), 48);
+    auto mnist = translateWorkload(ml::Workload::byName("mnist"), 8.0);
+    EXPECT_LE(dfg::Tape(mnist).segmentCount(), 224);
 }
 
 /**
@@ -361,32 +398,261 @@ TEST(Tape, InterleavedChainsTransposeOnlyWhenLegal)
             v = rng.uniform(-1.0, 1.0);
         for (double &v : model0)
             v = rng.uniform(-1.0, 1.0);
-        for (double (*quantizer)(double) :
-             {static_cast<double (*)(double)>(nullptr),
-              &accel::quantizeToFixed}) {
-            SCOPED_TRACE(quantizer ? "Q16.16" : "F64");
-            dfg::Interpreter interp(tr, quantizer);
-            dfg::Tape tape(tr, quantizer);
-            if (serial)
-                EXPECT_EQ(tape.segmentCount(), 2 * kReps);
-            else
-                EXPECT_LE(tape.segmentCount(), 4);
-            dfg::TapeExecutor exec(tape);
+        if (serial)
+            EXPECT_EQ(dfg::Tape(tr).segmentCount(), 2 * kReps);
+        else
+            EXPECT_LE(dfg::Tape(tr).segmentCount(), 4);
+        expectTapeMatchesInterpreter(tr, records, model0);
+    }
+}
 
-            std::vector<double> want_model(model0), want, got(kReps);
-            for (int r = 0; r < 3; ++r) {
-                const auto record =
-                    std::span(records).subspan(r * kReps, kReps);
-                interp.run(record, want_model, want);
-                exec.run(record, want_model, got);
-                EXPECT_EQ(got, want) << "record " << r;
-                for (int i = 0; i < kReps; ++i)
-                    want_model[i] -= 0.1 * want[i];
-            }
-            std::vector<double> got_model(model0);
-            exec.sgdSweep(records, 3, got_model, 0.1);
-            EXPECT_EQ(got_model, want_model);
+/** How a tree's model leaves advance from one tree to the next (the
+ *  data leaves take another of the three). */
+enum class TreeStride
+{
+    Unit,
+    Broadcast,
+    Gathered,
+};
+
+/** Something that must keep dot tree 0 unfused. */
+enum class Spoiler
+{
+    None,
+    /** Product 1 gets a second reader. */
+    SecondReader,
+    /** The first partial sum is a gradient. */
+    GradientPartialSum,
+    /** Leaf 2's model operand is off the affine run. */
+    NonAffineLeaf,
+};
+
+/** The Translator's balanced pairwise sum (Translator::buildTree). */
+dfg::NodeId
+pairwiseSum(dfg::Dfg &g, std::vector<dfg::NodeId> values)
+{
+    while (values.size() > 1) {
+        std::vector<dfg::NodeId> next;
+        for (size_t i = 0; i + 1 < values.size(); i += 2)
+            next.push_back(g.addOp(dfg::OpKind::Add, values[i],
+                                   values[i + 1]));
+        if (values.size() % 2 == 1)
+            next.push_back(values.back());
+        values.swap(next);
+    }
+    return values[0];
+}
+
+/**
+ * @p trees dot trees of @p leaves products each, each followed by a
+ * sigmoid: y_t = sigmoid(sum_l w[.] * x[.]), gradient t. The model and
+ * the records hold leaves * trees words; gradients t >= trees are
+ * w[t] - 0.5, so there is one per parameter. A lone Neg closes the
+ * program. @p spoiler, if any, applies to tree 0.
+ */
+dfg::Translation
+dotTrees(int64_t leaves, int64_t trees, TreeStride stride,
+         Spoiler spoiler = Spoiler::None)
+{
+    const int64_t words = leaves * trees;
+    dfg::Translation tr;
+    dfg::Dfg &g = tr.dfg;
+    std::vector<dfg::NodeId> x, w;
+    for (int64_t i = 0; i < words; ++i) {
+        x.push_back(g.addDataInput(i, {}));
+        w.push_back(g.addModelInput(i, {}));
+    }
+    const auto model_leaf = [&](int64_t t, int64_t l) {
+        switch (stride) {
+          case TreeStride::Unit: return l * trees + t;
+          case TreeStride::Broadcast: return l;
+          case TreeStride::Gathered: return t * leaves + l;
         }
+        return int64_t{0};
+    };
+    const auto data_leaf = [&](int64_t t, int64_t l) {
+        switch (stride) {
+          case TreeStride::Unit: return l;
+          case TreeStride::Broadcast: return t * leaves + l;
+          case TreeStride::Gathered: return l * trees + t;
+        }
+        return int64_t{0};
+    };
+    dfg::NodeId shared = x[0];
+    dfg::NodeId partial = dfg::kInvalidNode;
+    for (int64_t t = 0; t < trees; ++t) {
+        std::vector<dfg::NodeId> products;
+        for (int64_t l = 0; l < leaves; ++l) {
+            int64_t m = model_leaf(t, l);
+            if (t == 0 && l == 2 && spoiler == Spoiler::NonAffineLeaf)
+                m = (m + 1) % words;
+            products.push_back(
+                g.addOp(dfg::OpKind::Mul, w[m], x[data_leaf(t, l)]));
+        }
+        if (t == 0 && spoiler == Spoiler::SecondReader)
+            shared = products[1];
+        const dfg::NodeId root = pairwiseSum(g, products);
+        if (t == 0 && leaves > 2)
+            partial = g.node(root).a;
+        g.markGradient(g.addOp(dfg::OpKind::Sigmoid, root), t, {});
+    }
+    const dfg::NodeId half = g.addConst(0.5);
+    for (int64_t i = trees; i < words; ++i)
+        g.markGradient(i + 1 == words &&
+                               spoiler == Spoiler::GradientPartialSum
+                           ? partial
+                           : g.addOp(dfg::OpKind::Sub, w[i], half),
+                       i, {});
+    g.addOp(dfg::OpKind::Neg, shared);
+    tr.recordWords = words;
+    tr.modelWords = words;
+    tr.gradientWords = words;
+    tr.minibatch = 1;
+    return tr;
+}
+
+/** @p count records and a model for @p tr, uniform in [-1, 1], with
+ *  each value a hazard (signed zeros, +-1e9, the Q16.16 ceiling) at
+ *  probability @p hazards. */
+std::pair<std::vector<double>, std::vector<double>>
+dotInputs(const dfg::Translation &tr, int64_t count, Rng &rng,
+          double hazards = 0.0)
+{
+    constexpr double kHazards[] = {0.0, -0.0, 1e9, -1e9, 32767.9,
+                                   -32767.9};
+    const auto value = [&] {
+        return rng.coin(hazards) ? kHazards[rng.integer(0, 5)]
+                                 : rng.uniform(-1.0, 1.0);
+    };
+    std::vector<double> records(count * tr.recordWords), model(tr.modelWords);
+    for (double &v : records)
+        v = value();
+    for (double &v : model)
+        v = value();
+    return {records, model};
+}
+
+/**
+ * Dot trees of 2-70 leaves (odd elements carried at several levels),
+ * 1/7/8/9/17 of them (a lone tree, remainders only, one full lane
+ * group, a group and a remainder, two and one), with unit, broadcast
+ * and gathered tree strides: each run of trees is one dot segment and
+ * its sigmoids one more, bit-exact against the Interpreter.
+ */
+TEST(Tape, DotSegmentsMatchInterpreter)
+{
+    Rng rng(71);
+    for (TreeStride stride :
+         {TreeStride::Unit, TreeStride::Broadcast, TreeStride::Gathered})
+        for (int64_t trees : {1, 7, 8, 9, 17})
+            for (int64_t leaves = 2; leaves <= 70; ++leaves) {
+                SCOPED_TRACE(std::to_string(trees) + " trees of " +
+                             std::to_string(leaves) + " leaves, stride " +
+                             std::to_string(static_cast<int>(stride)));
+                const auto tr = dotTrees(leaves, trees, stride);
+                // Dots, sigmoids, the w - 0.5 gradients and the Neg.
+                EXPECT_EQ(dfg::Tape(tr).segmentCount(), 4);
+                const auto [records, model] = dotInputs(tr, 3, rng);
+                expectTapeMatchesInterpreter(tr, records, model);
+                if (::testing::Test::HasFatalFailure())
+                    return;
+            }
+}
+
+/**
+ * A tree whose product has a second reader, whose partial sum is a
+ * gradient, or whose leaves are not affine is not a dot item: its
+ * products and partial sums stay operations (so the program takes
+ * more segments), and the result stays bit-exact.
+ */
+TEST(Tape, DotTreesFuseOnlyWhenPrivateAndAffine)
+{
+    Rng rng(73);
+    const int64_t fused =
+        dfg::Tape(dotTrees(5, 9, TreeStride::Unit)).segmentCount();
+    EXPECT_EQ(fused, 4);
+    for (Spoiler spoiler : {Spoiler::SecondReader,
+                            Spoiler::GradientPartialSum,
+                            Spoiler::NonAffineLeaf}) {
+        SCOPED_TRACE("spoiler " +
+                     std::to_string(static_cast<int>(spoiler)));
+        const auto tr = dotTrees(5, 9, TreeStride::Unit, spoiler);
+        // Tree 0's products and two add levels, its own sigmoid, and
+        // a second dot segment at least.
+        EXPECT_GE(dfg::Tape(tr).segmentCount(), fused + 4);
+        const auto [records, model] = dotInputs(tr, 11, rng);
+        expectTapeMatchesInterpreter(tr, records, model);
+    }
+}
+
+/**
+ * A leaf inside a dot tree's leaf range (not its first) written by an
+ * earlier item: tree r sums x[k r] * w[2r] + y[r-1] * w[2r+1].
+ *
+ * With y[r] = sigmoid(tree r), the sigmoids are a later chain writing
+ * a leaf at an earlier repetition. The leaf range spans from the data
+ * region to y[r-1], so no chain-major order is topological and the
+ * stretch must keep node order: the prologue sigmoid, one segment per
+ * tree and per sigmoid, and the gradients.
+ *
+ * With y[r] = tree r itself, the trees form one dot segment whose
+ * trees read its earlier roots, so they must run one by one, in order:
+ * the prologue, the dot segment and the gradients.
+ */
+TEST(Tape, DotLeafRangeHazardsKeepOrder)
+{
+    constexpr int64_t kReps = 12;
+    for (bool sigmoid : {true, false}) {
+        SCOPED_TRACE(sigmoid ? "sigmoid chain" : "chained trees");
+        dfg::Translation tr;
+        dfg::Dfg &g = tr.dfg;
+        std::vector<dfg::NodeId> x, w;
+        for (int64_t i = 0; i < 4 * kReps; ++i)
+            x.push_back(g.addDataInput(i, {}));
+        for (int64_t i = 0; i < 2 * kReps; ++i)
+            w.push_back(g.addModelInput(i, {}));
+        // x advances with the operation slots of one repetition.
+        const int64_t step = sigmoid ? 4 : 3;
+        dfg::NodeId y = g.addOp(dfg::OpKind::Sigmoid, x[1]);
+        for (int64_t r = 0; r < kReps; ++r) {
+            const auto p0 =
+                g.addOp(dfg::OpKind::Mul, x[step * r], w[2 * r]);
+            const auto p1 = g.addOp(dfg::OpKind::Mul, y, w[2 * r + 1]);
+            y = g.addOp(dfg::OpKind::Add, p0, p1);
+            if (sigmoid)
+                y = g.addOp(dfg::OpKind::Sigmoid, y);
+        }
+        for (int64_t i = 0; i < 2 * kReps; ++i)
+            g.markGradient(g.addOp(dfg::OpKind::Sub, w[i], y), i, {});
+        tr.recordWords = 4 * kReps;
+        tr.modelWords = 2 * kReps;
+        tr.gradientWords = 2 * kReps;
+        tr.minibatch = 1;
+
+        EXPECT_EQ(dfg::Tape(tr).segmentCount(),
+                  sigmoid ? 2 * kReps + 2 : 3);
+        Rng rng(79);
+        const auto [records, model] = dotInputs(tr, 11, rng);
+        expectTapeMatchesInterpreter(tr, records, model);
+    }
+}
+
+/** Seeded sweep: random leaf and tree counts and tree strides, inputs
+ *  laced with signed zeros, +-1e9 and the Q16.16 ceiling. */
+TEST(Tape, DotSegmentsRandomSweep)
+{
+    for (uint64_t seed = 1; seed <= 100; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        const int64_t leaves = rng.integer(2, 40);
+        const int64_t trees = rng.integer(1, 20);
+        const auto stride = static_cast<TreeStride>(rng.integer(0, 2));
+        const auto tr = dotTrees(leaves, trees, stride);
+        const auto [records, model] =
+            dotInputs(tr, rng.integer(1, 11), rng, 0.25);
+        expectTapeMatchesInterpreter(tr, records, model);
+        if (::testing::Test::HasFatalFailure())
+            return;
     }
 }
 
