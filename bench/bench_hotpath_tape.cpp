@@ -1,33 +1,28 @@
 /**
  * @file
- * Training hot-path throughput: interpreter vs compiled tape executor
- * vs JIT-compiled native kernel.
+ * Training hot-path throughput: interpreter vs compiled tape executor.
  *
  * Measures single-thread records/sec of the per-record gradient kernel
  * for all 10 Table-1 workloads — the node-order Interpreter against the
- * Tape's segment stream (runBatch), the plain-SGD sweep that default
- * training runs, and the native kernel's runBatch — and times one
- * functional-runtime iteration to show the persistent-worker system
- * layer end to end, with one and with eight SGD shards per node.
+ * Tape's segment stream (runBatch) and the plain-SGD sweep that
+ * default training runs — and times one functional-runtime iteration
+ * to show the persistent-worker system layer end to end, with one and
+ * with eight SGD shards per node.
  *
  * Each body runs in 9 rounds of alternating 50 ms windows in this one
  * process; rates are the medians of its windows, and speedups the
  * median of the per-round ratios, which cancels most of a shared
  * host's run-to-run drift.
  *
- * The last two lines of output are machine-readable JSON summaries so
- * the perf trajectory can be tracked:
+ * The last line of output is a machine-readable JSON summary so the
+ * perf trajectory can be tracked:
  *   {"bench":"hotpath_tape","scale":...,"results":[{"workload":...,
  *    "interp_rps":...,"tape_rps":...,"sgd_rps":...,"speedup":...},...],
  *    "iteration":{...},"iteration_shards":{...}}
- *   {"bench":"jit","scale":...,"results":[{"workload":...,
- *    "tape_rps":...,"jit_rps":...,"jit_speedup":...},...],
- *    "toolchain":...,"stats":{...}}
  *
- * Targets: >= 3x tape-over-interpreter and >= 2x jit-over-tape
- * single-thread throughput on the linear- and logistic-regression
- * workloads (stock, texture, tumor, cancer1). The exit status is
- * non-zero when either is missed.
+ * Target: >= 3x tape-over-interpreter single-thread throughput on the
+ * linear- and logistic-regression workloads (stock, texture, tumor,
+ * cancer1). The exit status is non-zero when it is missed.
  */
 #include <algorithm>
 #include <chrono>
@@ -42,7 +37,6 @@
 #include "compiler/pipeline.h"
 #include "dfg/interp.h"
 #include "dfg/tape.h"
-#include "jit/kernel_cache.h"
 #include "ml/dataset.h"
 #include "ml/workloads.h"
 #include "system/cluster_runtime.h"
@@ -147,27 +141,20 @@ main()
     const double scale = 8.0;
     const int64_t records = 256;
 
-    const bool have_toolchain = jit::KernelCache::toolchainAvailable();
     TablePrinter table("Training hot path: single-thread records/sec, "
-                       "interpreter vs tape vs jit (scale 1/" +
+                       "interpreter vs tape (scale 1/" +
                        std::to_string(static_cast<int>(scale)) +
                        "; medians of " + std::to_string(kRounds) +
                        " alternating windows)");
     table.setHeader({"Benchmark", "Algorithm", "DFG ops", "Interp rec/s",
-                     "Tape rec/s", "SGD rec/s", "JIT rec/s", "Tape x",
-                     "JIT x"});
+                     "Tape rec/s", "SGD rec/s", "Tape x"});
 
     std::ostringstream json;
     json << "{\"bench\":\"hotpath_tape\",\"scale\":" << scale
          << ",\"records\":" << records << ",\"rounds\":" << kRounds
          << ",\"results\":[";
-    std::ostringstream jit_json;
-    jit_json << "{\"bench\":\"jit\",\"scale\":" << scale
-             << ",\"records\":" << records << ",\"rounds\":" << kRounds
-             << ",\"results\":[";
 
     bool tape_ok = true;
-    bool jit_ok = true;
     bool first = true;
     int64_t frontend_passes = 0;
     int64_t dfg_passes = 0;
@@ -190,12 +177,6 @@ main()
         std::vector<double> grad;
         std::vector<double> grad_accum(tr.gradientWords, 0.0);
 
-        // Same batch through the native backend; oversized tapes and
-        // missing toolchains degrade to the interpreter path, so the
-        // column stays honest (speedup ~1x, fallback counted).
-        dfg::Tape jit_tape(tr, nullptr, dfg::TapeBackend::Jit);
-        dfg::TapeExecutor jit_exec(jit_tape);
-
         // The sweep default training runs; every call restarts from
         // the initial model so the weights never drift.
         const bool sgd = tr.gradientWords == tr.modelWords;
@@ -206,9 +187,6 @@ main()
                     interp.run(ds.record(r), model, grad);
             },
             [&] { exec.runBatch(ds.data, records, model, grad_accum); },
-            [&] {
-                jit_exec.runBatch(ds.data, records, model, grad_accum);
-            },
         };
         if (sgd)
             bodies.push_back([&] {
@@ -219,20 +197,14 @@ main()
         const auto rps = alternateRps(records, bodies);
         const double interp_rps = median(rps[0]);
         const double tape_rps = median(rps[1]);
-        const double jit_rps = median(rps[2]);
-        const double sgd_rps = sgd ? median(rps[3]) : 0.0;
-        const bool jit_native = jit_exec.nativeActive();
-
+        const double sgd_rps = sgd ? median(rps[2]) : 0.0;
         const double speedup = medianRatio(rps[1], rps[0]);
-        const double jit_speedup = medianRatio(rps[2], rps[1]);
 
         bool is_regression =
             w.algorithm == ml::Algorithm::LinearRegression ||
             w.algorithm == ml::Algorithm::LogisticRegression;
         if (is_regression && speedup < 3.0)
             tape_ok = false;
-        if (is_regression && have_toolchain && jit_speedup < 2.0)
-            jit_ok = false;
 
         table.addRow({w.name, ml::algorithmName(w.algorithm),
                       std::to_string(tr.dfg.operationCount()),
@@ -240,33 +212,19 @@ main()
                       TablePrinter::num(tape_rps, 0),
                       sgd_rps > 0.0 ? TablePrinter::num(sgd_rps, 0)
                                     : "-",
-                      jit_native ? TablePrinter::num(jit_rps, 0)
-                                 : "(interp)",
-                      TablePrinter::num(speedup, 2),
-                      TablePrinter::num(jit_speedup, 2)});
+                      TablePrinter::num(speedup, 2)});
 
         json << (first ? "" : ",") << "{\"workload\":\"" << w.name
              << "\",\"interp_rps\":" << TablePrinter::num(interp_rps, 0)
              << ",\"tape_rps\":" << TablePrinter::num(tape_rps, 0)
              << ",\"sgd_rps\":" << TablePrinter::num(sgd_rps, 0)
              << ",\"speedup\":" << TablePrinter::num(speedup, 3) << "}";
-        jit_json << (first ? "" : ",") << "{\"workload\":\"" << w.name
-                 << "\",\"tape_rps\":" << TablePrinter::num(tape_rps, 0)
-                 << ",\"jit_rps\":" << TablePrinter::num(jit_rps, 0)
-                 << ",\"native\":" << (jit_native ? "true" : "false")
-                 << ",\"jit_speedup\":"
-                 << TablePrinter::num(jit_speedup, 3) << "}";
         first = false;
     }
     table.print(std::cout);
     std::cout << "\nTargets on the linear/logistic-regression "
               << "workloads: tape >= 3x interpreter — "
-              << (tape_ok ? "MET" : "NOT MET")
-              << "; jit >= 2x tape — "
-              << (!have_toolchain ? "SKIPPED (no toolchain)"
-                  : jit_ok        ? "MET"
-                                  : "NOT MET")
-              << "\n";
+              << (tape_ok ? "MET" : "NOT MET") << "\n";
 
     // One functional-runtime iteration: the persistent-worker system
     // layer (tape executors fed through the nodes' thread pools),
@@ -310,14 +268,5 @@ main()
          << ",\"records_per_sec\":" << TablePrinter::num(shards.rps, 0)
          << ",\"aggregation_wait_sec\":" << shards.aggSec << "}}";
     std::cout << json.str() << "\n";
-
-    const jit::JitStats js = jit::KernelCache::instance().stats();
-    jit_json << "],\"toolchain\":" << (have_toolchain ? "true" : "false")
-             << ",\"stats\":{\"hits\":" << js.hits
-             << ",\"disk_hits\":" << js.diskHits
-             << ",\"misses\":" << js.misses
-             << ",\"compile_ms\":" << TablePrinter::num(js.compileMs, 1)
-             << ",\"fallbacks\":" << js.fallbacks << "}}";
-    std::cout << jit_json.str() << "\n";
-    return tape_ok && jit_ok ? 0 : 1;
+    return tape_ok ? 0 : 1;
 }

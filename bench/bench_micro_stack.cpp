@@ -16,7 +16,6 @@
 #include "dfg/interp.h"
 #include "dfg/rewrite.h"
 #include "dfg/tape.h"
-#include "jit/kernel_cache.h"
 #include "ml/dataset.h"
 #include "ml/workloads.h"
 #include "planner/planner.h"
@@ -214,28 +213,6 @@ BM_RewriteFixpoint(benchmark::State &state)
 }
 BENCHMARK(BM_RewriteFixpoint)->Arg(1)->Arg(8);
 
-void
-BM_JitAcquireWarm(benchmark::State &state)
-{
-    // Warm-path cost of the native-kernel cache: re-emit the C source,
-    // hash it, and hit the in-memory kernel map. The first call pays
-    // the one-off cold compile (or a disk dlopen if a previous run left
-    // the .so behind); every timed iteration after that is a lookup.
-    if (!jit::KernelCache::toolchainAvailable()) {
-        state.SkipWithError("no jit toolchain");
-        return;
-    }
-    auto tr = compile::translateSource(faceWorkload().dslSource(8));
-    dfg::Tape tape(tr);
-    jit::KernelCache::instance().acquire(tape);
-    for (auto _ : state) {
-        auto kernel = jit::KernelCache::instance().acquire(tape);
-        benchmark::DoNotOptimize(kernel.get());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_JitAcquireWarm);
-
 /**
  * One JSON line per Table 1 workload: frontend compile time, the
  * tape-length delta the patterns buy, and the per-pattern hit
@@ -261,9 +238,8 @@ reportRewriteStage()
             return std::chrono::duration<double, std::milli>(b - a)
                 .count();
         };
-        dfg::Tape raw_tape(raw, nullptr, dfg::TapeBackend::Interp);
-        dfg::Tape opt_tape(optimized, nullptr,
-                           dfg::TapeBackend::Interp);
+        dfg::Tape raw_tape(raw);
+        dfg::Tape opt_tape(optimized);
 
         std::string hits;
         for (const auto &p : report.patternHits) {
@@ -297,18 +273,12 @@ main(int argc, char **argv)
 
     reportRewriteStage();
 
-    // One consolidated line per cache so CI logs show how much of the
-    // run above was served from the build stack's caches.
+    // One consolidated line so CI logs show how much of the run above
+    // was served from the build cache.
     const auto stats = compile::BuildCache::instance().stats();
     std::printf("build-cache: hits=%lld misses=%lld entries=%lld\n",
                 static_cast<long long>(stats.hits),
                 static_cast<long long>(stats.misses),
                 static_cast<long long>(stats.entries));
-    std::printf("jit-cache: hits=%lld disk_hits=%lld misses=%lld "
-                "compile_ms=%.1f fallbacks=%lld\n",
-                static_cast<long long>(stats.jitHits),
-                static_cast<long long>(stats.jitDiskHits),
-                static_cast<long long>(stats.jitMisses), stats.jitCompileMs,
-                static_cast<long long>(stats.jitFallbacks));
     return 0;
 }

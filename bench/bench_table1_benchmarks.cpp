@@ -20,9 +20,13 @@ namespace {
 std::string
 thousands(int64_t v)
 {
-    std::string s = std::to_string(v);
-    for (int pos = static_cast<int>(s.size()) - 3; pos > 0; pos -= 3)
-        s.insert(pos, ",");
+    const std::string digits = std::to_string(v);
+    std::string s;
+    for (size_t i = 0; i < digits.size(); ++i) {
+        if (i > 0 && (digits.size() - i) % 3 == 0)
+            s += ',';
+        s += digits[i];
+    }
     return s;
 }
 

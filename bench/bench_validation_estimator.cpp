@@ -58,10 +58,12 @@ main()
             static_cast<double>(kernel.computeCyclesPerRecord);
         double delta =
             100.0 * (estimated - sim.cycles) / estimated;
+        std::string point = "T";
+        point += std::to_string(result.plan.threads);
+        point += "xR";
+        point += std::to_string(result.plan.rowsPerThread);
         table.addRow(
-            {w.name,
-             "T" + std::to_string(result.plan.threads) + "xR" +
-                 std::to_string(result.plan.rowsPerThread),
+            {w.name, point,
              std::to_string(kernel.computeCyclesPerRecord),
              std::to_string(sim.cycles), TablePrinter::num(delta, 1),
              match ? "exact" : "MISMATCH",

@@ -34,7 +34,6 @@
 #include "common/error.h"
 #include "compiler/pipeline.h"
 #include "dfg/dot.h"
-#include "dfg/tape.h"
 #include "ml/workloads.h"
 
 using namespace cosmic;
@@ -260,13 +259,9 @@ main(int argc, char **argv)
 
         if (dump_passes) {
             // Run the remaining stages so the report covers the whole
-            // pipeline, then print the per-pass table. Warming a
-            // TapeExecutor resolves the native kernel too, so the
-            // cache lines below reflect the JIT outcome (native or
-            // counted interpreter fallback) and not just the frontend.
+            // pipeline, then print the per-pass table.
             pipeline.mapped();
-            dfg::TapeExecutor exec(pipeline.tape());
-            const bool native = exec.prepareNative();
+            pipeline.tape();
             std::cout << "\n" << pipeline.report().table();
             const auto cache = compile::BuildCache::instance().stats();
             std::printf("\nbuild-cache    hits=%lld misses=%lld "
@@ -274,14 +269,6 @@ main(int argc, char **argv)
                         static_cast<long long>(cache.hits),
                         static_cast<long long>(cache.misses),
                         static_cast<long long>(cache.entries));
-            std::printf("jit            %s; hits=%lld disk_hits=%lld "
-                        "misses=%lld compile_ms=%.1f fallbacks=%lld\n",
-                        native ? "native kernel" : "interpreter tape",
-                        static_cast<long long>(cache.jitHits),
-                        static_cast<long long>(cache.jitDiskHits),
-                        static_cast<long long>(cache.jitMisses),
-                        cache.jitCompileMs,
-                        static_cast<long long>(cache.jitFallbacks));
         }
 
         if (!dump_ir.empty()) {

@@ -420,7 +420,6 @@ runNode(const Options &opt, int self,
     node_config.acceleratorThreads = cfg.acceleratorThreadsPerNode;
     node_config.sgdShards = cfg.sgdShardsPerNode;
     node_config.learningRate = cfg.learningRate;
-    node_config.tapeBackend = cfg.compile.tapeBackend;
     sys::TrainingNode node(
         translation,
         teacher.records(self * cfg.recordsPerNode, cfg.recordsPerNode),

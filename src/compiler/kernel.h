@@ -64,14 +64,8 @@ struct CompileOptions
     int forceThreads = 0;
     int forceRowsPerThread = 0;
 
-    /**
-     * Compute kernel the training hot path runs (dfg/tape.h): the
-     * interpreter tape, or native code JIT-compiled per (DFG,
-     * quantizer) with graceful fallback to the interpreter.
-     * Auto follows COSMIC_TAPE_JIT (a *set* variable overrides even an
-     * explicit choice here); results are bit-exact either way.
-     */
-    dfg::TapeBackend tapeBackend = dfg::TapeBackend::Auto;
+    /** Read by nothing; see dfg::TapeBackend. */
+    dfg::TapeBackend tapeBackend = dfg::TapeBackend::Interp;
 
     /**
      * Explore elastic (dataflow-fired) execution in the planner's

@@ -9,7 +9,6 @@
 #include "accel/fixed_point.h"
 #include "common/error.h"
 #include "dsl/parser.h"
-#include "jit/kernel_cache.h"
 
 namespace cosmic::compile {
 
@@ -91,7 +90,6 @@ fullOptionsKey(const compiler::CompileOptions &o)
     appendInt(key, o.pruneSmallRows);
     appendInt(key, o.forceThreads);
     appendInt(key, o.forceRowsPerThread);
-    appendInt(key, static_cast<int64_t>(o.tapeBackend));
     // The *effective* elastic mode (after the COSMIC_ELASTIC override)
     // enters the key: elastic exploration changes the chosen design
     // point, so flipping the env var must be an honest cache miss.
@@ -369,7 +367,7 @@ Pipeline::tape()
     if (!tape_) {
         const auto &tr = optimized();
         auto start = std::chrono::steady_clock::now();
-        tape_.emplace(tr, accel::quantizeToFixed, options_.tapeBackend);
+        tape_.emplace(tr, accel::quantizeToFixed);
         PassStats s{"tape", secondsSince(start), 0, 0, 0, 0};
         s.nodesBefore = tr.dfg.size();
         s.nodesAfter = tape_->instructionCount();
@@ -481,20 +479,11 @@ BuildCache::putBuild(const std::string &key,
 BuildCacheStats
 BuildCache::stats() const
 {
+    std::lock_guard<std::mutex> lock(mu_);
     BuildCacheStats s;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        s.hits = hits_;
-        s.misses = misses_;
-        s.entries =
-            static_cast<int64_t>(frontend_.size() + builds_.size());
-    }
-    const jit::JitStats js = jit::KernelCache::instance().stats();
-    s.jitHits = js.hits;
-    s.jitDiskHits = js.diskHits;
-    s.jitMisses = js.misses;
-    s.jitCompileMs = js.compileMs;
-    s.jitFallbacks = js.fallbacks;
+    s.hits = hits_;
+    s.misses = misses_;
+    s.entries = static_cast<int64_t>(frontend_.size() + builds_.size());
     return s;
 }
 

@@ -197,20 +197,6 @@ struct BuildCacheStats
     int64_t hits = 0;
     int64_t misses = 0;
     int64_t entries = 0;
-
-    /**
-     * JIT kernel-cache counters (src/jit/kernel_cache.h), merged in by
-     * BuildCache::stats() so one call observes the whole build stack:
-     * hits = acquires served without the toolchain (jitDiskHits of
-     * them by dlopen'ing a cached .so), misses = cold compiles taking
-     * jitCompileMs total, fallbacks = interpreter-tape degradations
-     * (JIT requested but toolchain missing / compile failed).
-     */
-    int64_t jitHits = 0;
-    int64_t jitDiskHits = 0;
-    int64_t jitMisses = 0;
-    double jitCompileMs = 0.0;
-    int64_t jitFallbacks = 0;
 };
 
 /**

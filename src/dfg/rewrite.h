@@ -13,8 +13,7 @@
  * The contract is bit-exactness: a rewrite is only legal if no
  * trained trajectory can observe it — in plain double arithmetic *and*
  * under the Q16.16 quantizer (accel::quantizeToFixed), on the
- * interpreter, the tapes, and the JIT. Two shared ingredients enforce
- * that:
+ * interpreter and the tape. Two shared ingredients enforce that:
  *
  *  - `quantizerSafeFold` / `quantizerSafeConstant`: the constant-fold
  *    guard. A folded value is rejected if it is NaN or -0.0 (both

@@ -5,7 +5,6 @@
 
 #include "common/error.h"
 #include "dfg/interp.h"
-#include "jit/kernel_cache.h"
 
 namespace cosmic::dfg {
 
@@ -728,25 +727,8 @@ findStretches(Items x,
 
 } // namespace
 
-bool
-parseTapeJitEnv(const char *env)
-{
-    if (env == nullptr || *env == '\0')
-        COSMIC_FATAL("COSMIC_TAPE_JIT is set but empty: expected 0 "
-                     "(interpreter tape) or 1 (jit)");
-    if (env[0] == '0' && env[1] == '\0')
-        return false;
-    if (env[0] == '1' && env[1] == '\0')
-        return true;
-    COSMIC_FATAL("COSMIC_TAPE_JIT='"
-                 << env
-                 << "' is not a recognized value: expected 0 "
-                    "(interpreter tape) or 1 (jit)");
-}
-
-Tape::Tape(const Translation &translation, double (*quantizer)(double),
-           TapeBackend backend)
-    : tr_(&translation), quantizer_(quantizer), backend_(backend)
+Tape::Tape(const Translation &translation, double (*quantizer)(double))
+    : tr_(&translation), quantizer_(quantizer)
 {
     const Dfg &dfg = tr_->dfg;
     const int64_t n = dfg.size();
@@ -786,9 +768,8 @@ Tape::Tape(const Translation &translation, double (*quantizer)(double),
                 slot[g] = -1;
         next = static_cast<int32_t>(dataBase_ + tr_->recordWords);
     }
-    constBase_ = next;
     opBase_ = static_cast<int32_t>(next + consts);
-    int32_t next_const = constBase_;
+    int32_t next_const = next;
     int32_t next_op = opBase_;
     image_.assign(opBase_ + ops - (distinct ? grads.size() : 0), 0.0);
 
@@ -874,20 +855,6 @@ TapeExecutor::TapeExecutor(const Tape &tape)
     if (!tape.hasGradientRegion())
         gradBuf_.resize(tape.regionGradSlots_.size());
     dotBuf_.resize(tape.dotWords_);
-}
-
-bool
-TapeExecutor::prepareNative()
-{
-    // Memoized — including failed resolutions, so the interpreter
-    // fallback costs one flag test per batch, not a kernel cache round
-    // trip (let alone a toolchain probe).
-    if (!nativeResolved_) {
-        nativeResolved_ = true;
-        if (jit::jitRequested(tape_.backend_))
-            native_ = jit::KernelCache::instance().acquire(tape_);
-    }
-    return native_ != nullptr;
 }
 
 template <bool Quantized>
@@ -994,12 +961,6 @@ TapeExecutor::runBatch(std::span<const double> records,
                       tr.gradientWords,
                   "gradient accumulator shorter than gradientWords");
 
-    prepareNative();
-    if (native_) {
-        native_->runBatch(records.data(), record_count, model.data(),
-                          grad_accum.data());
-        return;
-    }
     if (tape_.quantizer_)
         accumulate<true>(records.data(), record_count, model.data(),
                          grad_accum.data());
@@ -1040,13 +1001,6 @@ TapeExecutor::sgdSweep(std::span<const double> records,
                   "record span shorter than the sweep");
     COSMIC_ASSERT(static_cast<int64_t>(model.size()) >= tr.modelWords,
                   "model shorter than the translation's layout");
-
-    prepareNative();
-    if (native_ && native_->sgdSweep) {
-        native_->sgdSweep(records.data(), record_count, model.data(),
-                          learning_rate);
-        return;
-    }
 
     const double *rec = records.data();
     double *mod = model.data();

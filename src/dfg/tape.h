@@ -19,11 +19,9 @@
  * every gradient is a distinct operation node (true of every suite
  * program); otherwise gradients are read slot by slot.
  *
- * Both consumers read that one lowering. The node-order instruction
- * list (one TapeInstr per operation, in region slots) feeds the JIT
- * emitter (src/jit/), which tells an operand's kind from the region
- * its slot falls in and takes constants from the region image. The
- * executor runs segments: a segment is a run of same-opcode operations
+ * Lowering lists the operations in node order (one TapeInstr per
+ * operation, in region slots) and compresses that list into segments,
+ * which the executor runs: a segment is a run of same-opcode operations
  * whose dst/a/b/c slots each advance by a constant stride, run as one
  * strided loop with no per-operation instruction load, and a segment
  * with a unit dst stride and no dependency inside it as a
@@ -62,45 +60,23 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "dfg/translator.h"
 
-namespace cosmic::jit {
-struct NativeTapeKernel;
-}
-
 namespace cosmic::dfg {
 
 /**
- * Which compute kernel a TapeExecutor runs.
- *
- *  - Interp: the in-process segment loop (always available).
- *  - Jit: specialized C source emitted per (DFG, quantizer), compiled
- *    with the system toolchain and dlopen'ed (src/jit/). Falls
- *    back to Interp — with a counted, logged reason — when no compiler
- *    is available or compilation fails. Bit-exact against Interp.
- *  - Auto: follow the COSMIC_TAPE_JIT environment variable (1 = Jit,
- *    0 = Interp, unset = Interp).
- *
- * A set COSMIC_TAPE_JIT always wins, even over an explicit backend
- * choice, so a whole test/bench run can be forced through either
- * kernel without touching code.
+ * The tape has one engine. This enum and CompileOptions::tapeBackend
+ * exist only because the end-to-end benchmark (perfbench/src/train.cpp),
+ * which changes only together with the benchmark itself, assigns
+ * TapeBackend::Interp. Nothing reads either.
  */
 enum class TapeBackend : uint8_t
 {
-    Auto,
     Interp,
-    Jit,
 };
-
-/**
- * Strict parser behind the COSMIC_TAPE_JIT knob (exposed for tests):
- * @p env must be exactly "0" or "1". Throws CosmicError otherwise.
- */
-bool parseTapeJitEnv(const char *env);
 
 /** One tape instruction: scratch[dst] = op(scratch[a], [b], [c]). */
 struct TapeInstr
@@ -148,17 +124,6 @@ struct TapeSegment
     int32_t cStride = 0;
 };
 
-/** What a region-layout slot holds. The gradient region holds
- *  operation results, so its slots are Operation slots. */
-enum class TapeSlotKind : uint8_t
-{
-    Zero,
-    Model,
-    Data,
-    Constant,
-    Operation,
-};
-
 /** The compiled, immutable execution schedule for one Translation. */
 class Tape
 {
@@ -171,53 +136,14 @@ class Tape
      *        buffered value, exactly as in the Interpreter (constants
      *        are quantized once, here at lowering time). Null = exact
      *        doubles.
-     * @param backend Which compute kernel executors over this tape
-     *        should run (see TapeBackend; the COSMIC_TAPE_JIT
-     *        environment variable overrides).
      */
     explicit Tape(const Translation &translation,
-                  double (*quantizer)(double) = nullptr,
-                  TapeBackend backend = TapeBackend::Auto);
+                  double (*quantizer)(double) = nullptr);
 
     const Translation &translation() const { return *tr_; }
-    bool quantized() const { return quantizer_ != nullptr; }
-    double (*quantizer() const)(double) { return quantizer_; }
-    TapeBackend backend() const { return backend_; }
 
     /** The operations in node order, in region-layout slots. */
     std::span<const TapeInstr> instructions() const { return instrs_; }
-
-    /** Region-layout slot of each flattened-gradient element. */
-    std::span<const int32_t> gradientSlots() const
-    {
-        return regionGradSlots_;
-    }
-
-    /** The region image, one value per slot: constants preloaded (and
-     *  pre-quantized), every other slot zero. */
-    std::span<const double> image() const { return image_; }
-
-    /** First slot of the model region: model word p is at
-     *  modelBase() + p. */
-    int32_t modelBase() const { return modelBase_; }
-
-    /** First slot of the data region: record word p is at
-     *  dataBase() + p. */
-    int32_t dataBase() const { return dataBase_; }
-
-    /** Which region @p slot (< image().size()) falls in. */
-    TapeSlotKind slotKind(int32_t slot) const
-    {
-        if (slot == 0)
-            return TapeSlotKind::Zero;
-        if (slot < dataBase_)
-            return TapeSlotKind::Model;
-        if (slot < dataBase_ + tr_->recordWords)
-            return TapeSlotKind::Data;
-        if (slot >= constBase_ && slot < opBase_)
-            return TapeSlotKind::Constant;
-        return TapeSlotKind::Operation;
-    }
 
     /** Executable operations on the tape (== dfg.operationCount()). */
     int64_t instructionCount() const
@@ -241,7 +167,6 @@ class Tape
 
     const Translation *tr_;
     double (*quantizer_)(double) = nullptr;
-    TapeBackend backend_ = TapeBackend::Auto;
     std::vector<TapeInstr> instrs_;
 
     /** Execution order: node order with each dot tree one item and
@@ -251,12 +176,11 @@ class Tape
      *  lanes' rows per leaf, or two halves for lone trees. */
     int64_t dotWords_ = 0;
     /** First slot of the model region (modelWords slots), the data
-     *  region (recordWords slots), the gradient region (-1: none), the
-     *  constants and the remaining operations. */
+     *  region (recordWords slots), the gradient region (-1: none) and
+     *  the operations after the constants. */
     int32_t modelBase_ = 1;
     int32_t dataBase_ = 1;
     int32_t gradBase_ = -1;
-    int32_t constBase_ = 1;
     int32_t opBase_ = 1;
     /** Region-layout slot of each gradient element. */
     std::vector<int32_t> regionGradSlots_;
@@ -300,22 +224,6 @@ class TapeExecutor
     void sgdSweep(std::span<const double> records, int64_t record_count,
                   std::span<double> model, double learning_rate);
 
-    /**
-     * Resolves the native (JIT) kernel for the tape's backend choice,
-     * compiling it (or hitting the kernel cache) if needed. Called
-     * lazily by runBatch/sgdSweep; exposed so tools can warm the
-     * kernel and observe the outcome.
-     *
-     * @return Whether batch calls now run native code. False when the
-     *         backend resolves to the interpreter tape — including the
-     *         counted fallback when JIT was requested but the
-     *         toolchain is missing or compilation failed.
-     */
-    bool prepareNative();
-
-    /** True when runBatch delegates to a dlopen'ed native kernel. */
-    bool nativeActive() const { return native_ != nullptr; }
-
     const Tape &tape() const { return tape_; }
 
   private:
@@ -328,12 +236,12 @@ class TapeExecutor
     template <bool Quantized>
     void runRecord(const double *record);
 
-    /** runBatch on the interpreter tape. */
+    /** runBatch's loop. */
     template <bool Quantized>
     void accumulate(const double *records, int64_t record_count,
                     const double *model, double *grad_accum);
 
-    /** The last record's gradient, gradientSlots().size() words: the
+    /** The last record's gradient, one word per gradient element: the
      *  gradient region itself, or gradBuf_ gathered from the slots. */
     const double *gradients();
 
@@ -346,13 +254,6 @@ class TapeExecutor
     /** The dot trees' products and partial sums
      *  (Tape::dotWords_). */
     std::vector<double> dotBuf_;
-    /** Resolved native kernel (null = interpreter tape); shared with
-     *  the process-wide kernel cache, which owns the dlopen handle. */
-    std::shared_ptr<const jit::NativeTapeKernel> native_;
-    /** Whether native_ has been resolved. A failed resolution is
-     *  memoized too (native_ stays null), so the interpreter fallback
-     *  costs one flag test per call. */
-    bool nativeResolved_ = false;
 };
 
 } // namespace cosmic::dfg

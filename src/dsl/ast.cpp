@@ -75,8 +75,8 @@ indexToString(const IndexExpr &idx)
         return std::to_string(idx.literal);
     std::string s = idx.iterator;
     if (idx.offset > 0)
-        s += "+" + std::to_string(idx.offset);
-    else if (idx.offset < 0)
+        s += '+';
+    if (idx.offset != 0)
         s += std::to_string(idx.offset);
     return s;
 }

@@ -90,7 +90,6 @@ ClusterRuntime::ClusterRuntime(
     node_config.acceleratorThreads = config_.acceleratorThreadsPerNode;
     node_config.sgdShards = config_.sgdShardsPerNode;
     node_config.learningRate = config_.learningRate;
-    node_config.tapeBackend = config_.compile.tapeBackend;
 
     // One shared payload recycler: engines release consumed payloads
     // into it and runIteration acquires its message buffers from it.

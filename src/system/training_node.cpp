@@ -13,7 +13,7 @@ TrainingNode::TrainingNode(const dfg::Translation &translation,
                            ml::Dataset partition,
                            const NodeComputeConfig &config)
     : tr_(translation), partition_(std::move(partition)),
-      config_(config), tape_(tr_, nullptr, config.tapeBackend),
+      config_(config), tape_(tr_),
       pool_(config.acceleratorThreads)
 {
     COSMIC_ASSERT(config_.acceleratorThreads > 0,

@@ -53,12 +53,6 @@ struct NodeComputeConfig
     int sgdShards = 0;
     /** SGD learning rate. */
     double learningRate = 0.05;
-    /**
-     * Compute kernel the node's tape runs (interpreter or JIT native
-     * code; see dfg::TapeBackend). Cluster runtimes copy the compile
-     * option here so every node in a job picks the same backend.
-     */
-    dfg::TapeBackend tapeBackend = dfg::TapeBackend::Auto;
 };
 
 /** The compute side of one cluster node. */

@@ -208,8 +208,9 @@ TEST(FaultInjectionCluster, CrashedGroupSigmaPromotesDelta)
             EXPECT_EQ(n.role, NodeRole::GroupSigma);
             EXPECT_EQ(n.parent, 0);
         }
-        if (n.id == 6 || n.id == 7)
+        if (n.id == 6 || n.id == 7) {
             EXPECT_EQ(n.parent, 5);
+        }
     }
     EXPECT_TRUE(found);
     EXPECT_LT(report.epochLoss.back(), report.epochLoss.front());
@@ -549,8 +550,9 @@ TEST(FaultInjectionCluster, RandomizedChaosRunStaysSafe)
         << "seed " << seed;
     EXPECT_EQ(report.topology.masterId(), 0) << "seed " << seed;
     EXPECT_LE(r.sigmaPromotions, r.nodesEvicted) << "seed " << seed;
-    if (plan.crashes().empty() && r.messagesDropped == 0)
+    if (plan.crashes().empty() && r.messagesDropped == 0) {
         EXPECT_EQ(r.nodesEvicted, 0u) << "seed " << seed;
+    }
 }
 
 /**

@@ -6,8 +6,7 @@
  * The load-bearing guarantee: every pass leaves trained trajectories
  * bit-exact against the unoptimized graph — in the quantized (Q16.16)
  * datapath as well as plain doubles — for all Table 1 workloads, on
- * the interpreter, the tape's SGD sweep and batch call, and the
- * JIT-compiled native tape.
+ * the interpreter and the tape's SGD sweep and batch call.
  */
 #include <gtest/gtest.h>
 
@@ -21,7 +20,6 @@
 #include "dfg/interp.h"
 #include "dfg/rewrite.h"
 #include "dfg/tape.h"
-#include "jit/kernel_cache.h"
 #include "kernel_compare.h"
 #include "ml/dataset.h"
 #include "ml/workloads.h"
@@ -380,28 +378,6 @@ tapeBatchTrajectory(const dfg::Translation &tr, const ml::Workload &w,
     return model;
 }
 
-/** JIT minibatch-gradient trajectory (skips are handled by the
- *  caller). */
-std::vector<double>
-jitTrajectory(const dfg::Translation &tr, const ml::Workload &w,
-              double scale, double (*quantizer)(double))
-{
-    dfg::Tape tape(tr, quantizer, dfg::TapeBackend::Jit);
-    dfg::TapeExecutor exec(tape);
-    EXPECT_TRUE(exec.prepareNative()) << "JIT kernel must compile";
-    Rng rng(123);
-    auto ds = ml::DatasetGenerator::generate(w, scale, 24, rng);
-    auto model = ml::DatasetGenerator::initialModel(w, scale, rng);
-    std::vector<double> grad(tr.gradientWords, 0.0);
-    for (int step = 0; step < 2; ++step) {
-        std::fill(grad.begin(), grad.end(), 0.0);
-        exec.runBatch(ds.data, ds.count, model, grad);
-        for (size_t p = 0; p < model.size(); ++p)
-            model[p] -= 0.01 * grad[p];
-    }
-    return model;
-}
-
 using TrajectoryFn = std::vector<double> (*)(const dfg::Translation &,
                                              const ml::Workload &,
                                              double,
@@ -445,28 +421,6 @@ TEST_P(PassesAreBitExact, OnAllExecutionModes)
     expectRewriteBitExact(GetParam(), &interpTrajectory, "interp");
     expectRewriteBitExact(GetParam(), &tapeSweepTrajectory, "tape-sweep");
     expectRewriteBitExact(GetParam(), &tapeBatchTrajectory, "tape-batch");
-}
-
-TEST_P(PassesAreBitExact, OnTheJitKernel)
-{
-    if (!jit::KernelCache::toolchainAvailable())
-        GTEST_SKIP() << "no native toolchain in this environment";
-    // The collaborative-filtering graphs exceed the JIT's tape limit
-    // at this scale. The executor declines them by design: it runs the
-    // interpreter tape, and the kernel cache counts the fallback.
-    auto raw = translateSource(
-        ml::Workload::byName(GetParam()).dslSource(64.0), passesOff());
-    dfg::Tape tape(raw, nullptr, dfg::TapeBackend::Jit);
-    if (tape.instructionCount() > jit::KernelCache::maxTapeInstructions()) {
-        dfg::TapeExecutor exec(tape);
-        const int64_t before = jit::KernelCache::instance().stats().fallbacks;
-        EXPECT_FALSE(exec.prepareNative());
-        EXPECT_FALSE(exec.nativeActive());
-        EXPECT_EQ(jit::KernelCache::instance().stats().fallbacks,
-                  before + 1);
-        return;
-    }
-    expectRewriteBitExact(GetParam(), &jitTrajectory, "jit");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,7 +5,7 @@
  * held to digests recorded from the engine before its rewrite for
  * speed (open-addressed value numbering, liveness-first dead-node
  * elimination, quiet sweeps). A faster engine must hand the planner,
- * the tapes and the JIT exactly the graph the slower one did.
+ * the interpreter and the tape exactly the graph the slower one did.
  *
  * The digest covers the node array (op, category, operands), the
  * constant payloads (bit patterns), the input positions and the

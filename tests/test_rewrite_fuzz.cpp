@@ -13,12 +13,9 @@
  *
  * Engines covered: the interpreter, the tape's batch call (also
  * against the interpreter) and its SGD sweep (against the
- * interpreter's per-record steps) for every seed, and the
- * JIT-compiled native tape's batch call and sweep (against the
- * interpreted tape) for every 16th seed (native compiles are the
- * expensive leg). The seed range is COSMIC_REWRITE_FUZZ_SEEDS
- * ("lo-hi", default "1-200") so CI can shard it and a nightly sweep
- * can widen it.
+ * interpreter's per-record steps), for every seed. The seed range is
+ * COSMIC_REWRITE_FUZZ_SEEDS ("lo-hi", default "1-200") so CI can shard
+ * it and a nightly sweep can widen it.
  *
  * Hazards the fuzzer surfaced while the guards were developed are
  * frozen below as named regression tests (RewriteFuzzRegression.*).
@@ -40,7 +37,6 @@
 #include "dfg/interp.h"
 #include "dfg/rewrite.h"
 #include "dfg/tape.h"
-#include "jit/kernel_cache.h"
 #include "random_dfg.h"
 
 namespace cosmic {
@@ -50,7 +46,6 @@ enum class Engine
 {
     Interp,
     Tape,
-    Jit,
 };
 
 const char *
@@ -59,7 +54,6 @@ engineName(Engine e)
     switch (e) {
       case Engine::Interp: return "interp";
       case Engine::Tape: return "tape";
-      case Engine::Jit: return "jit";
     }
     return "?";
 }
@@ -72,8 +66,7 @@ constexpr double kRecordHazards[] = {
     0.0, -0.0, 1.0, -1.0, 0.5, -32768.0, 32767.9, 1e9, -1e9,
 };
 
-/** Training records per trajectory: more than the native kernel's
- *  8-record group, so its lane loop and its remainder both run. */
+/** Training records per trajectory. */
 constexpr int64_t kRecords = 11;
 
 /** A seed's training records (hazards mixed in) and initial model. */
@@ -124,13 +117,8 @@ trajectory(const dfg::Translation &tr, uint64_t seed,
         steps(
             [&] { interp.accumulate(records, kRecords, model, grad); });
     } else {
-        auto backend = engine == Engine::Jit ? dfg::TapeBackend::Jit
-                                             : dfg::TapeBackend::Interp;
-        dfg::Tape tape(tr, quantizer, backend);
+        dfg::Tape tape(tr, quantizer);
         dfg::TapeExecutor exec(tape);
-        if (engine == Engine::Jit)
-            EXPECT_TRUE(exec.prepareNative())
-                << "native kernel must compile for the JIT leg";
         steps([&] { exec.runBatch(records, kRecords, model, grad); });
     }
 
@@ -141,8 +129,8 @@ trajectory(const dfg::Translation &tr, uint64_t seed,
 
 /**
  * Two plain-SGD sweeps over the trajectory's records and returns the
- * final model: the tape's (or native kernel's) sgdSweep, or for the
- * interpreter its gradient with an explicit per-record step.
+ * final model: the tape's sgdSweep, or for the interpreter its
+ * gradient with an explicit per-record step.
  */
 std::vector<double>
 sweepTrajectory(const dfg::Translation &tr, uint64_t seed,
@@ -153,14 +141,9 @@ sweepTrajectory(const dfg::Translation &tr, uint64_t seed,
     std::vector<double> &model = data.model;
     constexpr double kRate = 0.03;
 
-    if (engine != Engine::Interp) {
-        dfg::Tape t(tr, quantizer,
-                    engine == Engine::Jit ? dfg::TapeBackend::Jit
-                                          : dfg::TapeBackend::Interp);
+    if (engine == Engine::Tape) {
+        dfg::Tape t(tr, quantizer);
         dfg::TapeExecutor exec(t);
-        if (engine == Engine::Jit)
-            EXPECT_TRUE(exec.prepareNative())
-                << "native kernel must compile for the JIT leg";
         for (int s = 0; s < 2; ++s)
             exec.sgdSweep(records, kRecords, model, kRate);
         return model;
@@ -297,44 +280,6 @@ TEST(RewriteFuzz, SgdSweepMatchesInterpreterSteps)
     }
 }
 
-/**
- * The native leg: the JIT's batch trajectory must be bit-identical on
- * the plain and the rewritten graph, and its batch trajectory and SGD
- * sweep must match the interpreted tape's.
- */
-TEST(RewriteFuzz, JitTrajectoriesBitIdentical)
-{
-    if (!jit::KernelCache::toolchainAvailable())
-        GTEST_SKIP() << "no native toolchain in this environment";
-    auto [lo, hi] = seedRange();
-    for (uint64_t seed = lo; seed <= hi; ++seed) {
-        if (seed % 16 != 1)
-            continue; // native compiles are the expensive leg
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        auto plain = randomTranslation(seed);
-        auto rewritten = plain;
-        dfg::rewriteFixpoint(rewritten);
-        for (auto quantizer :
-             {static_cast<double (*)(double)>(nullptr),
-              &accel::quantizeToFixed}) {
-            SCOPED_TRACE(quantizer ? "Q16.16" : "F64");
-            auto a = trajectory(plain, seed, quantizer, Engine::Jit);
-            auto b =
-                trajectory(rewritten, seed, quantizer, Engine::Jit);
-            expectBitIdentical(a, b, engineName(Engine::Jit));
-            expectSameValues(
-                trajectory(plain, seed, quantizer, Engine::Tape), a,
-                engineName(Engine::Jit));
-            expectSameValues(
-                sweepTrajectory(plain, seed, quantizer, Engine::Tape),
-                sweepTrajectory(plain, seed, quantizer, Engine::Jit),
-                "jit-sweep");
-        }
-        if (::testing::Test::HasFailure())
-            FAIL() << "stopping at first diverging seed " << seed;
-    }
-}
-
 // ------------------------------------------- frozen fuzz discoveries
 
 /**
@@ -443,18 +388,13 @@ TEST(RewriteFuzzRegression, SaturatedDoubleNegationIsNotIdentity)
 }
 
 /**
- * Fuzz-discovered hazard (seed 129 of the JIT leg): the codegen's
- * hex-float rendering of a negative constant starts with '-', and
- * Neg/Sigmoid/Gaussian emit "-<operand>" — pasting the two produced
- * "--INFINITY" / "--0x1p+16", which C parses as a pre-decrement. The
- * kernel failed to compile and the executor silently fell back to the
- * interpreter tape. Negative literals must parenthesize.
+ * Fuzz-discovered hazard graph (seed 129): -inf and -65536 constants
+ * feed Neg, Sigmoid and Gaussian. The tape preloads (and
+ * pre-quantizes) constants into its image; the graph must train
+ * exactly as the Interpreter does, in F64 and with Q16.16 saturation.
  */
-TEST(RewriteFuzzRegression, NegativeConstantLiteralSurvivesUnaryMinus)
+TEST(RewriteFuzzRegression, NegativeConstantsThroughUnaryOpsMatchInterp)
 {
-    if (!jit::KernelCache::toolchainAvailable())
-        GTEST_SKIP() << "no JIT toolchain in this environment";
-
     dfg::Dfg g;
     auto in = g.addDataInput(0, {});
     auto ninf = g.addConst(-INFINITY);
@@ -473,16 +413,15 @@ TEST(RewriteFuzzRegression, NegativeConstantLiteralSurvivesUnaryMinus)
     tr.gradientWords = 1;
     tr.minibatch = 1;
 
-    // No rewrite here on purpose: the raw graph must reach the native
-    // kernel with its negative constants intact (trajectory() asserts
-    // prepareNative() succeeds on the JIT leg).
+    // No rewrite here on purpose: the raw graph must reach the tape
+    // with its negative constants intact.
     expectBitIdentical(trajectory(tr, 33, nullptr, Engine::Interp),
-                       trajectory(tr, 33, nullptr, Engine::Jit),
-                       "jit/F64");
+                       trajectory(tr, 33, nullptr, Engine::Tape),
+                       "tape/F64");
     expectBitIdentical(
         trajectory(tr, 33, &accel::quantizeToFixed, Engine::Interp),
-        trajectory(tr, 33, &accel::quantizeToFixed, Engine::Jit),
-        "jit/Q16.16");
+        trajectory(tr, 33, &accel::quantizeToFixed, Engine::Tape),
+        "tape/Q16.16");
 }
 
 } // namespace

@@ -76,8 +76,7 @@ TEST_P(TapeEquivalence, MatchesInterpreterBitExact)
 
 /**
  * runBatch must be bit-exact against the scalar per-record path for
- * record counts that are not multiples of the native kernel's 8-record
- * lane loop (3 and 11), with the quantizer both off and on.
+ * odd record counts (3 and 11), with the quantizer both off and on.
  */
 TEST_P(TapeEquivalence, LaneBatchBitExactVsScalarWithRemainder)
 {
