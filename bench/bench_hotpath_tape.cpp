@@ -5,9 +5,10 @@
  * Measures single-thread records/sec of the per-record gradient kernel
  * for all 10 Table-1 workloads — the node-order Interpreter against the
  * Tape's segment stream (runBatch) and the plain-SGD sweep that
- * default training runs — and times one functional-runtime iteration
- * to show the persistent-worker system layer end to end, with one and
- * with eight SGD shards per node.
+ * default training runs, in F64 and in Q16.16 (the PE number format;
+ * reported only, with no target) — and times one functional-runtime
+ * iteration to show the persistent-worker system layer end to end,
+ * with one and with eight SGD shards per node.
  *
  * Each body runs in 9 rounds of alternating 50 ms windows in this one
  * process; rates are the medians of its windows, and speedups the
@@ -17,7 +18,8 @@
  * The last line of output is a machine-readable JSON summary so the
  * perf trajectory can be tracked:
  *   {"bench":"hotpath_tape","scale":...,"results":[{"workload":...,
- *    "interp_rps":...,"tape_rps":...,"sgd_rps":...,"speedup":...},...],
+ *    "interp_rps":...,"tape_rps":...,"sgd_rps":...,"sgd_q16_rps":...,
+ *    "q16_slowdown":...,"speedup":...},...],
  *    "iteration":{...},"iteration_shards":{...}}
  *
  * Target: >= 3x tape-over-interpreter single-thread throughput on the
@@ -147,7 +149,8 @@ main()
                        "; medians of " + std::to_string(kRounds) +
                        " alternating windows)");
     table.setHeader({"Benchmark", "Algorithm", "DFG ops", "Interp rec/s",
-                     "Tape rec/s", "SGD rec/s", "Tape x"});
+                     "Tape rec/s", "SGD rec/s", "Q16 SGD rec/s",
+                     "Q16 SGD us/rec", "Q16/F64 time", "Tape x"});
 
     std::ostringstream json;
     json << "{\"bench\":\"hotpath_tape\",\"scale\":" << scale
@@ -174,11 +177,14 @@ main()
         dfg::Interpreter interp(tr);
         dfg::Tape tape(tr);
         dfg::TapeExecutor exec(tape);
+        dfg::Tape tape_q16(tr, accel::Numeric::Q16);
+        dfg::TapeExecutor exec_q16(tape_q16);
         std::vector<double> grad;
         std::vector<double> grad_accum(tr.gradientWords, 0.0);
 
-        // The sweep default training runs; every call restarts from
-        // the initial model so the weights never drift.
+        // The sweep default training runs, then the same in Q16.16;
+        // every call restarts from the initial model so the weights
+        // never drift.
         const bool sgd = tr.gradientWords == tr.modelWords;
         std::vector<double> sweep_model(model.size());
         std::vector<std::function<void()>> bodies = {
@@ -189,15 +195,20 @@ main()
             [&] { exec.runBatch(ds.data, records, model, grad_accum); },
         };
         if (sgd)
-            bodies.push_back([&] {
-                std::copy(model.begin(), model.end(),
-                          sweep_model.begin());
-                exec.sgdSweep(ds.data, records, sweep_model, 1e-3);
-            });
+            for (dfg::TapeExecutor *e : {&exec, &exec_q16})
+                bodies.push_back([&, e] {
+                    std::copy(model.begin(), model.end(),
+                              sweep_model.begin());
+                    e->sgdSweep(ds.data, records, sweep_model, 1e-3);
+                });
         const auto rps = alternateRps(records, bodies);
         const double interp_rps = median(rps[0]);
         const double tape_rps = median(rps[1]);
         const double sgd_rps = sgd ? median(rps[2]) : 0.0;
+        const double q16_rps = sgd ? median(rps[3]) : 0.0;
+        // Q16 time per record over F64's: the per-round F64/Q16 rate
+        // ratio.
+        const double q16_slowdown = sgd ? medianRatio(rps[2], rps[3]) : 0.0;
         const double speedup = medianRatio(rps[1], rps[0]);
 
         bool is_regression =
@@ -210,14 +221,18 @@ main()
                       std::to_string(tr.dfg.operationCount()),
                       TablePrinter::num(interp_rps, 0),
                       TablePrinter::num(tape_rps, 0),
-                      sgd_rps > 0.0 ? TablePrinter::num(sgd_rps, 0)
-                                    : "-",
+                      sgd ? TablePrinter::num(sgd_rps, 0) : "-",
+                      sgd ? TablePrinter::num(q16_rps, 0) : "-",
+                      sgd ? TablePrinter::num(1e6 / q16_rps, 2) : "-",
+                      sgd ? TablePrinter::num(q16_slowdown, 1) : "-",
                       TablePrinter::num(speedup, 2)});
 
         json << (first ? "" : ",") << "{\"workload\":\"" << w.name
              << "\",\"interp_rps\":" << TablePrinter::num(interp_rps, 0)
              << ",\"tape_rps\":" << TablePrinter::num(tape_rps, 0)
              << ",\"sgd_rps\":" << TablePrinter::num(sgd_rps, 0)
+             << ",\"sgd_q16_rps\":" << TablePrinter::num(q16_rps, 0)
+             << ",\"q16_slowdown\":" << TablePrinter::num(q16_slowdown, 3)
              << ",\"speedup\":" << TablePrinter::num(speedup, 3) << "}";
         first = false;
     }

@@ -54,12 +54,10 @@ tenantMix(int tenants_per_spec)
     for (int tenant = 0; tenant < tenants_per_spec; ++tenant) {
         for (const auto &w : workloads) {
             for (auto payload :
-                 {net::PayloadKind::F64, net::PayloadKind::Q16}) {
+                 {accel::Numeric::F64, accel::Numeric::Q16}) {
                 sys::JobSpec spec;
-                spec.name = w + (payload == net::PayloadKind::Q16
-                                     ? "/q16/t"
-                                     : "/f64/t") +
-                            std::to_string(tenant);
+                spec.name = w + "/" + accel::numericName(payload) +
+                            "/t" + std::to_string(tenant);
                 spec.workload = w;
                 spec.scale = 64.0;
                 spec.epochs = 2;

@@ -84,7 +84,7 @@ struct Options
     int64_t records = 128;
     double lr = 0.05;
     sys::TrainingMode mode = sys::TrainingMode::ModelAveraging;
-    net::PayloadKind payload = net::PayloadKind::F64;
+    accel::Numeric payload = accel::Numeric::F64;
     uint64_t seed = 0x5eed;
     std::string out;
 
@@ -324,14 +324,12 @@ parseArgs(int argc, char **argv, Options &opt)
         } else if (arg == "--payload") {
             if (!(v = need(i)))
                 return false;
-            if (std::string(v) == "f64")
-                opt.payload = net::PayloadKind::F64;
-            else if (std::string(v) == "q16")
-                opt.payload = net::PayloadKind::Q16;
-            else {
+            const auto payload = accel::parseNumeric(v);
+            if (!payload) {
                 std::fprintf(stderr, "cosmicd: bad --payload %s\n", v);
                 return false;
             }
+            opt.payload = *payload;
         } else if (arg == "--help" || arg == "-h") {
             usage();
             std::exit(0);
@@ -420,8 +418,9 @@ runNode(const Options &opt, int self,
     node_config.acceleratorThreads = cfg.acceleratorThreadsPerNode;
     node_config.sgdShards = cfg.sgdShardsPerNode;
     node_config.learningRate = cfg.learningRate;
+    const dfg::Tape tape(translation);
     sys::TrainingNode node(
-        translation,
+        tape,
         teacher.records(self * cfg.recordsPerNode, cfg.recordsPerNode),
         node_config);
 
@@ -462,8 +461,7 @@ runNode(const Options &opt, int self,
                     opt.mode == sys::TrainingMode::ModelAveraging
                         ? "model averaging"
                         : "batched gradient",
-                    opt.payload == net::PayloadKind::F64 ? "f64"
-                                                         : "q16");
+                    accel::numericName(opt.payload));
     }
 
     Rng model_rng(cfg.seed + 1);
@@ -709,7 +707,7 @@ runSubmit(const Options &opt)
     }
     std::printf("cosmicd: job %" PRIu64 " (%s, %d nodes, %s) %s\n",
                 id, opt.workload.c_str(), opt.nodes,
-                opt.payload == net::PayloadKind::F64 ? "f64" : "q16",
+                accel::numericName(opt.payload),
                 sys::jobStateName(ack.state));
 
     int last_epoch = -1;

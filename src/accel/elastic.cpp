@@ -42,27 +42,27 @@ ElasticSimulator::linkIndexFor(int src_pe, int dst_pe)
 ElasticSimulator::ElasticSimulator(const dfg::Translation &translation,
                                    const compiler::CompiledKernel &kernel,
                                    ElasticConfig config,
-                                   double (*quantizer)(double))
+                                   Numeric numeric)
     : ElasticSimulator(translation, kernel, nullptr, std::move(config),
-                       quantizer)
+                       numeric)
 {}
 
 ElasticSimulator::ElasticSimulator(const dfg::Translation &translation,
                                    const compiler::CompiledKernel &kernel,
                                    const dfg::DfgAnalysis &analysis,
                                    ElasticConfig config,
-                                   double (*quantizer)(double))
+                                   Numeric numeric)
     : ElasticSimulator(translation, kernel, &analysis.height,
-                       std::move(config), quantizer)
+                       std::move(config), numeric)
 {}
 
 ElasticSimulator::ElasticSimulator(const dfg::Translation &translation,
                                    const compiler::CompiledKernel &kernel,
                                    const std::vector<int32_t> *height,
                                    ElasticConfig config,
-                                   double (*quantizer)(double))
+                                   Numeric numeric)
     : tr_(translation), kernel_(kernel), config_(std::move(config)),
-      quantizer_(quantizer),
+      numeric_(numeric),
       bus_(compiler::BusKind::Hierarchical, kernel.mapping.columns,
            kernel.mapping.rowsPerThread)
 {
@@ -85,9 +85,7 @@ ElasticSimulator::ElasticSimulator(const dfg::Translation &translation,
     for (NodeId v = 0; v < n; ++v) {
         const auto &node = dfg.node(v);
         if (node.op == OpKind::Const) {
-            constValue_[v] = quantizer_
-                                 ? quantizer_(dfg.constValue(v))
-                                 : dfg.constValue(v);
+            constValue_[v] = roundTo(numeric_, dfg.constValue(v));
             continue;
         }
         if (node.op == OpKind::Input) {
@@ -470,7 +468,7 @@ ElasticSimulator::runBatch(std::span<const double> records, int64_t count,
             double value = dfg.node(v).category == dfg::Category::Data
                                ? record[dfg.inputPos(v)]
                                : model[dfg.inputPos(v)];
-            slot.value[v] = quantizer_ ? quantizer_(value) : value;
+            slot.value[v] = roundTo(numeric_, value);
         }
         for (NodeId v : ops_) {
             if (remainingInit_[v] == 0) {
@@ -610,10 +608,8 @@ ElasticSimulator::runBatch(std::span<const double> records, int64_t count,
                 node.b != kInvalidNode ? slot.value[node.b] : 0.0;
             const double c =
                 node.c != kInvalidNode ? slot.value[node.c] : 0.0;
-            double value = dfg::evaluateOp(node.op, a, b, c);
-            if (quantizer_)
-                value = quantizer_(value);
-            slot.value[v] = value;
+            slot.value[v] =
+                roundTo(numeric_, dfg::evaluateOp(node.op, a, b, c));
 
             // Firing consumes this op's inbound messages: the last
             // consumer of a message releases its FIFO credit (visible

@@ -129,15 +129,13 @@ class ElasticSimulator
 {
   public:
     /**
-     * @param quantizer Optional value-rounding hook applied to every
-     *        buffered value, exactly like the quantized Interpreter
-     *        and CycleSimulator (accel::quantizeToFixed). Null = exact
-     *        doubles.
+     * @param numeric Number format of every buffered value, exactly as
+     *        in the Interpreter and the CycleSimulator.
      */
     ElasticSimulator(const dfg::Translation &translation,
                      const compiler::CompiledKernel &kernel,
                      ElasticConfig config = {},
-                     double (*quantizer)(double) = nullptr);
+                     Numeric numeric = Numeric::F64);
 
     /**
      * Same, firing by the heights of @p analysis (dfg::analyze of the
@@ -149,7 +147,7 @@ class ElasticSimulator
                      const compiler::CompiledKernel &kernel,
                      const dfg::DfgAnalysis &analysis,
                      ElasticConfig config = {},
-                     double (*quantizer)(double) = nullptr);
+                     Numeric numeric = Numeric::F64);
 
     ElasticSimulator(const ElasticSimulator &) = delete;
     ElasticSimulator &operator=(const ElasticSimulator &) = delete;
@@ -219,14 +217,14 @@ class ElasticSimulator
     ElasticSimulator(const dfg::Translation &translation,
                      const compiler::CompiledKernel &kernel,
                      const std::vector<int32_t> *height,
-                     ElasticConfig config, double (*quantizer)(double));
+                     ElasticConfig config, Numeric numeric);
 
     int32_t linkIndexFor(int src_pe, int dst_pe);
 
     const dfg::Translation &tr_;
     const compiler::CompiledKernel &kernel_;
     ElasticConfig config_;
-    double (*quantizer_)(double) = nullptr;
+    Numeric numeric_;
     compiler::InterconnectModel bus_;
     int numPes_ = 0;
     int64_t totalOps_ = 0;
@@ -266,7 +264,7 @@ class ElasticSimulator
     /** Consumer ops per send-plan entry (CSR; duplicates = edges). */
     std::vector<dfg::NodeId> crossConsumers_;
     std::vector<int32_t> crossBase_;
-    /** Constant preload (quantized when a quantizer is set). */
+    /** Constant preload (rounded to the numeric format). */
     std::vector<double> constValue_;
 
     /** Trips on concurrent run()/runBatch() calls in debug builds. */

@@ -16,8 +16,8 @@ using dfg::OpKind;
 
 CycleSimulator::CycleSimulator(const dfg::Translation &translation,
                                const compiler::CompiledKernel &kernel,
-                               double (*quantizer)(double))
-    : tr_(translation), kernel_(kernel), quantizer_(quantizer),
+                               Numeric numeric)
+    : tr_(translation), kernel_(kernel), numeric_(numeric),
       bus_(compiler::BusKind::Hierarchical, kernel.mapping.columns,
            kernel.mapping.rowsPerThread)
 {
@@ -73,8 +73,7 @@ CycleSimulator::CycleSimulator(const dfg::Translation &translation,
     for (NodeId v = 0; v < tr_.dfg.size(); ++v) {
         const auto &node = tr_.dfg.node(v);
         if (node.op == OpKind::Const)
-            value_[v] = quantizer_ ? quantizer_(tr_.dfg.constValue(v))
-                                   : tr_.dfg.constValue(v);
+            value_[v] = roundTo(numeric_, tr_.dfg.constValue(v));
         else if (node.op == OpKind::Input)
             inputs_.push_back(v);
     }
@@ -108,11 +107,10 @@ CycleSimulator::run(std::span<const double> record,
     std::fill(produced.begin(), produced.end(), 0);
     for (NodeId v : inputs_) {
         const auto &node = dfg.node(v);
-        value[v] = node.category == dfg::Category::Data
-                       ? record[dfg.inputPos(v)]
-                       : model[dfg.inputPos(v)];
-        if (quantizer_)
-            value[v] = quantizer_(value[v]);
+        value[v] = roundTo(numeric_,
+                           node.category == dfg::Category::Data
+                               ? record[dfg.inputPos(v)]
+                               : model[dfg.inputPos(v)]);
     }
 
     auto fail = [&](NodeId v, NodeId o, int64_t arrival) {
@@ -158,10 +156,9 @@ CycleSimulator::run(std::span<const double> record,
             }
             operands[k] = value[o];
         }
-        value[v] = dfg::evaluateOp(node.op, operands[0], operands[1],
-                                   operands[2]);
-        if (quantizer_)
-            value[v] = quantizer_(value[v]);
+        value[v] = roundTo(numeric_,
+                           dfg::evaluateOp(node.op, operands[0],
+                                           operands[1], operands[2]));
         finish[v] = issue[v] + compiler::Scheduler::opLatency(node.op);
         produced[v] = 1;
         result.cycles = std::max(result.cycles, finish[v]);

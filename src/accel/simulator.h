@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "accel/fixed_point.h"
 #include "accel/plan.h"
 #include "common/error.h"
 #include "compiler/interconnect.h"
@@ -96,15 +97,13 @@ class CycleSimulator
 {
   public:
     /**
-     * @param quantizer Optional value-rounding hook applied to every
-     *        buffered value (constants, inputs and operation results) —
-     *        models the PEs' 32-bit fixed-point datapath exactly like
-     *        the quantized Interpreter (accel::quantizeToFixed). Null =
-     *        exact doubles.
+     * @param numeric Number format of every buffered value (constants,
+     *        inputs and operation results), exactly as in the
+     *        Interpreter.
      */
     CycleSimulator(const dfg::Translation &translation,
                    const compiler::CompiledKernel &kernel,
-                   double (*quantizer)(double) = nullptr);
+                   Numeric numeric = Numeric::F64);
 
     /**
      * Runs one record through the array.
@@ -141,7 +140,7 @@ class CycleSimulator
 
     const dfg::Translation &tr_;
     const compiler::CompiledKernel &kernel_;
-    double (*quantizer_)(double) = nullptr;
+    Numeric numeric_;
     /** Interconnect timing model, built once per simulator. */
     compiler::InterconnectModel bus_;
     /** Operations in issue order (precomputed). */

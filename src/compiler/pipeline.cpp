@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "accel/fixed_point.h"
 #include "common/error.h"
 #include "dsl/parser.h"
 
@@ -367,7 +366,7 @@ Pipeline::tape()
     if (!tape_) {
         const auto &tr = optimized();
         auto start = std::chrono::steady_clock::now();
-        tape_.emplace(tr, accel::quantizeToFixed);
+        tape_.emplace(tr);
         PassStats s{"tape", secondsSince(start), 0, 0, 0, 0};
         s.nodesBefore = tr.dfg.size();
         s.nodesAfter = tape_->instructionCount();

@@ -139,7 +139,8 @@ class Pipeline
     const dfg::Translation &optimized();
     const planner::PlanResult &planned();
     const compiler::CompiledKernel &mapped();
-    /** Lowered hot-path tape (quantized), over the optimized DFG. */
+    /** Lowered hot-path tape over the optimized DFG, in F64 like the
+     *  tape the training runtime runs. */
     const dfg::Tape &tape();
 
     /** Runs through plan and packages a core::BuildResult. */

@@ -7,8 +7,8 @@
 namespace cosmic::dfg {
 
 Interpreter::Interpreter(const Translation &translation,
-                         double (*quantizer)(double))
-    : tr_(translation), quantizer_(quantizer)
+                         accel::Numeric numeric)
+    : tr_(translation), numeric_(numeric)
 {
     values_.resize(tr_.dfg.size(), 0.0);
 }
@@ -43,8 +43,7 @@ Interpreter::run(std::span<const double> record,
                 node.c != kInvalidNode ? values_[node.c] : 0.0);
             break;
         }
-        if (quantizer_)
-            values_[v] = quantizer_(values_[v]);
+        values_[v] = accel::roundTo(numeric_, values_[v]);
     }
 
     grad_out.assign(tr_.gradientWords, 0.0);

@@ -20,6 +20,7 @@
 #include <span>
 #include <vector>
 
+#include "accel/fixed_point.h"
 #include "common/error.h"
 #include "dfg/translator.h"
 
@@ -102,13 +103,12 @@ class Interpreter
 {
   public:
     /**
-     * @param quantizer Optional value-rounding hook applied to every
-     *        buffered value (inputs and operation results) — used to
-     *        model the PEs' 32-bit fixed-point datapath
-     *        (accel::quantizeToFixed). Null = exact doubles.
+     * @param numeric Number format of every buffered value (constants,
+     *        inputs and operation results); Q16 models the PEs'
+     *        32-bit fixed-point datapath.
      */
     explicit Interpreter(const Translation &translation,
-                         double (*quantizer)(double) = nullptr);
+                         accel::Numeric numeric = accel::Numeric::F64);
 
     /**
      * Computes the partial gradient for a single record.
@@ -132,7 +132,7 @@ class Interpreter
 
   private:
     const Translation &tr_;
-    double (*quantizer_)(double) = nullptr;
+    accel::Numeric numeric_;
     /** Scratch value per node, reused across calls. */
     mutable std::vector<double> values_;
 };

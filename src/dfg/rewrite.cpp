@@ -33,11 +33,10 @@ quantizerSafeFold(OpKind op, double va, double vb, double vc,
 {
     if (!quantizerSafeConstant(folded))
         return false;
-    using accel::quantizeToFixed;
-    double runtime = quantizeToFixed(evaluateOp(
-        op, quantizeToFixed(va), quantizeToFixed(vb),
-        quantizeToFixed(vc)));
-    return bitEqualDouble(quantizeToFixed(folded), runtime);
+    using accel::roundQ16;
+    double runtime = roundQ16(
+        evaluateOp(op, roundQ16(va), roundQ16(vb), roundQ16(vc)));
+    return bitEqualDouble(roundQ16(folded), runtime);
 }
 
 int64_t
@@ -211,7 +210,7 @@ struct RewriteCtx
  * The facts transfer function. Every claim must hold in plain double
  * arithmetic *and* for the quantized slot values of the Q16.16
  * datapath (which, usefully, can never hold NaN or -0.0: the
- * quantizer maps NaN to 0 and (double)llround(raw)/65536.0 never
+ * rounding maps NaN to 0 and (double)llround(raw)/65536.0 never
  * produces a negative zero).
  */
 ValueFacts
@@ -470,7 +469,7 @@ class FoldConstantsPattern final : public Pattern
                 c != kInvalidNode) {
                 double cond = ctx.constVal(a);
                 if ((cond != 0.0) ==
-                    (accel::quantizeToFixed(cond) != 0.0))
+                    (accel::roundQ16(cond) != 0.0))
                     return cond != 0.0 ? b : c;
             }
             return kInvalidNode;

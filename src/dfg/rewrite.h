@@ -12,8 +12,8 @@
  *
  * The contract is bit-exactness: a rewrite is only legal if no
  * trained trajectory can observe it — in plain double arithmetic *and*
- * under the Q16.16 quantizer (accel::quantizeToFixed), on the
- * interpreter and the tape. Two shared ingredients enforce that:
+ * under the Q16.16 rounding (accel::roundQ16), on the interpreter and
+ * the tape. Two shared ingredients enforce that:
  *
  *  - `quantizerSafeFold` / `quantizerSafeConstant`: the constant-fold
  *    guard. A folded value is rejected if it is NaN or -0.0 (both

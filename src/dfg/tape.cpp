@@ -8,6 +8,10 @@
 
 namespace cosmic::dfg {
 
+using accel::Numeric;
+using accel::roundQ16;
+using accel::roundTo;
+
 namespace {
 
 /** Unit dst stride and no operand reading a slot the segment writes:
@@ -90,7 +94,7 @@ flatSelect(double *__restrict__ d, const double *__restrict__ a,
         d[k] = a[k * sa] != 0.0 ? b[k * sb] : c[k * sc];
 }
 
-/** Runs a flat segment of an unquantized tape as a vectorizable
+/** Runs a flat segment of an F64 tape as a vectorizable
  *  loop; false for opcodes without one. */
 inline bool
 runFlat(const TapeSegment &seg, double *s)
@@ -124,9 +128,9 @@ runFlat(const TapeSegment &seg, double *s)
 /** Runs one segment in order as a strided loop: the common ALU
  *  opcodes get dedicated loops, everything else (LUT ops, compares,
  *  select) goes through the shared datapath switch. */
-template <bool Quantized>
+template <Numeric N>
 inline void
-runStrided(const TapeSegment &seg, double *s, double (*q)(double))
+runStrided(const TapeSegment &seg, double *s)
 {
     const int64_t n = seg.count;
     double *d = s + seg.dst;
@@ -139,19 +143,19 @@ runStrided(const TapeSegment &seg, double *s, double (*q)(double))
       case OpKind::Add:
         for (int64_t k = 0; k < n; ++k) {
             double v = a[k * sa] + b[k * sb];
-            d[k * sd] = Quantized ? q(v) : v;
+            d[k * sd] = roundTo<N>(v);
         }
         break;
       case OpKind::Sub:
         for (int64_t k = 0; k < n; ++k) {
             double v = a[k * sa] - b[k * sb];
-            d[k * sd] = Quantized ? q(v) : v;
+            d[k * sd] = roundTo<N>(v);
         }
         break;
       case OpKind::Mul:
         for (int64_t k = 0; k < n; ++k) {
             double v = a[k * sa] * b[k * sb];
-            d[k * sd] = Quantized ? q(v) : v;
+            d[k * sd] = roundTo<N>(v);
         }
         break;
       default: {
@@ -159,7 +163,7 @@ runStrided(const TapeSegment &seg, double *s, double (*q)(double))
         const int64_t sc = seg.cStride;
         for (int64_t k = 0; k < n; ++k) {
             double v = evaluateOp(seg.op, a[k * sa], b[k * sb], c[k * sc]);
-            d[k * sd] = Quantized ? q(v) : v;
+            d[k * sd] = roundTo<N>(v);
         }
         break;
       }
@@ -171,14 +175,14 @@ constexpr int64_t kLanes = 8;
 
 /** One pairwise level of a dot tree: to[i] = from[2i] + from[2i + 1]
  *  over the level's @p m values, the odd last one carried up. */
-template <bool Quantized>
+template <Numeric N>
 inline void
 pairLevel(double *__restrict__ to, const double *__restrict__ from,
-          int64_t m, double (*q)(double))
+          int64_t m)
 {
     for (int64_t i = 0; i < m / 2; ++i) {
         double v = from[2 * i] + from[2 * i + 1];
-        to[i] = Quantized ? q(v) : v;
+        to[i] = roundTo<N>(v);
     }
     if (m % 2 == 1)
         to[m / 2] = from[m - 1];
@@ -191,17 +195,17 @@ pairLevel(double *__restrict__ to, const double *__restrict__ from,
  * level. Levels alternate between the two halves of buf, so no loop
  * reads what it writes and each vectorizes.
  */
-template <bool Quantized>
+template <Numeric N>
 inline double
-dotTree(const TapeSegment &seg, int64_t k, const double *s, double *buf,
-        double (*q)(double))
+dotTree(const TapeSegment &seg, int64_t k, const double *s, double *buf)
 {
     int64_t m = seg.leaves;
     const double *a = s + seg.a + k * seg.aStride;
     const double *b = s + seg.b + k * seg.bStride;
-    if constexpr (Quantized) {
+    if constexpr (N == Numeric::Q16) {
         for (int64_t l = 0; l < m; ++l)
-            buf[l] = q(a[l * seg.leafAStride] * b[l * seg.leafBStride]);
+            buf[l] = roundQ16(a[l * seg.leafAStride] *
+                              b[l * seg.leafBStride]);
     } else {
         flatBinary(buf, a, seg.leafAStride, b, seg.leafBStride, m,
                    [](double x, double y) { return x * y; });
@@ -209,7 +213,7 @@ dotTree(const TapeSegment &seg, int64_t k, const double *s, double *buf,
     double *from = buf;
     double *to = buf + m;
     for (; m > 1; m = (m + 1) / 2) {
-        pairLevel<Quantized>(to, from, m, q);
+        pairLevel<N>(to, from, m);
         std::swap(from, to);
     }
     return from[0];
@@ -237,10 +241,9 @@ loadLanes(const double *p, int64_t stride, double *__restrict__ out)
  * each level adds rows pairwise in place, so each lane performs exactly
  * dotTree's operations and only independent operations are reordered.
  */
-template <bool Quantized>
+template <Numeric N>
 inline void
-dotLanes(const TapeSegment &seg, int64_t k0, double *s, double *buf,
-         double (*q)(double))
+dotLanes(const TapeSegment &seg, int64_t k0, double *s, double *buf)
 {
     const int64_t n = seg.leaves;
     const double *a = s + seg.a + k0 * seg.aStride;
@@ -252,7 +255,7 @@ dotLanes(const TapeSegment &seg, int64_t k0, double *s, double *buf,
         double *row = buf + l * kLanes;
         for (int64_t lane = 0; lane < kLanes; ++lane) {
             double v = x[lane] * y[lane];
-            row[lane] = Quantized ? q(v) : v;
+            row[lane] = roundTo<N>(v);
         }
     }
     for (int64_t m = n; m > 1; m = (m + 1) / 2) {
@@ -262,7 +265,7 @@ dotLanes(const TapeSegment &seg, int64_t k0, double *s, double *buf,
                 x[lane] = left[lane] + left[kLanes + lane];
             double *row = buf + i * kLanes;
             for (int64_t lane = 0; lane < kLanes; ++lane)
-                row[lane] = Quantized ? q(x[lane]) : x[lane];
+                row[lane] = roundTo<N>(x[lane]);
         }
         if (m % 2 == 1)
             std::copy_n(buf + (m - 1) * kLanes, kLanes,
@@ -276,18 +279,17 @@ dotLanes(const TapeSegment &seg, int64_t k0, double *s, double *buf,
 /** Runs dot segment @p seg: independent trees eight at a time, the
  *  rest (and every tree of a dependent segment) one by one, in order.
  *  @p buf holds Tape::dotWords_ words. */
-template <bool Quantized>
+template <Numeric N>
 inline void
-runDot(const TapeSegment &seg, double *s, double *buf,
-       double (*q)(double))
+runDot(const TapeSegment &seg, double *s, double *buf)
 {
     int64_t k = 0;
     if (seg.flat)
         for (; k + kLanes <= seg.count; k += kLanes)
-            dotLanes<Quantized>(seg, k, s, buf, q);
+            dotLanes<N>(seg, k, s, buf);
     for (; k < seg.count; ++k)
         s[seg.dst + k * seg.dstStride] =
-            dotTree<Quantized>(seg, k, s, buf, q);
+            dotTree<N>(seg, k, s, buf);
 }
 
 /** One SGD step, m[i] -= lr * g[i]: element-wise, so vectorizing it
@@ -727,8 +729,8 @@ findStretches(Items x,
 
 } // namespace
 
-Tape::Tape(const Translation &translation, double (*quantizer)(double))
-    : tr_(&translation), quantizer_(quantizer)
+Tape::Tape(const Translation &translation, Numeric numeric)
+    : tr_(&translation), numeric_(numeric)
 {
     const Dfg &dfg = tr_->dfg;
     const int64_t n = dfg.size();
@@ -780,7 +782,7 @@ Tape::Tape(const Translation &translation, double (*quantizer)(double))
           case OpKind::Const: {
             double value = dfg.constValue(v);
             slot[v] = next_const++;
-            image_[slot[v]] = quantizer_ ? quantizer_(value) : value;
+            image_[slot[v]] = roundTo(numeric_, value);
             break;
           }
           case OpKind::Input: {
@@ -857,53 +859,51 @@ TapeExecutor::TapeExecutor(const Tape &tape)
     dotBuf_.resize(tape.dotWords_);
 }
 
-template <bool Quantized>
+template <Numeric N>
 void
 TapeExecutor::loadModel(const double *model)
 {
     double *m = scratch_.data() + tape_.modelBase_;
     const int64_t words = tape_.tr_->modelWords;
-    if constexpr (Quantized) {
-        double (*q)(double) = tape_.quantizer_;
+    if constexpr (N == Numeric::Q16) {
         for (int64_t i = 0; i < words; ++i)
-            m[i] = q(model[i]);
+            m[i] = roundQ16(model[i]);
     } else {
         std::copy_n(model, words, m);
     }
 }
 
-template <bool Quantized>
+template <Numeric N>
 void
 TapeExecutor::runRecord(const double *record)
 {
     double *s = scratch_.data();
     const Tape &t = tape_;
-    double (*q)(double) = t.quantizer_;
 
     double *d = s + t.dataBase_;
     const int64_t words = t.tr_->recordWords;
-    if constexpr (Quantized) {
+    if constexpr (N == Numeric::Q16) {
         for (int64_t i = 0; i < words; ++i)
-            d[i] = q(record[i]);
+            d[i] = roundQ16(record[i]);
     } else {
         std::copy_n(record, words, d);
     }
 
     for (const TapeSegment &seg : t.segments_) {
         if (seg.leaves > 0) {
-            runDot<Quantized>(seg, s, dotBuf_.data(), q);
+            runDot<N>(seg, s, dotBuf_.data());
             continue;
         }
         // A lone instruction skips the loop set-up.
         if (seg.count == 1) {
             double v = evaluateOp(seg.op, s[seg.a], s[seg.b], s[seg.c]);
-            s[seg.dst] = Quantized ? q(v) : v;
+            s[seg.dst] = roundTo<N>(v);
             continue;
         }
-        if constexpr (!Quantized)
+        if constexpr (N == Numeric::F64)
             if (seg.flat && runFlat(seg, s))
                 continue;
-        runStrided<Quantized>(seg, s, q);
+        runStrided<N>(seg, s);
     }
 }
 
@@ -931,12 +931,12 @@ TapeExecutor::run(std::span<const double> record,
                       tr.gradientWords,
                   "gradient buffer shorter than gradientWords");
 
-    if (tape_.quantizer_) {
-        loadModel<true>(model.data());
-        runRecord<true>(record.data());
+    if (tape_.numeric_ == Numeric::Q16) {
+        loadModel<Numeric::Q16>(model.data());
+        runRecord<Numeric::Q16>(record.data());
     } else {
-        loadModel<false>(model.data());
-        runRecord<false>(record.data());
+        loadModel<Numeric::F64>(model.data());
+        runRecord<Numeric::F64>(record.data());
     }
 
     std::fill(grad_out.begin(), grad_out.begin() + tr.gradientWords,
@@ -961,15 +961,15 @@ TapeExecutor::runBatch(std::span<const double> records,
                       tr.gradientWords,
                   "gradient accumulator shorter than gradientWords");
 
-    if (tape_.quantizer_)
-        accumulate<true>(records.data(), record_count, model.data(),
-                         grad_accum.data());
+    if (tape_.numeric_ == Numeric::Q16)
+        accumulate<Numeric::Q16>(records.data(), record_count,
+                                 model.data(), grad_accum.data());
     else
-        accumulate<false>(records.data(), record_count, model.data(),
-                          grad_accum.data());
+        accumulate<Numeric::F64>(records.data(), record_count,
+                                 model.data(), grad_accum.data());
 }
 
-template <bool Quantized>
+template <Numeric N>
 void
 TapeExecutor::accumulate(const double *records, int64_t record_count,
                          const double *model, double *grad_accum)
@@ -979,9 +979,9 @@ TapeExecutor::accumulate(const double *records, int64_t record_count,
     const int64_t stride = tape_.tr_->recordWords;
     const size_t grads = tape_.regionGradSlots_.size();
     // The model is frozen for the whole batch: load it once.
-    loadModel<Quantized>(model);
+    loadModel<N>(model);
     for (int64_t r = 0; r < record_count; ++r) {
-        runRecord<Quantized>(records + r * stride);
+        runRecord<N>(records + r * stride);
         const double *g = gradients();
         for (size_t i = 0; i < grads; ++i)
             grad_accum[i] += g[i];
@@ -1005,12 +1005,12 @@ TapeExecutor::sgdSweep(std::span<const double> records,
     const double *rec = records.data();
     double *mod = model.data();
     const size_t grads = tape_.regionGradSlots_.size();
-    if (tape_.quantizer_) {
-        // The raw model stays in the caller's array and is
-        // re-quantized into the model region before every record.
+    if (tape_.numeric_ == Numeric::Q16) {
+        // The raw model stays in the caller's array and is rounded
+        // into the model region before every record.
         for (int64_t r = 0; r < record_count; ++r, rec += tr.recordWords) {
-            loadModel<true>(mod);
-            runRecord<true>(rec);
+            loadModel<Numeric::Q16>(mod);
+            runRecord<Numeric::Q16>(rec);
             sgdStep(mod, gradients(), grads, learning_rate);
         }
         return;
@@ -1018,9 +1018,9 @@ TapeExecutor::sgdSweep(std::span<const double> records,
     // F64: the model lives in its region for the whole sweep, so a
     // step is one update over two contiguous regions.
     double *resident = scratch_.data() + tape_.modelBase_;
-    loadModel<false>(mod);
+    loadModel<Numeric::F64>(mod);
     for (int64_t r = 0; r < record_count; ++r, rec += tr.recordWords) {
-        runRecord<false>(rec);
+        runRecord<Numeric::F64>(rec);
         sgdStep(resident, gradients(), grads, learning_rate);
     }
     std::copy_n(resident, tr.modelWords, mod);

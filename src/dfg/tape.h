@@ -13,11 +13,12 @@
  * branch), then come the model region (model word p at modelBase + p),
  * the data region (record word p at dataBase + p), the gradient region
  * (gradient i at gradientBase + i), constants (preloaded and
- * pre-quantized at lowering time), then the remaining operations in
- * node order. Loading a model or a record is one contiguous copy, and
- * so is reading the gradient. The gradient region exists only when
- * every gradient is a distinct operation node (true of every suite
- * program); otherwise gradients are read slot by slot.
+ * rounded to the tape's Numeric format at lowering time), then the
+ * remaining operations in node order. Loading a model or a record is
+ * one contiguous copy, and so is reading the gradient. The gradient
+ * region exists only when every gradient is a distinct operation node
+ * (true of every suite program); otherwise gradients are read slot by
+ * slot.
  *
  * Lowering lists the operations in node order (one TapeInstr per
  * operation, in region slots) and compresses that list into segments,
@@ -50,9 +51,12 @@
  * lowering applies it only where it cuts the stretch's segment count
  * (and keeps node order if the whole tape would not get shorter).
  * Reordering independent SSA operations changes no value: tape
- * gradients are bit-exact against the Interpreter's node-order walk,
- * with and without the fixed-point quantizer hook. Vectorized segments
- * likewise only reorder independent operations.
+ * gradients are bit-exact against the Interpreter's node-order walk
+ * in both Numeric formats (F64 and Q16.16). Vectorized segments
+ * likewise only reorder independent operations. The executor's loops
+ * are templated on the format: the F64 instantiation is plain double
+ * loops, the Q16 one rounds every written-back value with
+ * accel::roundQ16.
  *
  * The Tape itself is immutable and shareable across threads; each
  * worker owns a TapeExecutor holding the mutable scratch vector.
@@ -63,6 +67,7 @@
 #include <span>
 #include <vector>
 
+#include "accel/fixed_point.h"
 #include "dfg/translator.h"
 
 namespace cosmic::dfg {
@@ -132,13 +137,12 @@ class Tape
      * Lowers @p translation into the region layout, its node-order
      * instructions and their segments.
      *
-     * @param quantizer Optional value-rounding hook applied to every
-     *        buffered value, exactly as in the Interpreter (constants
-     *        are quantized once, here at lowering time). Null = exact
-     *        doubles.
+     * @param numeric Number format of every buffered value, exactly
+     *        as in the Interpreter (constants are rounded once, here
+     *        at lowering time).
      */
     explicit Tape(const Translation &translation,
-                  double (*quantizer)(double) = nullptr);
+                  accel::Numeric numeric = accel::Numeric::F64);
 
     const Translation &translation() const { return *tr_; }
 
@@ -166,7 +170,7 @@ class Tape
     friend class TapeExecutor;
 
     const Translation *tr_;
-    double (*quantizer_)(double) = nullptr;
+    accel::Numeric numeric_;
     std::vector<TapeInstr> instrs_;
 
     /** Execution order: node order with each dot tree one item and
@@ -227,17 +231,17 @@ class TapeExecutor
     const Tape &tape() const { return tape_; }
 
   private:
-    /** Copies (and quantizes) a model into the model region. */
-    template <bool Quantized>
+    /** Copies (and rounds) a model into the model region. */
+    template <accel::Numeric N>
     void loadModel(const double *model);
 
     /** Executes the tape over one record against the model already in
      *  the model region, leaving results in scratch. */
-    template <bool Quantized>
+    template <accel::Numeric N>
     void runRecord(const double *record);
 
     /** runBatch's loop. */
-    template <bool Quantized>
+    template <accel::Numeric N>
     void accumulate(const double *records, int64_t record_count,
                     const double *model, double *grad_accum);
 

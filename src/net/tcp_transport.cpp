@@ -75,7 +75,7 @@ TcpTransport::send(int to, sys::Message msg)
         // Loopback shortcut: no self-connection exists, but the
         // payload still takes the one-hop wire quantization in Q16
         // mode so delivery is encoding-equivalent.
-        if (config_.payload == PayloadKind::Q16)
+        if (config_.payload == accel::Numeric::Q16)
             quantizePayload(msg.payload);
         if (copies > 1)
             inbox_.send(msg);

@@ -59,7 +59,7 @@ class InProcessTransport final : public Transport
     };
 
     InProcessTransport(std::shared_ptr<Fabric> fabric, int self,
-                       PayloadKind payload)
+                       accel::Numeric payload)
         : fabric_(std::move(fabric)), self_(self), payload_(payload)
     {
     }
@@ -72,7 +72,7 @@ class InProcessTransport final : public Transport
         const int copies = faultCopies(msg, to);
         if (copies == 0)
             return;
-        if (payload_ == PayloadKind::Q16)
+        if (payload_ == accel::Numeric::Q16)
             quantizePayload(msg.payload);
         sys::Channel &inbox = *fabric_->inboxes[static_cast<size_t>(to)];
         if (copies > 1)
@@ -101,7 +101,7 @@ class InProcessTransport final : public Transport
   private:
     std::shared_ptr<Fabric> fabric_;
     int self_;
-    PayloadKind payload_;
+    accel::Numeric payload_;
 };
 
 } // namespace

@@ -60,7 +60,7 @@ struct TransportConfig
     TransportKind kind = TransportKind::InProcess;
     /** Wire encoding of payload words (Q16 also quantizes in-process
      *  sends so the backends stay bit-identical). */
-    PayloadKind payload = PayloadKind::F64;
+    accel::Numeric payload = accel::Numeric::F64;
     /**
      * TCP only: one "host:port" per node id. Empty = bind ephemeral
      * loopback ports automatically (single-process TCP tests/benches);

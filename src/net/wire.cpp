@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "accel/fixed_point.h"
 #include "common/error.h"
 
 namespace cosmic::net {
@@ -28,7 +27,7 @@ get(const uint8_t *data)
 }
 
 size_t
-encodeHeader(FrameKind frame, PayloadKind payload, sys::MsgKind kind,
+encodeHeader(FrameKind frame, accel::Numeric payload, sys::MsgKind kind,
              int32_t from, uint64_t seq, int32_t contributors,
              uint32_t words, uint32_t offset, uint64_t epoch,
              std::vector<uint8_t> &out)
@@ -55,7 +54,7 @@ encodeHeader(FrameKind frame, PayloadKind payload, sys::MsgKind kind,
 } // namespace
 
 size_t
-encodeMessage(const sys::Message &msg, PayloadKind payload,
+encodeMessage(const sys::Message &msg, accel::Numeric payload,
               std::vector<uint8_t> &out)
 {
     const size_t start = out.size();
@@ -66,7 +65,7 @@ encodeMessage(const sys::Message &msg, PayloadKind payload,
     encodeHeader(FrameKind::Partial, payload, msg.kind, msg.from,
                  msg.seq, msg.contributors, words, msg.offset,
                  msg.epoch, out);
-    if (payload == PayloadKind::F64) {
+    if (payload == accel::Numeric::F64) {
         const size_t bytes = words * sizeof(double);
         const size_t off = out.size();
         out.resize(off + bytes);
@@ -79,7 +78,7 @@ encodeMessage(const sys::Message &msg, PayloadKind payload,
         out.resize(off + words * sizeof(int32_t));
         uint8_t *dst = out.data() + off;
         for (uint32_t i = 0; i < words; ++i) {
-            int32_t raw = accel::Fixed::fromDouble(msg.payload[i]).raw();
+            const int32_t raw = accel::toQ16Word(msg.payload[i]);
             std::memcpy(dst + i * sizeof(int32_t), &raw,
                         sizeof(int32_t));
         }
@@ -90,7 +89,7 @@ encodeMessage(const sys::Message &msg, PayloadKind payload,
 size_t
 encodeHello(int node, uint32_t epoch, std::vector<uint8_t> &out)
 {
-    return encodeHeader(FrameKind::Hello, PayloadKind::F64,
+    return encodeHeader(FrameKind::Hello, accel::Numeric::F64,
                         sys::MsgKind::Update, node, epoch, 0, 0, 0, 0,
                         out);
 }
@@ -126,11 +125,11 @@ peekFrame(const uint8_t *data, size_t size, WireHeader &hdr,
     if (hdr.version != kWireVersion || reserved != 0)
         return FrameStatus::Corrupt;
     if (frame_raw > static_cast<uint8_t>(FrameKind::Partial) ||
-        payload_raw > static_cast<uint8_t>(PayloadKind::Q16) ||
+        payload_raw > static_cast<uint8_t>(accel::Numeric::Q16) ||
         kind_raw > static_cast<uint8_t>(sys::MsgKind::CancelJob))
         return FrameStatus::Corrupt;
     hdr.frame = static_cast<FrameKind>(frame_raw);
-    hdr.payload = static_cast<PayloadKind>(payload_raw);
+    hdr.payload = static_cast<accel::Numeric>(payload_raw);
     hdr.kind = static_cast<sys::MsgKind>(kind_raw);
     if (hdr.words > kMaxFrameWords)
         return FrameStatus::Corrupt;
@@ -162,7 +161,7 @@ decodeMessage(const WireHeader &hdr, const uint8_t *data,
     out.payload = pool ? pool->acquire(hdr.words)
                        : std::vector<double>(hdr.words);
     const uint8_t *body = data + kFrameHeaderBytes;
-    if (hdr.payload == PayloadKind::F64) {
+    if (hdr.payload == accel::Numeric::F64) {
         if (hdr.words > 0) // an empty payload's data() may be null
             std::memcpy(out.payload.data(), body,
                         hdr.words * sizeof(double));
@@ -171,7 +170,7 @@ decodeMessage(const WireHeader &hdr, const uint8_t *data,
             int32_t raw;
             std::memcpy(&raw, body + i * sizeof(int32_t),
                         sizeof(int32_t));
-            out.payload[i] = accel::Fixed::fromRaw(raw).toDouble();
+            out.payload[i] = accel::fromQ16Word(raw);
         }
     }
 }
@@ -180,7 +179,7 @@ void
 quantizePayload(std::vector<double> &payload)
 {
     for (double &v : payload)
-        v = accel::quantizeToFixed(v);
+        v = accel::roundQ16(v);
 }
 
 uint32_t

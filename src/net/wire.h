@@ -36,8 +36,8 @@
  *
  * Payload kinds: F64 ships IEEE-754 doubles verbatim (bit-exact);
  * Q16 ships Q16.16 fixed-point words — the PE datapath's number
- * format — quantizing each value through accel::Fixed on encode.
- * Quantization is idempotent, so a value that is already a Q16.16
+ * format — rounding each value with accel::toQ16Word on encode.
+ * The rounding is idempotent, so a value that is already a Q16.16
  * point (e.g. a master model quantized once at the source) round-trips
  * bit-exactly through any number of hops.
  *
@@ -57,19 +57,17 @@
 #include <string>
 #include <vector>
 
+#include "accel/fixed_point.h"
 #include "system/buffer_pool.h"
 #include "system/channel.h"
 
 namespace cosmic::net {
 
-/** How payload words are encoded on the wire. */
-enum class PayloadKind : uint8_t
-{
-    /** IEEE-754 doubles, 8 bytes per word (lossless). */
-    F64 = 0,
-    /** Q16.16 fixed-point, 4 bytes per word (the PE number format). */
-    Q16 = 1,
-};
+/** How payload words are encoded on the wire: F64 as IEEE-754
+ *  doubles, 8 bytes per word (lossless); Q16 as Q16.16 words, 4 bytes
+ *  per word (the PE number format). The alias only keeps the older
+ *  spelling net::PayloadKind::{F64,Q16} compiling. */
+using PayloadKind = accel::Numeric;
 
 /** What a frame carries. */
 enum class FrameKind : uint8_t
@@ -93,7 +91,7 @@ struct WireHeader
     uint32_t length = 0;
     uint8_t version = 0;
     FrameKind frame = FrameKind::Hello;
-    PayloadKind payload = PayloadKind::F64;
+    accel::Numeric payload = accel::Numeric::F64;
     sys::MsgKind kind = sys::MsgKind::Update;
     int32_t from = -1;
     uint64_t seq = 0;
@@ -117,17 +115,17 @@ enum class FrameStatus
 
 /** Bytes one payload word occupies on the wire. */
 constexpr size_t
-wordBytes(PayloadKind kind)
+wordBytes(accel::Numeric kind)
 {
-    return kind == PayloadKind::F64 ? 8 : 4;
+    return kind == accel::Numeric::F64 ? 8 : 4;
 }
 
 /**
  * Appends the encoded frame for @p msg to @p out.
- * Q16 payloads are quantized through accel::Fixed word by word.
+ * Q16 payloads are rounded with accel::toQ16Word word by word.
  * @return Bytes appended.
  */
-size_t encodeMessage(const sys::Message &msg, PayloadKind payload,
+size_t encodeMessage(const sys::Message &msg, accel::Numeric payload,
                      std::vector<uint8_t> &out);
 
 /** Appends a handshake frame: node id + topology epoch. */
@@ -160,7 +158,7 @@ void quantizePayload(std::vector<double> &payload);
  * Packs @p text into a payload-word vector (8 bytes per F64 word,
  * zero-padded tail) for a service frame. The exact byte length rides
  * in the frame's `offset` field — set @p msg.offset from the return
- * value and ship with PayloadKind::F64.
+ * value and ship with accel::Numeric::F64.
  * @return The text's byte length.
  */
 uint32_t packText(const std::string &text, std::vector<double> &words);

@@ -102,9 +102,10 @@ ClusterRuntime::ClusterRuntime(
     // generate(nodes * recordsPerNode + holdout, Rng(seed)).
     const ml::Teacher teacher(workload_, scale_,
                               ml::DatasetGenerator::drawKey(rng));
+    tape_ = std::make_unique<const dfg::Tape>(frontend_->translation);
     for (int i = 0; i < config_.nodes; ++i) {
         nodes_.push_back(std::make_unique<TrainingNode>(
-            frontend_->translation,
+            *tape_,
             teacher.records(i * config_.recordsPerNode,
                             config_.recordsPerNode),
             node_config));

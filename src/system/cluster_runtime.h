@@ -300,6 +300,9 @@ class ClusterRuntime
     /** The session-owned compiled frontend (translation + report);
      *  shared across sessions by the content-hashed BuildCache. */
     std::shared_ptr<const compile::FrontendArtifact> frontend_;
+    /** The frontend's translation lowered once (F64); every node's
+     *  executors run it. Declared before nodes_, which refer to it. */
+    std::unique_ptr<const dfg::Tape> tape_;
     ClusterTopology topology_;
     ml::Reference reference_;
     ml::Dataset holdout_;

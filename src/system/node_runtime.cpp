@@ -158,6 +158,55 @@ NodeRuntime::awaitBroadcast(const NodeAssignment &assign, uint64_t seq,
     }
 }
 
+std::vector<double>
+NodeRuntime::masterStep(const std::vector<double> &model,
+                        std::vector<double> sum, int contributors)
+{
+    std::vector<double> next;
+    if (config_.mode == TrainingMode::ModelAveraging) {
+        // Eq. 3b: the average of the surviving local updates.
+        for (auto &v : sum)
+            v /= contributors;
+        next = std::move(sum);
+    } else {
+        // Batched GD: one step on the aggregated gradient, normalized
+        // per the program's aggregation operator (average over the
+        // surviving global batch, or raw sum).
+        const double divisor =
+            translation_.aggregator == dsl::Aggregator::Average
+                ? static_cast<double>(contributors) *
+                      config_.minibatchPerNode
+                : 1.0;
+        const int64_t words = translation_.modelWords;
+        next = pool_.acquire(words);
+        for (int64_t i = 0; i < words; ++i)
+            next[i] = model[i] - config_.learningRate * sum[i] / divisor;
+        pool_.release(std::move(sum));
+    }
+    // Q16 mode: round the model *at the source*. Every hop of the
+    // broadcast re-rounds idempotently, so the model the master keeps
+    // is bit-identical to what every receiver gets — on either
+    // transport backend.
+    if (config_.payload == accel::Numeric::Q16)
+        net::quantizePayload(next);
+    return next;
+}
+
+void
+NodeRuntime::broadcast(const std::vector<int> &to, int from_id,
+                       uint64_t seq, uint64_t epoch,
+                       const std::vector<double> &model)
+{
+    for (int dst : to) {
+        std::vector<double> copy = pool_.acquire(model.size());
+        std::copy(model.begin(), model.end(), copy.begin());
+        Message msg{from_id, seq, std::move(copy)};
+        msg.kind = MsgKind::Model;
+        msg.epoch = epoch;
+        transport_.send(dst, std::move(msg));
+    }
+}
+
 NodeRuntime::Result
 NodeRuntime::runRole(const NodeAssignment &assign,
                      const ClusterTopology &topo,
@@ -225,15 +274,8 @@ NodeRuntime::runRole(const NodeAssignment &assign,
         // members and recycle (or adopt) the received payload.
         Message bcast;
         if (awaitBroadcast(assign, seq, bcast, res)) {
-            for (int member : members) {
-                std::vector<double> copy = pool_.acquire(words);
-                std::copy(bcast.payload.begin(), bcast.payload.end(),
-                          copy.begin());
-                Message fwd{assign.id, seq, std::move(copy)};
-                fwd.kind = MsgKind::Model;
-                fwd.epoch = bcast.epoch;
-                transport_.send(member, std::move(fwd));
-            }
+            broadcast(members, assign.id, seq, bcast.epoch,
+                      bcast.payload);
             if (config_.adoptBroadcast)
                 new_model = std::move(bcast.payload);
             else
@@ -260,55 +302,12 @@ NodeRuntime::runRole(const NodeAssignment &assign,
         // the no-fault path.
         const int contributors = engine.contributors() + 1;
         pool_.release(std::move(update));
-        if (config_.mode == TrainingMode::ModelAveraging) {
-            // Eq. 3b: the average of the surviving local updates.
-            for (auto &v : sum)
-                v /= contributors;
-            new_model = std::move(sum);
-        } else {
-            // Batched GD: one step on the aggregated gradient,
-            // normalized per the program's aggregation operator
-            // (average over the surviving global batch, or raw sum).
-            double divisor =
-                translation_.aggregator == dsl::Aggregator::Average
-                    ? static_cast<double>(contributors) *
-                          config_.minibatchPerNode
-                    : 1.0;
-            new_model = pool_.acquire(words);
-            for (int64_t i = 0; i < words; ++i)
-                new_model[i] =
-                    model[i] -
-                    config_.learningRate * sum[i] / divisor;
-            pool_.release(std::move(sum));
-        }
-        // Q16 mode: quantize the model *at the source*. Every hop of
-        // the broadcast re-quantizes idempotently, so the model the
-        // master keeps is bit-identical to what every receiver gets —
-        // on either transport backend.
-        if (config_.payload == net::PayloadKind::Q16)
-            net::quantizePayload(new_model);
-
+        new_model = masterStep(model, std::move(sum), contributors);
         // Broadcast pooled copies down the hierarchy. Round seq's
         // product *is* the epoch-(seq+1) model (the initial model is
         // epoch 0).
-        for (int sigma : sigmas) {
-            std::vector<double> copy = pool_.acquire(words);
-            std::copy(new_model.begin(), new_model.end(),
-                      copy.begin());
-            Message msg{assign.id, seq, std::move(copy)};
-            msg.kind = MsgKind::Model;
-            msg.epoch = seq + 1;
-            transport_.send(sigma, std::move(msg));
-        }
-        for (int member : members) {
-            std::vector<double> copy = pool_.acquire(words);
-            std::copy(new_model.begin(), new_model.end(),
-                      copy.begin());
-            Message msg{assign.id, seq, std::move(copy)};
-            msg.kind = MsgKind::Model;
-            msg.epoch = seq + 1;
-            transport_.send(member, std::move(msg));
-        }
+        broadcast(sigmas, assign.id, seq, seq + 1, new_model);
+        broadcast(members, assign.id, seq, seq + 1, new_model);
         break;
       }
     }
@@ -369,17 +368,8 @@ NodeRuntime::runPipelined(const NodeAssignment &assign,
             return;
         }
         if (m.epoch > epoch) {
-            if (assign.role == NodeRole::GroupSigma) {
-                for (int member : members) {
-                    std::vector<double> copy = pool_.acquire(words);
-                    std::copy(m.payload.begin(), m.payload.end(),
-                              copy.begin());
-                    Message fwd{assign.id, m.seq, std::move(copy)};
-                    fwd.kind = MsgKind::Model;
-                    fwd.epoch = m.epoch;
-                    transport_.send(member, std::move(fwd));
-                }
-            }
+            if (assign.role == NodeRole::GroupSigma)
+                broadcast(members, assign.id, m.seq, m.epoch, m.payload);
             epoch = m.epoch;
             std::swap(model, m.payload);
         } else {
@@ -538,41 +528,10 @@ NodeRuntime::runPipelined(const NodeAssignment &assign,
             // barrier protocol does (Eq. 3b average or one batched
             // step), quantize at the source in Q16 mode, broadcast
             // epoch seq+1 down the hierarchy, and adopt it.
-            std::vector<double> next;
-            if (config_.mode == TrainingMode::ModelAveraging) {
-                for (auto &v : sum)
-                    v /= contributors;
-                next = std::move(sum);
-            } else {
-                double divisor =
-                    translation_.aggregator == dsl::Aggregator::Average
-                        ? static_cast<double>(contributors) *
-                              config_.minibatchPerNode
-                        : 1.0;
-                next = pool_.acquire(words);
-                for (int64_t i = 0; i < words; ++i)
-                    next[i] = model[i] -
-                              config_.learningRate * sum[i] / divisor;
-                pool_.release(std::move(sum));
-            }
-            if (config_.payload == net::PayloadKind::Q16)
-                net::quantizePayload(next);
-            for (int sigma : sigmas) {
-                std::vector<double> copy = pool_.acquire(words);
-                std::copy(next.begin(), next.end(), copy.begin());
-                Message msg{assign.id, seq, std::move(copy)};
-                msg.kind = MsgKind::Model;
-                msg.epoch = seq + 1;
-                transport_.send(sigma, std::move(msg));
-            }
-            for (int member : members) {
-                std::vector<double> copy = pool_.acquire(words);
-                std::copy(next.begin(), next.end(), copy.begin());
-                Message msg{assign.id, seq, std::move(copy)};
-                msg.kind = MsgKind::Model;
-                msg.epoch = seq + 1;
-                transport_.send(member, std::move(msg));
-            }
+            std::vector<double> next =
+                masterStep(model, std::move(sum), contributors);
+            broadcast(sigmas, assign.id, seq, seq + 1, next);
+            broadcast(members, assign.id, seq, seq + 1, next);
             pool_.release(std::move(model));
             model = std::move(next);
             epoch = seq + 1;

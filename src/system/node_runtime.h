@@ -66,7 +66,7 @@ struct NodeRuntimeConfig
      *  new model *before* broadcasting, so the model it keeps is
      *  bit-identical to the (idempotently re-quantized) copies every
      *  other node receives. */
-    net::PayloadKind payload = net::PayloadKind::F64;
+    accel::Numeric payload = accel::Numeric::F64;
     /**
      * Bounded-staleness window for the pipelined protocol: a node may
      * compute round k from a model up to this many epochs old, and a
@@ -195,6 +195,17 @@ class NodeRuntime
                     int contributors, std::vector<double> update);
     /** The staleness gate begin() is armed with for round @p seq. */
     uint64_t minEpochFor(uint64_t seq) const;
+    /** The master's new global model from the round's folded @p sum
+     *  of @p contributors partials (Eq. 3b average, or one batched
+     *  step from @p model), rounded at the source in Q16 mode;
+     *  consumes @p sum. */
+    std::vector<double> masterStep(const std::vector<double> &model,
+                                   std::vector<double> sum,
+                                   int contributors);
+    /** Sends each node of @p to a pooled copy of @p model as round
+     *  @p seq's epoch-@p epoch model broadcast. */
+    void broadcast(const std::vector<int> &to, int from_id, uint64_t seq,
+                   uint64_t epoch, const std::vector<double> &model);
 
     const dfg::Translation &translation_;
     NodeRuntimeConfig config_;

@@ -130,7 +130,7 @@ struct ServiceFrontDoor::Connection
         if (shut)
             return;
         std::vector<uint8_t> frame;
-        net::encodeMessage(msg, net::PayloadKind::F64, frame);
+        net::encodeMessage(msg, accel::Numeric::F64, frame);
         if (!trySendAll(fd, frame.data(), frame.size()))
             shutdownLocked();
     }
@@ -450,7 +450,7 @@ void
 ServiceClient::send(const sys::Message &msg)
 {
     std::vector<uint8_t> frame;
-    net::encodeMessage(msg, net::PayloadKind::F64, frame);
+    net::encodeMessage(msg, accel::Numeric::F64, frame);
     sendAll(fd_, frame.data(), frame.size());
 }
 

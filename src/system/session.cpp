@@ -84,10 +84,7 @@ JobSpec::toText() const
         << (cluster.mode == TrainingMode::BatchedGradient ? "batch"
                                                           : "avg")
         << "\n";
-    out << "payload="
-        << (cluster.transport.payload == net::PayloadKind::Q16
-                ? "q16"
-                : "f64")
+    out << "payload=" << accel::numericName(cluster.transport.payload)
         << "\n";
     out << "deterministic=" << (cluster.aggregation.deterministic ? 1 : 0)
         << "\n";
@@ -166,13 +163,11 @@ JobSpec::fromText(const std::string &text)
                 COSMIC_FATAL("job spec: unknown mode '" << value
                              << "' (avg|batch)");
         } else if (key == "payload") {
-            if (value == "f64")
-                spec.cluster.transport.payload = net::PayloadKind::F64;
-            else if (value == "q16")
-                spec.cluster.transport.payload = net::PayloadKind::Q16;
-            else
+            const auto payload = accel::parseNumeric(value);
+            if (!payload)
                 COSMIC_FATAL("job spec: unknown payload '" << value
                              << "' (f64|q16)");
+            spec.cluster.transport.payload = *payload;
         } else if (key == "deterministic") {
             spec.cluster.aggregation.deterministic =
                 parseInt(key, value) != 0;

@@ -9,11 +9,10 @@
 
 namespace cosmic::sys {
 
-TrainingNode::TrainingNode(const dfg::Translation &translation,
-                           ml::Dataset partition,
+TrainingNode::TrainingNode(const dfg::Tape &tape, ml::Dataset partition,
                            const NodeComputeConfig &config)
-    : tr_(translation), partition_(std::move(partition)),
-      config_(config), tape_(tr_),
+    : tr_(tape.translation()), partition_(std::move(partition)),
+      config_(config), tape_(tape),
       pool_(config.acceleratorThreads)
 {
     COSMIC_ASSERT(config_.acceleratorThreads > 0,

@@ -60,11 +60,11 @@ class TrainingNode
 {
   public:
     /**
-     * @param translation Compiled gradient program (shared).
+     * @param tape The lowered gradient program, shared by every node
+     *        of a runtime; it must outlive the node.
      * @param partition The node's slice of the training data (owned).
      */
-    TrainingNode(const dfg::Translation &translation,
-                 ml::Dataset partition,
+    TrainingNode(const dfg::Tape &tape, ml::Dataset partition,
                  const NodeComputeConfig &config);
 
     /**
@@ -152,8 +152,9 @@ class TrainingNode
     const dfg::Translation &tr_;
     ml::Dataset partition_;
     NodeComputeConfig config_;
-    /** Compiled execution schedule, shared by all workers. */
-    dfg::Tape tape_;
+    /** Compiled execution schedule, shared by all workers (not
+     *  owned). */
+    const dfg::Tape &tape_;
     std::vector<Worker> workers_;
     /** Per-shard private model copies (modelWords each). */
     std::vector<std::vector<double>> shardModels_;

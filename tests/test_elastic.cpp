@@ -56,8 +56,7 @@ class ElasticBitExact
 TEST_P(ElasticBitExact, MatchesStaticAndInterpreter)
 {
     auto [name, quantized] = GetParam();
-    double (*quantizer)(double) =
-        quantized ? &quantizeToFixed : nullptr;
+    const Numeric numeric = quantized ? Numeric::Q16 : Numeric::F64;
     auto c = compileWorkload(name, 2, 8);
 
     // The optimizer's placement is deadlock-free by construction
@@ -67,10 +66,9 @@ TEST_P(ElasticBitExact, MatchesStaticAndInterpreter)
     // transfers between exact and quantized runs.
     auto placement =
         BufferOptimizer::optimize(c.tr, c.kernel, c.plan);
-    CycleSimulator static_sim(c.tr, c.kernel, quantizer);
-    ElasticSimulator elastic(c.tr, c.kernel, placement.config,
-                             quantizer);
-    dfg::Interpreter interp(c.tr, quantizer);
+    CycleSimulator static_sim(c.tr, c.kernel, numeric);
+    ElasticSimulator elastic(c.tr, c.kernel, placement.config, numeric);
+    dfg::Interpreter interp(c.tr, numeric);
 
     Rng rng(41);
     const auto &w = ml::Workload::byName(name);

@@ -25,7 +25,7 @@ namespace {
 /** Builds a TCP fabric on ephemeral loopback ports and ships a few
  *  messages across every directed pair. */
 void
-exerciseMesh(PayloadKind payload)
+exerciseMesh(accel::Numeric payload)
 {
     const int nodes = 3;
     sys::BufferPool pool;
@@ -42,7 +42,7 @@ exerciseMesh(PayloadKind payload)
             msg.seq = static_cast<uint64_t>(from * nodes + to);
             msg.contributors = from + 1;
             msg.payload.assign(words, 0.5 * from - 0.25 * to);
-            if (payload == PayloadKind::Q16)
+            if (payload == accel::Numeric::Q16)
                 quantizePayload(msg.payload); // pre-quantized source
             fabric[from]->send(to, std::move(msg));
         }
@@ -64,7 +64,7 @@ exerciseMesh(PayloadKind payload)
                       static_cast<size_t>(words));
             const double expected = 0.5 * got.from - 0.25 * to;
             for (double v : got.payload) {
-                if (payload == PayloadKind::F64)
+                if (payload == accel::Numeric::F64)
                     EXPECT_EQ(v, expected);
                 else
                     EXPECT_NEAR(v, expected, 1.0 / 65536.0);
@@ -83,8 +83,14 @@ exerciseMesh(PayloadKind payload)
         t->shutdown();
 }
 
-TEST(NetTransport, TcpMeshDeliversEveryPairF64) { exerciseMesh(PayloadKind::F64); }
-TEST(NetTransport, TcpMeshDeliversEveryPairQ16) { exerciseMesh(PayloadKind::Q16); }
+TEST(NetTransport, TcpMeshDeliversEveryPairF64)
+{
+    exerciseMesh(accel::Numeric::F64);
+}
+TEST(NetTransport, TcpMeshDeliversEveryPairQ16)
+{
+    exerciseMesh(accel::Numeric::Q16);
+}
 
 TEST(NetTransport, PollFallbackDeliversToo)
 {
@@ -95,7 +101,7 @@ TEST(NetTransport, PollFallbackDeliversToo)
         EventLoop probe;
         EXPECT_FALSE(probe.usingEpoll());
     }
-    exerciseMesh(PayloadKind::F64);
+    exerciseMesh(accel::Numeric::F64);
     ::unsetenv("COSMIC_NET_FORCE_POLL");
     EventLoop probe;
     EXPECT_TRUE(probe.usingEpoll());
@@ -105,7 +111,7 @@ TEST(NetTransport, PollFallbackDeliversToo)
  *  demands bit-identical final models. */
 void
 expectBackendsBitIdentical(const std::string &workload,
-                           PayloadKind payload)
+                           accel::Numeric payload)
 {
     sys::ClusterConfig cfg;
     cfg.nodes = 4;
@@ -138,12 +144,12 @@ expectBackendsBitIdentical(const std::string &workload,
 
 TEST(NetTransport, TrainingBitIdenticalAcrossBackendsF64)
 {
-    expectBackendsBitIdentical("stock", PayloadKind::F64);
+    expectBackendsBitIdentical("stock", accel::Numeric::F64);
 }
 
 TEST(NetTransport, TrainingBitIdenticalAcrossBackendsQ16)
 {
-    expectBackendsBitIdentical("stock", PayloadKind::Q16);
+    expectBackendsBitIdentical("stock", accel::Numeric::Q16);
 }
 
 TEST(NetTransport, DeterministicAggregationIsBitStableInProcess)

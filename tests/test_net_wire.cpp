@@ -40,7 +40,7 @@ randomMessage(Rng &rng, size_t max_words)
 
 /** Encode → peek → decode; returns the decoded message. */
 sys::Message
-roundTrip(const sys::Message &msg, PayloadKind kind)
+roundTrip(const sys::Message &msg, accel::Numeric kind)
 {
     std::vector<uint8_t> bytes;
     const size_t appended = encodeMessage(msg, kind, bytes);
@@ -75,7 +75,7 @@ TEST(NetWire, RoundTripF64IsBitExactAcrossSeeds)
     for (uint64_t seed = 1; seed <= 20; ++seed) {
         Rng rng(seed);
         sys::Message msg = randomMessage(rng, 300);
-        sys::Message out = roundTrip(msg, PayloadKind::F64);
+        sys::Message out = roundTrip(msg, accel::Numeric::F64);
         EXPECT_EQ(out.from, msg.from);
         EXPECT_EQ(out.seq, msg.seq);
         EXPECT_EQ(out.contributors, msg.contributors);
@@ -94,23 +94,22 @@ TEST(NetWire, RoundTripF64IsBitExactAcrossSeeds)
 TEST(NetWire, RoundTripQ16MatchesFixedPointQuantization)
 {
     // Q16 is lossy exactly once: the decoded value must equal the
-    // accel::Fixed quantization of the source, and a second trip of
+    // accel::roundQ16 rounding of the source, and a second trip of
     // the quantized value must be bit-exact (idempotence — what keeps
     // multi-hop broadcasts deterministic).
     for (uint64_t seed = 1; seed <= 20; ++seed) {
         Rng rng(seed ^ 0x9e3779b9);
         sys::Message msg = randomMessage(rng, 300);
-        sys::Message out = roundTrip(msg, PayloadKind::Q16);
+        sys::Message out = roundTrip(msg, accel::Numeric::Q16);
         ASSERT_EQ(out.payload.size(), msg.payload.size());
         for (size_t i = 0; i < msg.payload.size(); ++i) {
-            const double expected =
-                accel::Fixed::fromDouble(msg.payload[i]).toDouble();
+            const double expected = accel::roundQ16(msg.payload[i]);
             EXPECT_EQ(std::memcmp(&out.payload[i], &expected,
                                   sizeof(double)),
                       0)
                 << "seed " << seed << " word " << i;
         }
-        sys::Message again = roundTrip(out, PayloadKind::Q16);
+        sys::Message again = roundTrip(out, accel::Numeric::Q16);
         ASSERT_EQ(again.payload.size(), out.payload.size());
         for (size_t i = 0; i < out.payload.size(); ++i)
             EXPECT_EQ(std::memcmp(&again.payload[i], &out.payload[i],
@@ -128,7 +127,7 @@ TEST(NetWire, QuantizePayloadMatchesTheWire)
     sys::Message msg = randomMessage(rng, 128);
     std::vector<double> emulated = msg.payload;
     quantizePayload(emulated);
-    sys::Message wire = roundTrip(msg, PayloadKind::Q16);
+    sys::Message wire = roundTrip(msg, accel::Numeric::Q16);
     ASSERT_EQ(emulated.size(), wire.payload.size());
     for (size_t i = 0; i < emulated.size(); ++i)
         EXPECT_EQ(std::memcmp(&emulated[i], &wire.payload[i],
@@ -142,7 +141,7 @@ TEST(NetWire, EmptyAndExtremeMessagesRoundTrip)
     empty.from = 0;
     empty.seq = 0;
     empty.contributors = 0;
-    sys::Message out = roundTrip(empty, PayloadKind::F64);
+    sys::Message out = roundTrip(empty, accel::Numeric::F64);
     EXPECT_TRUE(out.payload.empty());
 
     sys::Message extreme;
@@ -153,7 +152,7 @@ TEST(NetWire, EmptyAndExtremeMessagesRoundTrip)
     extreme.epoch = std::numeric_limits<uint64_t>::max();
     extreme.offset = std::numeric_limits<uint32_t>::max();
     extreme.payload = {0.0, -0.0, 1e-300, -1e300};
-    out = roundTrip(extreme, PayloadKind::F64);
+    out = roundTrip(extreme, accel::Numeric::F64);
     EXPECT_EQ(out.from, extreme.from);
     EXPECT_EQ(out.seq, extreme.seq);
     EXPECT_EQ(out.contributors, extreme.contributors);
@@ -190,7 +189,7 @@ TEST(NetWire, TruncatedFramesNeedMoreAtEveryPrefix)
     sys::Message msg = randomMessage(rng, 64);
     msg.payload.resize(64); // ensure a non-empty payload
     std::vector<uint8_t> bytes;
-    encodeMessage(msg, PayloadKind::F64, bytes);
+    encodeMessage(msg, accel::Numeric::F64, bytes);
     WireHeader hdr;
     size_t frame_bytes = 0;
     for (size_t len = 0; len < bytes.size(); ++len)
@@ -204,7 +203,7 @@ TEST(NetWire, CorruptFramesAreRejected)
     Rng rng(13);
     sys::Message msg = randomMessage(rng, 16);
     std::vector<uint8_t> good;
-    encodeMessage(msg, PayloadKind::F64, good);
+    encodeMessage(msg, accel::Numeric::F64, good);
 
     WireHeader hdr;
     size_t frame_bytes = 0;
@@ -312,9 +311,9 @@ TEST(NetWire, BackToBackFramesParseInSequence)
     sys::Message a = randomMessage(rng, 32);
     sys::Message b = randomMessage(rng, 32);
     std::vector<uint8_t> bytes;
-    encodeMessage(a, PayloadKind::Q16, bytes);
+    encodeMessage(a, accel::Numeric::Q16, bytes);
     const size_t first = bytes.size();
-    encodeMessage(b, PayloadKind::Q16, bytes);
+    encodeMessage(b, accel::Numeric::Q16, bytes);
 
     WireHeader hdr;
     size_t frame_bytes = 0;

@@ -115,9 +115,9 @@ TEST(DfgPasses, ConstantFoldingRespectsQuantizedSemantics)
     // 0.7*0.7 is NOT exact in Q16.16: Q(0.49) differs from
     // Q(Q(0.7)*Q(0.7)), so the quantizer-safety guard must refuse the
     // fold — the quantized datapath evaluates the mul at runtime.
-    double qa = accel::quantizeToFixed(0.7);
-    double folded = accel::quantizeToFixed(0.7 * 0.7);
-    double staged = accel::quantizeToFixed(qa * qa);
+    double qa = accel::roundQ16(0.7);
+    double folded = accel::roundQ16(0.7 * 0.7);
+    double staged = accel::roundQ16(qa * qa);
     ASSERT_NE(folded, staged)
         << "test premise: 0.7*0.7 must round differently when staged";
 
@@ -327,9 +327,9 @@ TEST(PipelineStages, StageNamesRoundTrip)
 /** Trains a few SGD epochs through the interpreter; returns the model. */
 std::vector<double>
 interpTrajectory(const dfg::Translation &tr, const ml::Workload &w,
-                 double scale, double (*quantizer)(double))
+                 double scale, accel::Numeric numeric)
 {
-    dfg::Interpreter interp(tr, quantizer);
+    dfg::Interpreter interp(tr, numeric);
     Rng rng(123);
     auto ds = ml::DatasetGenerator::generate(w, scale, 24, rng);
     auto model = ml::DatasetGenerator::initialModel(w, scale, rng);
@@ -346,9 +346,9 @@ interpTrajectory(const dfg::Translation &tr, const ml::Workload &w,
 /** Tape SGD sweep trajectory. */
 std::vector<double>
 tapeSweepTrajectory(const dfg::Translation &tr, const ml::Workload &w,
-                    double scale, double (*quantizer)(double))
+                    double scale, accel::Numeric numeric)
 {
-    dfg::Tape tape(tr, quantizer);
+    dfg::Tape tape(tr, numeric);
     dfg::TapeExecutor exec(tape);
     Rng rng(123);
     auto ds = ml::DatasetGenerator::generate(w, scale, 24, rng);
@@ -361,9 +361,9 @@ tapeSweepTrajectory(const dfg::Translation &tr, const ml::Workload &w,
 /** Tape minibatch-gradient trajectory. */
 std::vector<double>
 tapeBatchTrajectory(const dfg::Translation &tr, const ml::Workload &w,
-                    double scale, double (*quantizer)(double))
+                    double scale, accel::Numeric numeric)
 {
-    dfg::Tape tape(tr, quantizer);
+    dfg::Tape tape(tr, numeric);
     dfg::TapeExecutor exec(tape);
     Rng rng(123);
     auto ds = ml::DatasetGenerator::generate(w, scale, 24, rng);
@@ -381,7 +381,7 @@ tapeBatchTrajectory(const dfg::Translation &tr, const ml::Workload &w,
 using TrajectoryFn = std::vector<double> (*)(const dfg::Translation &,
                                              const ml::Workload &,
                                              double,
-                                             double (*)(double));
+                                             accel::Numeric);
 
 /**
  * Asserts that the rewritten graph reproduces the raw graph's
@@ -397,12 +397,11 @@ expectRewriteBitExact(const std::string &workload, TrajectoryFn traj,
     auto rewritten = translateSource(w.dslSource(scale));
     ASSERT_LE(rewritten.dfg.size(), plain.dfg.size());
 
-    for (double (*quantizer)(double) :
-         {static_cast<double (*)(double)>(nullptr),
-          &accel::quantizeToFixed}) {
-        SCOPED_TRACE(quantizer ? "Q16.16" : "double");
-        auto a = traj(plain, w, scale, quantizer);
-        auto b = traj(rewritten, w, scale, quantizer);
+    for (accel::Numeric numeric :
+         {accel::Numeric::F64, accel::Numeric::Q16}) {
+        SCOPED_TRACE(accel::numericName(numeric));
+        auto a = traj(plain, w, scale, numeric);
+        auto b = traj(rewritten, w, scale, numeric);
         ASSERT_EQ(a.size(), b.size());
         for (size_t i = 0; i < a.size(); ++i) {
             ASSERT_TRUE(

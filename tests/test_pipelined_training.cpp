@@ -46,7 +46,7 @@ expectBitEqual(const std::vector<double> &a,
 struct OverlapCase
 {
     const char *workload;
-    net::PayloadKind payload;
+    accel::Numeric payload;
     net::TransportKind transport;
 };
 
@@ -54,8 +54,7 @@ std::string
 caseName(const ::testing::TestParamInfo<OverlapCase> &info)
 {
     std::string name = info.param.workload;
-    name += info.param.payload == net::PayloadKind::Q16 ? "_q16"
-                                                        : "_f64";
+    name += std::string("_") + accel::numericName(info.param.payload);
     name += info.param.transport == net::TransportKind::Tcp
                 ? "_tcp"
                 : "_inproc";
@@ -108,8 +107,8 @@ overlapMatrix()
 {
     std::vector<OverlapCase> cases;
     for (const auto &w : ml::Workload::suite())
-        for (net::PayloadKind payload :
-             {net::PayloadKind::F64, net::PayloadKind::Q16})
+        for (accel::Numeric payload :
+             {accel::Numeric::F64, accel::Numeric::Q16})
             for (net::TransportKind transport :
                  {net::TransportKind::InProcess,
                   net::TransportKind::Tcp})

@@ -9,7 +9,7 @@
  * and the training records. The property under test is the stack's
  * load-bearing invariant: running the rewrite engine must leave every
  * trained trajectory bit-identical to the unoptimized graph's, per
- * engine, in plain F64 and under the Q16.16 quantizer.
+ * engine, in plain F64 and in Q16.16.
  *
  * Engines covered: the interpreter, the tape's batch call (also
  * against the interpreter) and its SGD sweep (against the
@@ -96,7 +96,7 @@ trainingData(const dfg::Translation &tr, uint64_t seed)
  */
 std::vector<double>
 trajectory(const dfg::Translation &tr, uint64_t seed,
-           double (*quantizer)(double), Engine engine)
+           accel::Numeric numeric, Engine engine)
 {
     TrainingData data = trainingData(tr, seed);
     const std::vector<double> &records = data.records;
@@ -113,11 +113,11 @@ trajectory(const dfg::Translation &tr, uint64_t seed,
     };
 
     if (engine == Engine::Interp) {
-        dfg::Interpreter interp(tr, quantizer);
+        dfg::Interpreter interp(tr, numeric);
         steps(
             [&] { interp.accumulate(records, kRecords, model, grad); });
     } else {
-        dfg::Tape tape(tr, quantizer);
+        dfg::Tape tape(tr, numeric);
         dfg::TapeExecutor exec(tape);
         steps([&] { exec.runBatch(records, kRecords, model, grad); });
     }
@@ -134,7 +134,7 @@ trajectory(const dfg::Translation &tr, uint64_t seed,
  */
 std::vector<double>
 sweepTrajectory(const dfg::Translation &tr, uint64_t seed,
-                double (*quantizer)(double), Engine engine)
+                accel::Numeric numeric, Engine engine)
 {
     TrainingData data = trainingData(tr, seed);
     const std::vector<double> &records = data.records;
@@ -142,13 +142,13 @@ sweepTrajectory(const dfg::Translation &tr, uint64_t seed,
     constexpr double kRate = 0.03;
 
     if (engine == Engine::Tape) {
-        dfg::Tape t(tr, quantizer);
+        dfg::Tape t(tr, numeric);
         dfg::TapeExecutor exec(t);
         for (int s = 0; s < 2; ++s)
             exec.sgdSweep(records, kRecords, model, kRate);
         return model;
     }
-    dfg::Interpreter interp(tr, quantizer);
+    dfg::Interpreter interp(tr, numeric);
     std::vector<double> grad;
     for (int s = 0; s < 2; ++s)
         for (int64_t r = 0; r < kRecords; ++r) {
@@ -226,18 +226,16 @@ TEST(RewriteFuzz, TrajectoriesBitIdenticalAcrossEngines)
         ASSERT_FALSE(outcome.budgetExhausted)
             << "fuzz graphs are small; the default budget must suffice";
 
-        for (auto quantizer :
-             {static_cast<double (*)(double)>(nullptr),
-              &accel::quantizeToFixed}) {
-            SCOPED_TRACE(quantizer ? "Q16.16" : "F64");
+        for (auto numeric : {accel::Numeric::F64, accel::Numeric::Q16}) {
+            SCOPED_TRACE(accel::numericName(numeric));
             for (auto engine : {Engine::Interp, Engine::Tape}) {
-                auto a = trajectory(plain, seed, quantizer, engine);
-                auto b = trajectory(rewritten, seed, quantizer, engine);
+                auto a = trajectory(plain, seed, numeric, engine);
+                auto b = trajectory(rewritten, seed, numeric, engine);
                 expectBitIdentical(a, b, engineName(engine));
             }
             expectSameValues(
-                trajectory(plain, seed, quantizer, Engine::Interp),
-                trajectory(plain, seed, quantizer, Engine::Tape),
+                trajectory(plain, seed, numeric, Engine::Interp),
+                trajectory(plain, seed, numeric, Engine::Tape),
                 engineName(Engine::Tape));
         }
         if (::testing::Test::HasFailure())
@@ -261,17 +259,15 @@ TEST(RewriteFuzz, SgdSweepMatchesInterpreterSteps)
         auto plain = randomTranslation(seed);
         auto rewritten = plain;
         dfg::rewriteFixpoint(rewritten);
-        for (auto quantizer :
-             {static_cast<double (*)(double)>(nullptr),
-              &accel::quantizeToFixed}) {
-            SCOPED_TRACE(quantizer ? "Q16.16" : "F64");
+        for (auto numeric : {accel::Numeric::F64, accel::Numeric::Q16}) {
+            SCOPED_TRACE(accel::numericName(numeric));
             auto want =
-                sweepTrajectory(plain, seed, quantizer, Engine::Interp);
+                sweepTrajectory(plain, seed, numeric, Engine::Interp);
             auto got =
-                sweepTrajectory(plain, seed, quantizer, Engine::Tape);
+                sweepTrajectory(plain, seed, numeric, Engine::Tape);
             expectSameValues(want, got, "tape-sweep");
             expectBitIdentical(got,
-                               sweepTrajectory(rewritten, seed, quantizer,
+                               sweepTrajectory(rewritten, seed, numeric,
                                                Engine::Tape),
                                "tape-sweep");
         }
@@ -289,14 +285,13 @@ TEST(RewriteFuzz, SgdSweepMatchesInterpreterSteps)
  */
 TEST(RewriteFuzzRegression, PowCubeKeepsSingleQuantization)
 {
-    using accel::quantizeToFixed;
+    using accel::roundQ16;
     // The divergence itself, staged exactly as the two datapaths
     // would: one quantization after pow vs. one per mul.
-    double x = quantizeToFixed(0.7);
-    double pow_path = quantizeToFixed(
-        dfg::evaluateOp(dfg::OpKind::Pow, x, quantizeToFixed(3.0), 0.0));
-    double chain_path =
-        quantizeToFixed(quantizeToFixed(x * x) * x);
+    double x = roundQ16(0.7);
+    double pow_path = roundQ16(
+        dfg::evaluateOp(dfg::OpKind::Pow, x, roundQ16(3.0), 0.0));
+    double chain_path = roundQ16(roundQ16(x * x) * x);
     ASSERT_NE(pow_path, chain_path)
         << "test premise: the cube must round differently when staged";
 
@@ -339,7 +334,7 @@ TEST(RewriteFuzzRegression, NegativeInputTimesZeroKeepsSignBit)
     EXPECT_EQ(outcome.totalHits(), 0);
 
     // The sign bit the rewrite would have destroyed:
-    dfg::Interpreter interp(rewritten, nullptr);
+    dfg::Interpreter interp(rewritten, accel::Numeric::F64);
     std::vector<double> record = {-2.0}, model, grad;
     interp.run(record, model, grad);
     ASSERT_EQ(grad.size(), 1u);
@@ -355,12 +350,11 @@ TEST(RewriteFuzzRegression, NegativeInputTimesZeroKeepsSignBit)
  */
 TEST(RewriteFuzzRegression, SaturatedDoubleNegationIsNotIdentity)
 {
-    using accel::quantizeToFixed;
+    using accel::roundQ16;
     double x = -32768.0;
-    ASSERT_EQ(quantizeToFixed(x), x)
+    ASSERT_EQ(roundQ16(x), x)
         << "test premise: the most negative fixed value is exact";
-    double round_trip =
-        quantizeToFixed(-quantizeToFixed(-quantizeToFixed(x)));
+    double round_trip = roundQ16(-roundQ16(-roundQ16(x)));
     ASSERT_NE(round_trip, x)
         << "test premise: negation must saturate asymmetrically";
 
@@ -379,7 +373,7 @@ TEST(RewriteFuzzRegression, SaturatedDoubleNegationIsNotIdentity)
     auto outcome = dfg::rewriteFixpoint(rewritten);
     EXPECT_EQ(outcome.totalHits(), 0);
 
-    dfg::Interpreter interp(rewritten, &accel::quantizeToFixed);
+    dfg::Interpreter interp(rewritten, accel::Numeric::Q16);
     std::vector<double> record = {x}, model, grad;
     interp.run(record, model, grad);
     ASSERT_EQ(grad.size(), 1u);
@@ -415,12 +409,12 @@ TEST(RewriteFuzzRegression, NegativeConstantsThroughUnaryOpsMatchInterp)
 
     // No rewrite here on purpose: the raw graph must reach the tape
     // with its negative constants intact.
-    expectBitIdentical(trajectory(tr, 33, nullptr, Engine::Interp),
-                       trajectory(tr, 33, nullptr, Engine::Tape),
-                       "tape/F64");
     expectBitIdentical(
-        trajectory(tr, 33, &accel::quantizeToFixed, Engine::Interp),
-        trajectory(tr, 33, &accel::quantizeToFixed, Engine::Tape),
+        trajectory(tr, 33, accel::Numeric::F64, Engine::Interp),
+        trajectory(tr, 33, accel::Numeric::F64, Engine::Tape), "tape/F64");
+    expectBitIdentical(
+        trajectory(tr, 33, accel::Numeric::Q16, Engine::Interp),
+        trajectory(tr, 33, accel::Numeric::Q16, Engine::Tape),
         "tape/Q16.16");
 }
 

@@ -49,7 +49,7 @@ namespace {
 /** The small, fast cluster shape most tests train. */
 sys::JobSpec
 smallJob(const std::string &workload,
-         net::PayloadKind payload = net::PayloadKind::F64)
+         accel::Numeric payload = accel::Numeric::F64)
 {
     sys::JobSpec spec;
     spec.workload = workload;
@@ -169,7 +169,7 @@ TEST(ServiceWire, UnpackTextRejectsOverlongLength)
 
 TEST(JobSpecText, RoundTrips)
 {
-    sys::JobSpec spec = smallJob("tumor", net::PayloadKind::Q16);
+    sys::JobSpec spec = smallJob("tumor", accel::Numeric::Q16);
     spec.name = "tenant-a";
     spec.epochs = 3;
     spec.cluster.mode = sys::TrainingMode::BatchedGradient;
@@ -220,7 +220,7 @@ TEST(SessionLayer, BitExactAcrossSuiteAndPayloads)
 {
     for (const auto &w : ml::Workload::suite()) {
         for (auto payload :
-             {net::PayloadKind::F64, net::PayloadKind::Q16}) {
+             {accel::Numeric::F64, accel::Numeric::Q16}) {
             const sys::JobSpec spec = smallJob(w.name, payload);
             sys::ClusterRuntime direct(w, spec.scale, spec.cluster);
             const auto want = direct.train(spec.epochs);
@@ -229,8 +229,7 @@ TEST(SessionLayer, BitExactAcrossSuiteAndPayloads)
             const auto &got = session.run();
             EXPECT_TRUE(bitEqual(got.finalModel, want.finalModel))
                 << w.name << " diverged through the Session layer ("
-                << (payload == net::PayloadKind::Q16 ? "q16" : "f64")
-                << ")";
+                << accel::numericName(payload) << ")";
             EXPECT_EQ(got.epochLoss, want.epochLoss) << w.name;
         }
     }
@@ -238,7 +237,7 @@ TEST(SessionLayer, BitExactAcrossSuiteAndPayloads)
 
 TEST(SessionLayer, BitExactOverTcp)
 {
-    sys::JobSpec spec = smallJob("stock", net::PayloadKind::Q16);
+    sys::JobSpec spec = smallJob("stock", accel::Numeric::Q16);
     spec.cluster.transport.kind = net::TransportKind::Tcp;
 
     sys::ClusterRuntime direct(ml::Workload::byName("stock"),
@@ -637,7 +636,7 @@ TEST(ServiceFrontDoor, SubmitWaitResultRoundTrip)
         "127.0.0.1:" + std::to_string(door.port());
 
     for (auto payload :
-         {net::PayloadKind::F64, net::PayloadKind::Q16}) {
+         {accel::Numeric::F64, accel::Numeric::Q16}) {
         const sys::JobSpec spec = smallJob("stock", payload);
         sys::ClusterRuntime direct(ml::Workload::byName("stock"),
                                    spec.scale, spec.cluster);
@@ -703,7 +702,7 @@ TEST(ServiceFrontDoor, CancelOverTheWire)
 
 TEST(ServiceFrontDoor, ResultOutlivesReleasedCluster)
 {
-    const sys::JobSpec spec = smallJob("tumor", net::PayloadKind::Q16);
+    const sys::JobSpec spec = smallJob("tumor", accel::Numeric::Q16);
     sys::Session solo(spec);
     const std::vector<double> want = solo.run().finalModel;
 

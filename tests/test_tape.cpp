@@ -1,7 +1,7 @@
 /**
  * @file
  * Tape executor correctness: bit-exact gradient equivalence against the
- * Interpreter (with and without the fixed-point quantizer) across the
+ * Interpreter (in F64 and in Q16.16 fixed point) across the
  * whole benchmark suite at two scales, the zero-allocation batch and
  * SGD entry points, hand-built dot segments (fusion, lanes and their
  * remainders, and the cases that must not fuse), and an end-to-end
@@ -37,7 +37,7 @@ translateWorkload(const ml::Workload &w, double scale)
 }
 
 /** Bit-exact equivalence vs the Interpreter on every suite benchmark,
- *  at two scales, with and without the Q16.16 quantizer. */
+ *  at two scales, in F64 and in Q16.16. */
 class TapeEquivalence
     : public ::testing::TestWithParam<std::tuple<std::string, double>>
 {};
@@ -52,11 +52,10 @@ TEST_P(TapeEquivalence, MatchesInterpreterBitExact)
     auto ds = ml::DatasetGenerator::generate(w, scale, 4, rng);
     auto model = ml::DatasetGenerator::initialModel(w, scale, rng);
 
-    for (double (*quantizer)(double) :
-         {static_cast<double (*)(double)>(nullptr),
-          &accel::quantizeToFixed}) {
-        dfg::Interpreter interp(tr, quantizer);
-        dfg::Tape tape(tr, quantizer);
+    for (accel::Numeric numeric :
+         {accel::Numeric::F64, accel::Numeric::Q16}) {
+        dfg::Interpreter interp(tr, numeric);
+        dfg::Tape tape(tr, numeric);
         EXPECT_EQ(tape.instructionCount(), tr.dfg.operationCount());
         dfg::TapeExecutor exec(tape);
 
@@ -69,14 +68,14 @@ TEST_P(TapeEquivalence, MatchesInterpreterBitExact)
             for (int64_t i = 0; i < tr.gradientWords; ++i)
                 ASSERT_EQ(got[i], want[i])
                     << "gradient element " << i << " of record " << r
-                    << (quantizer ? " (quantized)" : " (exact)");
+                    << " (" << accel::numericName(numeric) << ")";
         }
     }
 }
 
 /**
  * runBatch must be bit-exact against the scalar per-record path for
- * odd record counts (3 and 11), with the quantizer both off and on.
+ * odd record counts (3 and 11), in F64 and in Q16.16.
  */
 TEST_P(TapeEquivalence, LaneBatchBitExactVsScalarWithRemainder)
 {
@@ -88,10 +87,9 @@ TEST_P(TapeEquivalence, LaneBatchBitExactVsScalarWithRemainder)
     auto ds = ml::DatasetGenerator::generate(w, scale, 11, rng);
     auto model = ml::DatasetGenerator::initialModel(w, scale, rng);
 
-    for (double (*quantizer)(double) :
-         {static_cast<double (*)(double)>(nullptr),
-          &accel::quantizeToFixed}) {
-        dfg::Tape tape(tr, quantizer);
+    for (accel::Numeric numeric :
+         {accel::Numeric::F64, accel::Numeric::Q16}) {
+        dfg::Tape tape(tr, numeric);
         dfg::TapeExecutor exec(tape);
         std::vector<double> grad(tr.gradientWords);
         for (int64_t count : {int64_t{3}, ds.count}) {
@@ -106,8 +104,8 @@ TEST_P(TapeEquivalence, LaneBatchBitExactVsScalarWithRemainder)
             for (int64_t i = 0; i < tr.gradientWords; ++i)
                 ASSERT_EQ(got[i], want[i])
                     << "gradient element " << i << ", " << count
-                    << " records"
-                    << (quantizer ? " (quantized)" : " (exact)");
+                    << " records (" << accel::numericName(numeric)
+                    << ")";
         }
     }
 }
@@ -116,7 +114,7 @@ TEST_P(TapeEquivalence, LaneBatchBitExactVsScalarWithRemainder)
  * The scalar sgdSweep (model resident in its slot region, one
  * contiguous update per record) must be bit-exact against the
  * interpreter's gradient followed by an explicit per-record SGD step,
- * with and without the quantizer.
+ * in F64 and in Q16.16.
  */
 TEST_P(TapeEquivalence, SgdSweepMatchesInterpreterPerRecordSgd)
 {
@@ -131,10 +129,9 @@ TEST_P(TapeEquivalence, SgdSweepMatchesInterpreterPerRecordSgd)
     auto model = ml::DatasetGenerator::initialModel(w, scale, rng);
     const double mu = 0.05;
 
-    for (double (*quantizer)(double) :
-         {static_cast<double (*)(double)>(nullptr),
-          &accel::quantizeToFixed}) {
-        dfg::Interpreter interp(tr, quantizer);
+    for (accel::Numeric numeric :
+         {accel::Numeric::F64, accel::Numeric::Q16}) {
+        dfg::Interpreter interp(tr, numeric);
         std::vector<double> want(model), grad;
         for (int64_t r = 0; r < ds.count; ++r) {
             interp.run(ds.record(r), want, grad);
@@ -142,7 +139,7 @@ TEST_P(TapeEquivalence, SgdSweepMatchesInterpreterPerRecordSgd)
                 want[i] -= mu * grad[i];
         }
 
-        dfg::Tape tape(tr, quantizer);
+        dfg::Tape tape(tr, numeric);
         EXPECT_TRUE(tape.hasGradientRegion())
             << "every suite gradient is a distinct operation node";
         dfg::TapeExecutor exec(tape);
@@ -151,7 +148,7 @@ TEST_P(TapeEquivalence, SgdSweepMatchesInterpreterPerRecordSgd)
         for (int64_t i = 0; i < tr.modelWords; ++i)
             ASSERT_EQ(got[i], want[i])
                 << "model element " << i
-                << (quantizer ? " (quantized)" : " (exact)");
+                << " (" << accel::numericName(numeric) << ")";
     }
 }
 
@@ -238,12 +235,11 @@ expectTapeMatchesInterpreter(const dfg::Translation &tr,
 {
     const int64_t count =
         static_cast<int64_t>(records.size()) / tr.recordWords;
-    for (double (*quantizer)(double) :
-         {static_cast<double (*)(double)>(nullptr),
-          &accel::quantizeToFixed}) {
-        SCOPED_TRACE(quantizer ? "Q16.16" : "F64");
-        dfg::Interpreter interp(tr, quantizer);
-        dfg::Tape tape(tr, quantizer);
+    for (accel::Numeric numeric :
+         {accel::Numeric::F64, accel::Numeric::Q16}) {
+        SCOPED_TRACE(accel::numericName(numeric));
+        dfg::Interpreter interp(tr, numeric);
+        dfg::Tape tape(tr, numeric);
         dfg::TapeExecutor exec(tape);
 
         std::vector<double> want, got(tr.gradientWords);
