@@ -44,11 +44,17 @@ measuredBreakdown()
         for (int64_t b : batches) {
             auto report = bench::trainMeasured(
                 w.name, 64.0, bench::smallCluster(3, b, 256, 1), 1);
-            double compute = mean(report.maxNodeComputeSeconds);
+            std::vector<double> compute, throughput;
+            for (size_t i = 0; i < report.iterationStats.size(); ++i) {
+                const sys::IterationStats &it = report.iterationStats[i];
+                compute.push_back(it.maxComputeSec);
+                throughput.push_back(it.records /
+                                     report.iterationSeconds[i]);
+            }
             double iter = mean(report.iterationSeconds);
             row.push_back(
-                TablePrinter::num(100.0 * compute / iter, 1));
-            rps = mean(report.recordsPerSecond);
+                TablePrinter::num(100.0 * mean(compute) / iter, 1));
+            rps = mean(throughput);
         }
         row.push_back(TablePrinter::num(rps, 0));
         table.addRow(std::move(row));
@@ -78,10 +84,9 @@ perIterationBreakdown()
             "): compute vs aggregation wait");
         table.setHeader({"Iter", "compute (ms)", "agg wait (ms)",
                          "agg share (%)"});
-        for (size_t i = 0; i < report.computeSecondsTotal.size();
-             ++i) {
-            const double c = report.computeSecondsTotal[i];
-            const double a = report.aggregationSecondsTotal[i];
+        for (size_t i = 0; i < report.iterationStats.size(); ++i) {
+            const double c = report.iterationStats[i].sumComputeSec;
+            const double a = report.iterationStats[i].sumAggregationSec;
             const double total = c + a;
             table.addRow({std::to_string(i),
                           TablePrinter::num(c * 1e3, 3),

@@ -124,9 +124,10 @@ measureIteration(sys::ClusterRuntime &runtime)
     auto report = runtime.train(2);
     IterationSummary s;
     for (size_t i = 0; i < report.iterationSeconds.size(); ++i) {
+        const sys::IterationStats &it = report.iterationStats[i];
         s.iterSec += report.iterationSeconds[i];
-        s.aggSec += report.aggregationWaitSeconds[i];
-        s.rps += report.recordsPerSecond[i];
+        s.aggSec += it.maxAggregationSec;
+        s.rps += it.records / report.iterationSeconds[i];
     }
     size_t iters = report.iterationSeconds.size();
     s.iterSec /= iters;

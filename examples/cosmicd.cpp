@@ -444,7 +444,6 @@ runNode(const Options &opt, int self,
     nc.mode = cfg.mode;
     nc.learningRate = cfg.learningRate;
     nc.minibatchPerNode = cfg.minibatchPerNode;
-    nc.adoptBroadcast = true; // the broadcast IS our next model
     nc.payload = opt.payload;
     sys::NodeRuntime runtime(translation, nc, node, *transport,
                              engine.get(), *pool);
@@ -476,15 +475,17 @@ runNode(const Options &opt, int self,
         (cfg.recordsPerNode + cfg.minibatchPerNode - 1) /
         cfg.minibatchPerNode;
     uint64_t seq = 0;
+    sys::NodeRuntime::Result round;
     for (int e = 0; e < opt.epochs; ++e) {
         for (int64_t i = 0; i < iters_per_epoch; ++i) {
-            std::vector<double> next;
-            runtime.runRole(assign, topo, model, seq++, next);
-            COSMIC_ASSERT(!next.empty(),
+            // The round's model (the broadcast, or the master's own
+            // product) carries this process's next iteration.
+            runtime.runRole(assign, topo, model, seq++, round);
+            COSMIC_ASSERT(!round.model.empty(),
                           "node " << self
                           << " finished an iteration with no model");
             pool->release(std::move(model));
-            model = std::move(next);
+            model = std::move(round.model);
         }
         if (is_master)
             std::printf("  epoch %d: holdout loss %.4f\n", e + 1,

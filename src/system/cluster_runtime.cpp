@@ -148,24 +148,20 @@ ClusterRuntime::ClusterRuntime(
             nodes_[i]->setFaultInjector(injector_.get(), i);
         }
     }
-    // Pipelined (barrier-free) iterations: explicit opt-in, or implied
-    // by a staleness budget. Crash-fault plans keep the barrier — the
-    // eviction/repair machinery needs the iteration boundary.
+    // Pipelined (barrier-free) iterations. Crash-fault plans keep the
+    // barrier — the eviction/repair machinery needs the iteration
+    // boundary.
     pipelineActive_ =
-        (config_.overlapIterations || config_.maxStaleness > 0) &&
-        config_.faultPlan.crashes().empty();
+        config_.overlapIterations && config_.faultPlan.crashes().empty();
     for (int i = 0; i < config_.nodes; ++i)
         nodeRuntimes_.push_back(makeNodeRuntime(i));
-    recoveryScratch_.resize(config_.nodes);
-    suspectScratch_.resize(config_.nodes);
+    nodeResults_.resize(config_.nodes);
     missStreak_.resize(config_.nodes, 0);
 
     // One long-lived worker per node: each iteration's node tasks all
     // block on each other's channels, so the pool must be able to run
     // every node concurrently.
     nodeWorkers_ = std::make_unique<ThreadPool>(config_.nodes);
-    computeSec_.resize(config_.nodes, 0.0);
-    aggregationSec_.resize(config_.nodes, 0.0);
 }
 
 const dfg::Translation &
@@ -191,9 +187,6 @@ ClusterRuntime::makeNodeRuntime(int id)
     nc.minibatchPerNode = config_.minibatchPerNode;
     nc.faultTolerance = config_.faultTolerance;
     nc.faultsActive = faultsActive_;
-    // In-process: every role shares the master's new_model by
-    // reference, so nobody needs to adopt the broadcast copy.
-    nc.adoptBroadcast = false;
     nc.payload = config_.transport.payload;
     nc.maxStaleness = config_.maxStaleness;
     nc.streamChunkWords = config_.streamChunkWords;
@@ -207,8 +200,8 @@ ClusterRuntime::applyRepairs()
 {
     const int master = topology_.masterId();
     std::vector<char> suspected(config_.nodes, 0);
-    for (const auto &reports : suspectScratch_)
-        for (int id : reports)
+    for (const auto &res : nodeResults_)
+        for (int id : res.suspects)
             if (id >= 0 && id < config_.nodes)
                 suspected[id] = 1;
 
@@ -247,63 +240,60 @@ ClusterRuntime::applyRepairs()
         }
 }
 
+namespace {
+
+/** Folds one node's share of a round into the cluster's counters: the
+ *  slowest node's times, the cluster sums and the records. */
+void
+addNodeRound(IterationStats &stats, const NodeRuntime::Result &res)
+{
+    stats.maxComputeSec = std::max(stats.maxComputeSec, res.computeSec);
+    stats.maxAggregationSec =
+        std::max(stats.maxAggregationSec, res.aggregationSec);
+    stats.sumComputeSec += res.computeSec;
+    stats.sumAggregationSec += res.aggregationSec;
+    stats.records += res.records;
+}
+
+} // namespace
+
 std::vector<double>
 ClusterRuntime::runIteration(const std::vector<double> &model,
                              uint64_t seq, IterationStats *stats)
 {
-    std::vector<double> new_model;
-    std::fill(computeSec_.begin(), computeSec_.end(), 0.0);
-    std::fill(aggregationSec_.begin(), aggregationSec_.end(), 0.0);
-    if (faultsActive_) {
-        for (auto &rc : recoveryScratch_)
-            rc = RecoveryStats{};
-        for (auto &reports : suspectScratch_)
-            reports.clear();
-    }
-    int64_t records_before = 0;
-    for (const auto &node : nodes_)
-        records_before += node->recordsProcessed();
-
+    // Crashed and evicted nodes run no role; their slots read zero.
+    for (auto &res : nodeResults_)
+        res.clear();
+    const int master = topology_.masterId();
     for (const auto &assign : topology_.nodes) {
         // A crashed node's process is gone: it computes nothing and
         // sends nothing, and its silence is what the timeouts detect.
         if (faultsActive_ && injector_->crashed(assign.id, seq))
             continue;
-        nodeWorkers_->submit([this, assign, &model, seq, &new_model] {
-            NodeRuntime::Result res =
-                nodeRuntimes_[assign.id]->runRole(
-                    assign, topology_, model, seq, new_model);
-            computeSec_[assign.id] = res.computeSec;
-            aggregationSec_[assign.id] = res.aggregationSec;
-            if (faultsActive_) {
-                recoveryScratch_[assign.id] = res.recovery;
-                suspectScratch_[assign.id] = std::move(res.suspects);
-            }
+        nodeWorkers_->submit([this, assign, &model, seq, master] {
+            NodeRuntime::Result &res = nodeResults_[assign.id];
+            nodeRuntimes_[assign.id]->runRole(assign, topology_, model,
+                                              seq, res);
+            // In-process nodes share the master's model by reference;
+            // every received broadcast copy goes back to the pool.
+            if (assign.id != master)
+                pool_->release(std::move(res.model));
         });
     }
     nodeWorkers_->waitIdle();
+    std::vector<double> new_model = std::move(nodeResults_[master].model);
     COSMIC_ASSERT(!new_model.empty(), "master produced no model");
 
     if (faultsActive_) {
-        for (const auto &rc : recoveryScratch_)
-            recovery_ += rc;
+        for (const auto &res : nodeResults_)
+            recovery_ += res.recovery;
         applyRepairs();
     }
 
     if (stats) {
         *stats = IterationStats{};
-        for (double s : computeSec_) {
-            stats->maxComputeSec = std::max(stats->maxComputeSec, s);
-            stats->sumComputeSec += s;
-        }
-        for (double s : aggregationSec_) {
-            stats->maxAggregationSec =
-                std::max(stats->maxAggregationSec, s);
-            stats->sumAggregationSec += s;
-        }
-        for (const auto &node : nodes_)
-            stats->records += node->recordsProcessed();
-        stats->records -= records_before;
+        for (const auto &res : nodeResults_)
+            addNodeRound(*stats, res);
     }
     return new_model;
 }
@@ -379,15 +369,7 @@ ClusterRuntime::train(int epochs, RunControl *control)
                     std::chrono::steady_clock::now() - start)
                     .count();
             report.iterationSeconds.push_back(iter_sec);
-            report.maxNodeComputeSeconds.push_back(
-                stats.maxComputeSec);
-            report.recordsPerSecond.push_back(
-                iter_sec > 0.0 ? stats.records / iter_sec : 0.0);
-            report.aggregationWaitSeconds.push_back(
-                stats.maxAggregationSec);
-            report.computeSecondsTotal.push_back(stats.sumComputeSec);
-            report.aggregationSecondsTotal.push_back(
-                stats.sumAggregationSec);
+            report.iterationStats.push_back(stats);
         }
         if (report.cancelled)
             break;
@@ -407,28 +389,18 @@ ClusterRuntime::train(int epochs, RunControl *control)
 
 namespace {
 
-/** Collects the pipelined run's per-round per-node stats and streams
- *  the master's models to the train loop. onRound writes a distinct
- *  (round, node) cell per call — no two callers share one — so the
- *  matrices need no lock; the model queue is the only shared state. */
+/** Folds the pipelined run's per-node round reports into per-round
+ *  counters and streams the master's models to the train loop. */
 class PipelineCollector : public NodeRuntime::PipelineSink
 {
   public:
-    PipelineCollector(uint64_t rounds, int nodes)
-        : rounds_(rounds), nodes_(nodes),
-          compute_(rounds * nodes, 0.0), agg_(rounds * nodes, 0.0),
-          records_(rounds * nodes, 0)
-    {
-    }
+    explicit PipelineCollector(uint64_t rounds) : stats_(rounds) {}
 
     void
-    onRound(int node, uint64_t seq, double compute_sec,
-            double aggregation_sec, int64_t records) override
+    onRound(uint64_t seq, const NodeRuntime::Result &res) override
     {
-        const size_t cell = seq * nodes_ + node;
-        compute_[cell] = compute_sec;
-        agg_[cell] = aggregation_sec;
-        records_[cell] = records;
+        std::lock_guard<std::mutex> lock(mutex_);
+        addNodeRound(stats_[seq], res);
     }
 
     void
@@ -450,28 +422,15 @@ class PipelineCollector : public NodeRuntime::PipelineSink
         return entry;
     }
 
-    double
-    compute(uint64_t seq, int node) const
+    /** The per-round counters; call once every node has finished. */
+    std::vector<IterationStats>
+    takeStats()
     {
-        return compute_[seq * nodes_ + node];
-    }
-    double
-    agg(uint64_t seq, int node) const
-    {
-        return agg_[seq * nodes_ + node];
-    }
-    int64_t
-    records(uint64_t seq, int node) const
-    {
-        return records_[seq * nodes_ + node];
+        return std::move(stats_);
     }
 
   private:
-    uint64_t rounds_;
-    size_t nodes_;
-    std::vector<double> compute_;
-    std::vector<double> agg_;
-    std::vector<int64_t> records_;
+    std::vector<IterationStats> stats_;
 
     std::mutex mutex_;
     std::condition_variable cv_;
@@ -500,7 +459,7 @@ ClusterRuntime::trainPipelined(int epochs, RunControl *control)
     const uint64_t rounds =
         static_cast<uint64_t>(epochs) *
         static_cast<uint64_t>(iters_per_epoch);
-    PipelineCollector collector(rounds, config_.nodes);
+    PipelineCollector collector(rounds);
 
     // Launch every node's free-running loop; the workers block on each
     // other's channels, and the pool holds one thread per node.
@@ -549,27 +508,7 @@ ClusterRuntime::trainPipelined(int epochs, RunControl *control)
     }
     nodeWorkers_->waitIdle();
 
-    // Fold the stat matrices into the per-iteration report series.
-    for (uint64_t seq = 0; seq < rounds; ++seq) {
-        double max_c = 0.0, max_a = 0.0, sum_c = 0.0, sum_a = 0.0;
-        int64_t records = 0;
-        for (int n = 0; n < config_.nodes; ++n) {
-            const double c = collector.compute(seq, n);
-            const double a = collector.agg(seq, n);
-            max_c = std::max(max_c, c);
-            max_a = std::max(max_a, a);
-            sum_c += c;
-            sum_a += a;
-            records += collector.records(seq, n);
-        }
-        report.maxNodeComputeSeconds.push_back(max_c);
-        report.aggregationWaitSeconds.push_back(max_a);
-        report.computeSecondsTotal.push_back(sum_c);
-        report.aggregationSecondsTotal.push_back(sum_a);
-        const double iter_sec = report.iterationSeconds[seq];
-        report.recordsPerSecond.push_back(
-            iter_sec > 0.0 ? records / iter_sec : 0.0);
-    }
+    report.iterationStats = collector.takeStats();
     for (const auto &r : results) {
         recovery_ += r.recovery;
         report.staleness += r.staleness;

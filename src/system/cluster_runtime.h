@@ -188,22 +188,13 @@ struct TrainingReport
 
     /** Wall-clock seconds per iteration (observability). */
     std::vector<double> iterationSeconds;
-    /** Slowest node's partial-update compute time per iteration —
-     *  with straggler injection this is where the skew shows up. */
-    std::vector<double> maxNodeComputeSeconds;
-    /** Cluster-wide training throughput per iteration. */
-    std::vector<double> recordsPerSecond;
-    /** Slowest node's aggregation/communication wait per iteration —
-     *  iteration time not spent computing gradients. */
-    std::vector<double> aggregationWaitSeconds;
-    /** Cluster-summed compute seconds per iteration (the Fig. 13
-     *  breakdown's compute half: across all nodes, how much time went
-     *  into gradient sweeps this iteration). */
-    std::vector<double> computeSecondsTotal;
-    /** Cluster-summed aggregation/communication wait per iteration —
-     *  the breakdown's other half. In pipelined mode this includes
-     *  each node's freshness-gate wait. */
-    std::vector<double> aggregationSecondsTotal;
+    /** Per-iteration counters, one per iterationSeconds entry: the
+     *  slowest node's compute (where straggler skew shows up) and
+     *  aggregation wait, their cluster-wide sums (the Fig. 13
+     *  breakdown; in pipelined mode the aggregation half includes
+     *  each node's freshness-gate wait), and the records trained.
+     *  Throughput is records / iterationSeconds. */
+    std::vector<IterationStats> iterationStats;
 
     /** Pipelined-mode staleness counters (all zero under the barrier
      *  protocol and in strict sync overlap with no faults). */
@@ -256,7 +247,8 @@ class ClusterRuntime
     TrainingReport train(int epochs, RunControl *control = nullptr);
 
     /** One synchronous iteration over the hierarchy; returns the new
-     *  globally aggregated model. Exposed for tests.
+     *  globally aggregated model. train() runs it; so do tests and
+     *  perfbench's traced loop, which drive iterations one by one.
      *  @param stats Optional out: the iteration's perf counters. */
     std::vector<double> runIteration(const std::vector<double> &model,
                                      uint64_t seq,
@@ -285,10 +277,10 @@ class ClusterRuntime
      *  (rebuilt after a repair hands the node a new engine). */
     std::unique_ptr<NodeRuntime> makeNodeRuntime(int id);
 
-    /** The barrier-free training loop (overlapIterations /
-     *  maxStaleness): launches every node's free-running pipelined
-     *  role and consumes the master's model stream, overlapping
-     *  epoch-loss evaluation with the cluster's next rounds. */
+    /** The barrier-free training loop (overlapIterations): launches
+     *  every node's free-running pipelined role and consumes the
+     *  master's model stream, overlapping epoch-loss evaluation with
+     *  the cluster's next rounds. */
     TrainingReport trainPipelined(int epochs, RunControl *control);
 
     /** Folds the iteration's suspect reports into miss streaks and
@@ -324,9 +316,10 @@ class ClusterRuntime
      *  waits at the iteration barrier, it never spawns threads. */
     std::unique_ptr<ThreadPool> nodeWorkers_;
 
-    /** Per-node perf counters, reused across iterations. */
-    std::vector<double> computeSec_;
-    std::vector<double> aggregationSec_;
+    /** Each node's report of the current iteration, reused across
+     *  iterations (each node task writes only its own slot; folded at
+     *  the barrier). */
+    std::vector<NodeRuntime::Result> nodeResults_;
 
     /** True when the failure-tolerant protocol is active (a fault
      *  plan is installed or the policy is force-enabled). */
@@ -335,11 +328,6 @@ class ClusterRuntime
     bool pipelineActive_ = false;
     /** Executes the fault plan; null when inactive. */
     std::unique_ptr<FaultInjector> injector_;
-    /** Per-node recovery counters for the current iteration (each
-     *  node task writes only its own slot; folded at the barrier). */
-    std::vector<RecoveryStats> recoveryScratch_;
-    /** Per-node suspect reports for the current iteration. */
-    std::vector<std::vector<int>> suspectScratch_;
     /** Consecutive iterations each node has been suspected. */
     std::vector<int> missStreak_;
     /** Counters accumulated across iterations (runtime-side only;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 
 #include "common/error.h"
 
@@ -18,6 +17,17 @@ StalenessStats::operator+=(const StalenessStats &o)
     tooStaleDropped += o.tooStaleDropped;
     maxEpochLag = std::max(maxEpochLag, o.maxEpochLag);
     return *this;
+}
+
+void
+NodeRuntime::Result::clear()
+{
+    computeSec = 0.0;
+    aggregationSec = 0.0;
+    records = 0;
+    recovery = RecoveryStats{};
+    suspects.clear();
+    model.clear();
 }
 
 NodeRuntime::NodeRuntime(const dfg::Translation &translation,
@@ -57,16 +67,15 @@ NodeRuntime::minEpochFor(uint64_t seq) const
 }
 
 void
-NodeRuntime::sendUpdate(int to, int from_id, uint64_t seq,
-                        uint64_t epoch, int contributors,
+NodeRuntime::sendUpdate(uint64_t seq, uint64_t epoch, int contributors,
                         std::vector<double> update)
 {
     const int64_t words = static_cast<int64_t>(update.size());
     const int64_t chunk = config_.streamChunkWords;
     if (chunk <= 0 || chunk >= words) {
-        Message msg{from_id, seq, std::move(update), contributors};
+        Message msg{assign_.id, seq, std::move(update), contributors};
         msg.epoch = epoch;
-        transport_.send(to, std::move(msg));
+        transport_.send(assign_.parent, std::move(msg));
         return;
     }
     // Streaming aggregation: ship the vector as (offset, span) chunks
@@ -78,84 +87,12 @@ NodeRuntime::sendUpdate(int to, int from_id, uint64_t seq,
         std::vector<double> piece = pool_.acquire(span);
         std::copy(update.begin() + off, update.begin() + off + span,
                   piece.begin());
-        Message msg{from_id, seq, std::move(piece), contributors};
+        Message msg{assign_.id, seq, std::move(piece), contributors};
         msg.epoch = epoch;
         msg.offset = static_cast<uint32_t>(off);
-        transport_.send(to, std::move(msg));
+        transport_.send(assign_.parent, std::move(msg));
     }
     pool_.release(std::move(update));
-}
-
-void
-NodeRuntime::collectPartials(const NodeAssignment &assign,
-                             const std::vector<int> &expected,
-                             double budget_scale, Result &res)
-{
-    AggregationEngine &engine = *engine_;
-    std::vector<int> got;
-    while (got.size() < expected.size()) {
-        Message msg;
-        RecvStatus r =
-            receiveProtocol(msg, budget_scale, res.recovery);
-        COSMIC_ASSERT(r != RecvStatus::Closed,
-                      "inbox closed mid-iteration at node "
-                          << assign.id);
-        if (r == RecvStatus::Timeout)
-            break; // give up on whoever is still missing
-        const int from = msg.from;
-        if (engine.onMessage(std::move(msg))) {
-            // A sender counts once its spans tile the round width —
-            // immediately for whole-vector messages, on the last
-            // chunk in streaming mode.
-            if (engine.senderComplete(from) &&
-                std::find(got.begin(), got.end(), from) == got.end())
-                got.push_back(from);
-        } else {
-            // Duplicate, stale, or malformed — counted by the engine.
-            // Impossible on the no-fault path, where it would be a
-            // stack bug.
-            COSMIC_ASSERT(config_.faultsActive,
-                          "unexpected partial rejected at node "
-                              << assign.id << " from " << from);
-        }
-    }
-    for (int sender : expected) {
-        if (std::find(got.begin(), got.end(), sender) == got.end()) {
-            ++res.recovery.partialsMissed;
-            res.suspects.push_back(sender);
-        }
-    }
-}
-
-bool
-NodeRuntime::awaitBroadcast(const NodeAssignment &assign, uint64_t seq,
-                            Message &bcast, Result &res)
-{
-    for (;;) {
-        // 3x window: a broadcast waiter sits behind the Sigma and
-        // master timeout levels, so it must outwait both.
-        RecvStatus r = receiveProtocol(bcast, 3.0, res.recovery);
-        COSMIC_ASSERT(r != RecvStatus::Closed,
-                      "inbox closed mid-iteration at node "
-                          << assign.id);
-        if (r == RecvStatus::Timeout) {
-            ++res.recovery.broadcastsMissed;
-            if (assign.parent >= 0)
-                res.suspects.push_back(assign.parent);
-            return false;
-        }
-        if (bcast.seq != seq || bcast.kind != MsgKind::Model) {
-            // A delayed broadcast from an earlier round the receiver
-            // had already given up on, or a stray non-model frame.
-            COSMIC_ASSERT(config_.faultsActive,
-                          "broadcast seq " << bcast.seq << " != " << seq
-                          << " on node " << assign.id);
-            ++res.recovery.staleDropped;
-            pool_.release(std::move(bcast.payload));
-            continue;
-        }
-        return true;
-    }
 }
 
 std::vector<double>
@@ -193,34 +130,154 @@ NodeRuntime::masterStep(const std::vector<double> &model,
 }
 
 void
-NodeRuntime::broadcast(const std::vector<int> &to, int from_id,
-                       uint64_t seq, uint64_t epoch,
+NodeRuntime::broadcast(uint64_t seq, uint64_t epoch,
                        const std::vector<double> &model)
 {
-    for (int dst : to) {
+    for (int dst : children_) {
         std::vector<double> copy = pool_.acquire(model.size());
         std::copy(model.begin(), model.end(), copy.begin());
-        Message msg{from_id, seq, std::move(copy)};
+        Message msg{assign_.id, seq, std::move(copy)};
         msg.kind = MsgKind::Model;
         msg.epoch = epoch;
         transport_.send(dst, std::move(msg));
     }
 }
 
-NodeRuntime::Result
-NodeRuntime::runRole(const NodeAssignment &assign,
-                     const ClusterTopology &topo,
-                     const std::vector<double> &model, uint64_t seq,
-                     std::vector<double> &new_model)
+void
+NodeRuntime::enter(const NodeAssignment &assign,
+                   const ClusterTopology &topo)
 {
-    Result res;
-    const int64_t words = translation_.modelWords;
-    const int master = topo.masterId();
+    assign_ = assign;
+    // A Sigma's children are the nodes it is parent of. GroupSigmas
+    // come first, so the next relay level starts soonest.
+    children_.clear();
+    for (NodeRole role : {NodeRole::GroupSigma, NodeRole::Delta})
+        for (const auto &n : topo.nodes)
+            if (n.parent == assign.id && n.role == role)
+                children_.push_back(n.id);
+}
 
-    auto compute_start = std::chrono::steady_clock::now();
-    // Pooled partial-update buffer: filled here, shipped as a
-    // message payload (deltas/sigmas) and eventually recycled
-    // by whoever consumes it — no steady-state allocation.
+void
+NodeRuntime::route(Message &&msg, Result &res)
+{
+    if (msg.kind == MsgKind::Update) {
+        stash_.push_back(std::move(msg));
+        return;
+    }
+    if (msg.epoch > epoch_) {
+        // The broadcast tree: a GroupSigma relays the model to its
+        // group before adopting it (a Delta has no children, and
+        // nobody sends the master a model).
+        broadcast(msg.seq, msg.epoch, msg.payload);
+        epoch_ = msg.epoch;
+        std::swap(model_, msg.payload);
+    } else {
+        // In-order channels deliver models with increasing epochs; an
+        // older one (a broadcast the node already gave up on, or a
+        // duplicate) only exists under delay/duplicate faults.
+        COSMIC_ASSERT(config_.faultsActive,
+                      "stale model epoch " << msg.epoch << " at node "
+                                           << assign_.id);
+        ++res.recovery.staleDropped;
+    }
+    pool_.release(std::move(msg.payload));
+}
+
+bool
+NodeRuntime::awaitModel(uint64_t min_epoch, Result &res)
+{
+    while (epoch_ < min_epoch) {
+        Message msg;
+        // 3x window: a model waiter sits behind the Sigma and master
+        // timeout levels, so it must outwait both.
+        RecvStatus r = receiveProtocol(msg, 3.0, res.recovery);
+        COSMIC_ASSERT(r != RecvStatus::Closed,
+                      "inbox closed mid-round at node " << assign_.id);
+        if (r == RecvStatus::Timeout) {
+            ++res.recovery.broadcastsMissed;
+            if (assign_.parent >= 0)
+                res.suspects.push_back(assign_.parent);
+            return false;
+        }
+        route(std::move(msg), res);
+    }
+    return true;
+}
+
+void
+NodeRuntime::collectPartials(uint64_t seq, Result &res)
+{
+    AggregationEngine &engine = *engine_;
+    size_t done = 0;
+    // A child counts once its spans tile the round width — at once
+    // for whole-vector messages, on the last chunk in streaming mode.
+    auto take = [&](Message &&msg) {
+        const int from = msg.from;
+        if (engine.onMessage(std::move(msg))) {
+            if (engine.senderComplete(from) &&
+                std::find(children_.begin(), children_.end(), from) !=
+                    children_.end())
+                ++done;
+        } else {
+            // Duplicate, stale, or malformed — counted by the engine.
+            // Impossible on the no-fault path, where it would be a
+            // stack bug.
+            COSMIC_ASSERT(config_.faultsActive,
+                          "unexpected partial rejected at node "
+                              << assign_.id << " from " << from);
+        }
+    };
+    // Parked partials first. Entries for earlier rounds (fault mode
+    // only, after a skipped or abandoned round) go through the engine
+    // too, so its reconciliation counts and recycles them.
+    for (auto it = stash_.begin(); it != stash_.end();) {
+        if (it->seq <= seq) {
+            take(std::move(*it));
+            it = stash_.erase(it);
+        } else {
+            ++it;
+        }
+    }
+    // 2x window at the master: a group Sigma only reports after its
+    // own timeout budget.
+    const double budget =
+        assign_.role == NodeRole::MasterSigma ? 2.0 : 1.0;
+    while (done < children_.size()) {
+        Message msg;
+        RecvStatus r = receiveProtocol(msg, budget, res.recovery);
+        COSMIC_ASSERT(r != RecvStatus::Closed,
+                      "inbox closed mid-round at node " << assign_.id);
+        if (r == RecvStatus::Timeout) {
+            // k-of-n: fold whoever made it, suspect the rest.
+            for (int child : children_) {
+                if (!engine.senderComplete(child)) {
+                    ++res.recovery.partialsMissed;
+                    res.suspects.push_back(child);
+                }
+            }
+            return;
+        }
+        if (msg.kind == MsgKind::Update && msg.seq <= seq)
+            take(std::move(msg));
+        else
+            route(std::move(msg), res);
+    }
+}
+
+void
+NodeRuntime::runRound(const std::vector<double> &model, uint64_t seq,
+                      Result &res)
+{
+    const int64_t words = translation_.modelWords;
+    // The epoch this round computes from: a Sigma may adopt a fresher
+    // model while it collects.
+    const uint64_t used_epoch = epoch_;
+
+    const auto compute_start = std::chrono::steady_clock::now();
+    const int64_t records_before = node_.recordsProcessed();
+    // Pooled partial-update buffer: filled here, shipped as a message
+    // payload and recycled by whoever consumes it — no steady-state
+    // allocation.
     std::vector<double> update = pool_.acquire(words);
     if (config_.mode == TrainingMode::ModelAveraging)
         node_.computeLocalUpdate(model, config_.minibatchPerNode,
@@ -228,96 +285,73 @@ NodeRuntime::runRole(const NodeAssignment &assign,
     else
         node_.computeGradientSum(model, config_.minibatchPerNode,
                                  update);
-    auto compute_end = std::chrono::steady_clock::now();
-    res.computeSec =
-        std::chrono::duration<double>(compute_end - compute_start)
-            .count();
+    res.computeSec = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() -
+                         compute_start)
+                         .count();
+    res.records = node_.recordsProcessed() - records_before;
 
-    switch (assign.role) {
-      case NodeRole::Delta: {
-        // Ship theta_i to the group's Sigma, then wait for the
-        // broadcast of the new global model. The received payload
-        // goes back to the pool (or becomes the adopted model). If
-        // the Sigma died, the broadcast never comes — the bounded
-        // wait records the miss and the Director will repair the
-        // group once the streak is long enough. Barrier-mode partials
-        // stamp epoch = seq (strict freshness, trivially inside any
-        // staleness bound).
-        sendUpdate(assign.parent, assign.id, seq, seq, 1,
-                   std::move(update));
-        Message bcast;
-        if (awaitBroadcast(assign, seq, bcast, res)) {
-            if (config_.adoptBroadcast)
-                new_model = std::move(bcast.payload);
-            else
-                pool_.release(std::move(bcast.payload));
-        }
-        break;
-      }
-      case NodeRole::GroupSigma: {
-        // First level of the hierarchy: aggregate whichever group
-        // partials arrive in time (k-of-n).
-        auto members = topo.groupMembers(assign.group);
-        AggregationEngine &engine = *engine_;
-        engine.begin(words, seq, minEpochFor(seq));
-        collectPartials(assign, members, 1.0, res);
-        std::vector<double> sum = engine.finish();
-        for (int64_t i = 0; i < words; ++i)
-            sum[i] += update[i];
-        // Contributor weight rides up the hierarchy so the master
-        // can rescale Eq. 3 over the survivors.
-        pool_.release(std::move(update));
-        sendUpdate(master, assign.id, seq, seq,
-                   engine.contributors() + 1, std::move(sum));
-
-        // Wait for the master's broadcast, forward pooled copies to
-        // members and recycle (or adopt) the received payload.
-        Message bcast;
-        if (awaitBroadcast(assign, seq, bcast, res)) {
-            broadcast(members, assign.id, seq, bcast.epoch,
-                      bcast.payload);
-            if (config_.adoptBroadcast)
-                new_model = std::move(bcast.payload);
-            else
-                pool_.release(std::move(bcast.payload));
-        }
-        break;
-      }
-      case NodeRole::MasterSigma: {
-        // The master folds its own group members and the other group
-        // Sigmas into a single order-independent round. 2x window:
-        // a group Sigma only reports after its own timeout budget.
-        auto members = topo.groupMembers(assign.group);
-        auto sigmas = topo.nonMasterSigmas();
-        std::vector<int> expected = members;
-        expected.insert(expected.end(), sigmas.begin(), sigmas.end());
-        AggregationEngine &engine = *engine_;
-        engine.begin(words, seq, minEpochFor(seq));
-        collectPartials(assign, expected, 2.0, res);
-        std::vector<double> sum = engine.finish();
-        for (int64_t i = 0; i < words; ++i)
-            sum[i] += update[i];
-        // k-of-n rescaling: the survivors' total weight. With every
-        // node healthy this is exactly n and the math is bit-for-bit
-        // the no-fault path.
-        const int contributors = engine.contributors() + 1;
-        pool_.release(std::move(update));
-        new_model = masterStep(model, std::move(sum), contributors);
-        // Broadcast pooled copies down the hierarchy. Round seq's
-        // product *is* the epoch-(seq+1) model (the initial model is
-        // epoch 0).
-        broadcast(sigmas, assign.id, seq, seq + 1, new_model);
-        broadcast(members, assign.id, seq, seq + 1, new_model);
-        break;
-      }
+    if (assign_.role == NodeRole::Delta) {
+        // Ship theta_i to the group's Sigma.
+        sendUpdate(seq, used_epoch, 1, std::move(update));
+        return;
     }
+    AggregationEngine &engine = *engine_;
+    engine.begin(words, seq, minEpochFor(seq));
+    collectPartials(seq, res);
+    std::vector<double> sum = engine.finish();
+    for (int64_t i = 0; i < words; ++i)
+        sum[i] += update[i];
+    pool_.release(std::move(update));
+    // k-of-n rescaling: the survivors' total weight rides up the
+    // hierarchy. With every node healthy this is exactly n and the
+    // math is bit-for-bit the no-fault path.
+    const int contributors = engine.contributors() + 1;
+    if (assign_.role == NodeRole::GroupSigma) {
+        // The group's effective epoch is the oldest model any
+        // folded-in partial was computed from — the master's staleness
+        // gate sees through the hierarchy.
+        sendUpdate(seq, std::min(used_epoch, engine.minEpochAccepted()),
+                   contributors, std::move(sum));
+        return;
+    }
+    // Master: round seq's product *is* the epoch-(seq+1) model (the
+    // initial model is epoch 0). Broadcast pooled copies down the
+    // hierarchy, then hold it.
+    std::vector<double> next =
+        masterStep(model, std::move(sum), contributors);
+    broadcast(seq, seq + 1, next);
+    pool_.release(std::move(model_));
+    model_ = std::move(next);
+    epoch_ = seq + 1;
+}
+
+void
+NodeRuntime::runRole(const NodeAssignment &assign,
+                     const ClusterTopology &topo,
+                     const std::vector<double> &model, uint64_t seq,
+                     Result &res)
+{
+    const auto start = std::chrono::steady_clock::now();
+    res.clear();
+    enter(assign, topo);
+    // The caller holds round seq's model, epoch seq: every partial is
+    // stamped with it (strict freshness, trivially inside any
+    // staleness bound).
+    epoch_ = seq;
+    runRound(model, seq, res);
+    // The barrier: every role but the master, which holds its own
+    // product, waits for the round's broadcast. If the Sigma died it
+    // never comes — the bounded wait records the miss and the
+    // Director repairs the group once the streak is long enough.
+    awaitModel(seq + 1, res);
+    res.model = std::move(model_);
     // Everything after the gradient compute is aggregation and
     // communication wait — the Fig. 13 breakdown's other half.
     res.aggregationSec = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() -
-                             compute_end)
-                             .count();
-    return res;
+                             std::chrono::steady_clock::now() - start)
+                             .count() -
+                         res.computeSec;
 }
 
 NodeRuntime::PipelineResult
@@ -326,245 +360,80 @@ NodeRuntime::runPipelined(const NodeAssignment &assign,
                           const std::vector<double> &model0,
                           uint64_t rounds, PipelineSink &sink)
 {
-    PipelineResult res;
-    const int64_t words = translation_.modelWords;
-    const int master = topo.masterId();
-    const bool isMaster = assign.role == NodeRole::MasterSigma;
+    PipelineResult out;
+    enter(assign, topo);
     const uint64_t stale_budget =
         static_cast<uint64_t>(config_.maxStaleness);
 
-    // The node's private model snapshot and its epoch (initial model
-    // is epoch 0). Unlike the barrier protocol — where in-process
-    // nodes share the master's buffer by reference — every pipelined
-    // node owns an adopted broadcast copy; the copies are bit-equal
-    // (F64 verbatim, Q16 idempotently re-quantized), so the math is
-    // unchanged.
-    std::vector<double> model = pool_.acquire(words);
-    std::copy(model0.begin(), model0.end(), model.begin());
-    uint64_t epoch = 0;
+    // The node's private model snapshot, epoch 0. Unlike the barrier
+    // driver — where in-process nodes share the master's buffer by
+    // reference — every pipelined node holds its own adopted
+    // broadcast; the copies are bit-equal (F64 verbatim, Q16
+    // idempotently re-quantized), so the math is unchanged.
+    model_ = pool_.acquire(translation_.modelWords);
+    std::copy(model0.begin(), model0.end(), model_.begin());
+    epoch_ = 0;
 
-    // Partials that arrived ahead of the round this node's loop is on
-    // (a fast peer inside the staleness window) — parked until their
-    // round's engine is armed.
-    std::deque<Message> stash;
-
-    const auto members = topo.groupMembers(assign.group);
-    const auto sigmas = topo.nonMasterSigmas();
-    std::vector<int> expected;
-    if (assign.role != NodeRole::Delta) {
-        expected = members;
-        if (isMaster)
-            expected.insert(expected.end(), sigmas.begin(),
-                            sigmas.end());
-    }
-
-    // Routes one received message: partial updates park in the stash,
-    // a fresher model broadcast is adopted (and, on a GroupSigma,
-    // relayed down to the group first — the broadcast tree), an older
-    // model is a reordered duplicate and is recycled.
-    auto classify = [&](Message &&m) {
-        if (m.kind == MsgKind::Update) {
-            stash.push_back(std::move(m));
-            return;
-        }
-        if (m.epoch > epoch) {
-            if (assign.role == NodeRole::GroupSigma)
-                broadcast(members, assign.id, m.seq, m.epoch, m.payload);
-            epoch = m.epoch;
-            std::swap(model, m.payload);
-        } else {
-            // In-order channels deliver models with increasing epochs;
-            // an older one only exists under delay/duplicate faults.
-            COSMIC_ASSERT(config_.faultsActive,
-                          "stale model epoch " << m.epoch
-                              << " at node " << assign.id);
-            ++res.recovery.staleDropped;
-        }
-        pool_.release(std::move(m.payload));
-    };
-
+    Result res;
     for (uint64_t seq = 0; seq < rounds; ++seq) {
-        const auto round_start = std::chrono::steady_clock::now();
+        const auto start = std::chrono::steady_clock::now();
+        res.clear();
         // Opportunistic drain: adopt whatever arrived while this node
         // was computing the previous round, park early partials.
-        {
-            Message m;
-            while (transport_.inbox().tryReceive(m))
-                classify(std::move(m));
-        }
+        Message msg;
+        while (transport_.inbox().tryReceive(msg))
+            route(std::move(msg), res);
         // Freshness gate: round seq computes from a model no staler
         // than maxStaleness epochs (epoch >= seq - S). With S = 0 the
         // gate blocks for exactly the round-(seq-1) broadcast — the
-        // synchronous pipeline, bit-exact with the barrier protocol.
-        // The master never blocks here: its own production advanced
-        // its epoch to seq at the end of round seq-1.
-        bool skipped = false;
-        if (epoch + stale_budget < seq) {
-            ++res.staleness.freshnessWaits;
-            while (epoch + stale_budget < seq) {
-                Message m;
-                RecvStatus r = receiveProtocol(m, 3.0, res.recovery);
-                COSMIC_ASSERT(r != RecvStatus::Closed,
-                              "inbox closed mid-pipeline at node "
-                                  << assign.id);
-                if (r == RecvStatus::Timeout) {
-                    // No fresh-enough model in the whole timeout
-                    // budget (fault mode): skip the round rather than
-                    // compute something the staleness bound would
-                    // reject anyway.
-                    ++res.recovery.broadcastsMissed;
-                    ++res.staleness.roundsSkipped;
-                    skipped = true;
-                    break;
-                }
-                classify(std::move(m));
-            }
+        // synchronous pipeline, bit-exact with the barrier driver.
+        // The master never blocks here: its own product advanced its
+        // epoch to seq at the end of round seq-1. With no
+        // fresh-enough model in the whole timeout budget (fault mode)
+        // the round is skipped rather than computed from a model the
+        // staleness bound would reject anyway.
+        bool fresh = epoch_ + stale_budget >= seq;
+        if (!fresh) {
+            ++out.staleness.freshnessWaits;
+            fresh = awaitModel(seq - stale_budget, res);
+            if (!fresh)
+                ++out.staleness.roundsSkipped;
         }
-        if (skipped) {
-            const double waited =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - round_start)
-                    .count();
-            sink.onRound(assign.id, seq, 0.0, waited, 0);
-            continue;
-        }
-        if (epoch < seq) {
-            ++res.staleness.staleComputes;
-            res.staleness.maxEpochLag =
-                std::max(res.staleness.maxEpochLag, seq - epoch);
-        }
-        const uint64_t used_epoch = epoch;
-        const auto compute_start = std::chrono::steady_clock::now();
-        const int64_t records_before = node_.recordsProcessed();
-        std::vector<double> update = pool_.acquire(words);
-        if (config_.mode == TrainingMode::ModelAveraging)
-            node_.computeLocalUpdate(model, config_.minibatchPerNode,
-                                     update);
-        else
-            node_.computeGradientSum(model, config_.minibatchPerNode,
-                                     update);
-        const auto compute_end = std::chrono::steady_clock::now();
-        const double compute_sec =
-            std::chrono::duration<double>(compute_end - compute_start)
-                .count();
-        const int64_t records =
-            node_.recordsProcessed() - records_before;
-
-        switch (assign.role) {
-          case NodeRole::Delta:
-            // Fire and forget: the next round's gate (not a broadcast
-            // wait) is where this node re-synchronizes.
-            sendUpdate(assign.parent, assign.id, seq, used_epoch, 1,
-                       std::move(update));
-            break;
-          case NodeRole::GroupSigma:
-          case NodeRole::MasterSigma: {
-            AggregationEngine &engine = *engine_;
-            engine.begin(words, seq, minEpochFor(seq));
-            // Feed parked partials. Entries for earlier rounds (only
-            // possible in fault mode, after a skipped/abandoned
-            // round) are deliberately run through the engine so its
-            // reconciliation counts and recycles them.
-            for (auto it = stash.begin(); it != stash.end();) {
-                if (it->seq <= seq) {
-                    engine.onMessage(std::move(*it));
-                    it = stash.erase(it);
-                } else {
-                    ++it;
-                }
+        if (fresh) {
+            if (epoch_ < seq) {
+                ++out.staleness.staleComputes;
+                out.staleness.maxEpochLag =
+                    std::max(out.staleness.maxEpochLag, seq - epoch_);
             }
-            size_t done = 0;
-            for (int from : expected)
-                done += engine.senderComplete(from) ? 1 : 0;
-            // 2x window at the master: a group Sigma only reports
-            // after its own timeout budget (same tiering as the
-            // barrier protocol).
-            const double budget = isMaster ? 2.0 : 1.0;
-            while (done < expected.size()) {
-                Message m;
-                RecvStatus r = receiveProtocol(m, budget, res.recovery);
-                COSMIC_ASSERT(r != RecvStatus::Closed,
-                              "inbox closed mid-pipeline at node "
-                                  << assign.id);
-                if (r == RecvStatus::Timeout) {
-                    for (int from : expected)
-                        if (!engine.senderComplete(from))
-                            ++res.recovery.partialsMissed;
-                    break; // k-of-n: fold whoever made it
-                }
-                if (m.kind == MsgKind::Model || m.seq > seq) {
-                    classify(std::move(m));
-                    continue;
-                }
-                const int from = m.from;
-                if (engine.onMessage(std::move(m))) {
-                    if (engine.senderComplete(from) &&
-                        std::find(expected.begin(), expected.end(),
-                                  from) != expected.end())
-                        ++done;
-                } else {
-                    COSMIC_ASSERT(
-                        config_.faultsActive,
-                        "unexpected partial rejected at node "
-                            << assign.id << " from " << from);
-                }
+            runRound(model_, seq, res);
+            if (assign.role == NodeRole::MasterSigma) {
+                std::vector<double> copy = pool_.acquire(model_.size());
+                std::copy(model_.begin(), model_.end(), copy.begin());
+                sink.onModel(seq, std::move(copy));
             }
-            std::vector<double> sum = engine.finish();
-            for (int64_t i = 0; i < words; ++i)
-                sum[i] += update[i];
-            const int contributors = engine.contributors() + 1;
-            pool_.release(std::move(update));
-            if (!isMaster) {
-                // The group's effective epoch is the oldest model any
-                // folded-in partial was computed from — the master's
-                // staleness gate sees through the hierarchy.
-                const uint64_t agg_epoch =
-                    std::min(used_epoch, engine.minEpochAccepted());
-                sendUpdate(master, assign.id, seq, agg_epoch,
-                           contributors, std::move(sum));
-                break;
-            }
-            // Master: produce the round's model exactly as the
-            // barrier protocol does (Eq. 3b average or one batched
-            // step), quantize at the source in Q16 mode, broadcast
-            // epoch seq+1 down the hierarchy, and adopt it.
-            std::vector<double> next =
-                masterStep(model, std::move(sum), contributors);
-            broadcast(sigmas, assign.id, seq, seq + 1, next);
-            broadcast(members, assign.id, seq, seq + 1, next);
-            pool_.release(std::move(model));
-            model = std::move(next);
-            epoch = seq + 1;
-            std::vector<double> out = pool_.acquire(words);
-            std::copy(model.begin(), model.end(), out.begin());
-            sink.onModel(seq, std::move(out));
-            break;
-          }
         }
         // The round's non-compute time: freshness-gate wait, partial
         // collection, fold, and broadcast — the Fig. 13 breakdown's
         // aggregation half, measured against the whole round.
-        const double aggregation_sec =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - round_start)
-                .count() -
-            compute_sec;
-        sink.onRound(assign.id, seq, compute_sec, aggregation_sec,
-                     records);
+        res.aggregationSec = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() -
+                                 start)
+                                 .count() -
+                             res.computeSec;
+        sink.onRound(seq, res);
+        out.recovery += res.recovery;
     }
     // Recycle everything still in flight for this node: the final
     // broadcast no later round will consume, and parked partials of
     // rounds never reached (fault mode).
-    {
-        Message m;
-        while (transport_.inbox().tryReceive(m))
-            pool_.release(std::move(m.payload));
-    }
-    for (auto &m : stash)
+    Message msg;
+    while (transport_.inbox().tryReceive(msg))
+        pool_.release(std::move(msg.payload));
+    for (auto &m : stash_)
         pool_.release(std::move(m.payload));
-    stash.clear();
-    pool_.release(std::move(model));
-    return res;
+    stash_.clear();
+    pool_.release(std::move(model_));
+    return out;
 }
 
 } // namespace cosmic::sys

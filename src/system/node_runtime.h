@@ -2,11 +2,20 @@
  * @file
  * One node's role protocol, factored out of the cluster orchestrator.
  *
- * NodeRuntime is the per-node half of the scale-out system software:
- * given a role assignment and a topology, runRole() executes exactly
- * one node's side of one synchronous iteration — compute the partial
- * update, ship/aggregate it through the Sigma hierarchy over a
- * Transport, and receive the master's model broadcast. It is the same
+ * NodeRuntime is the per-node half of the scale-out system software.
+ * One round of a role is written once: compute the partial update,
+ * then ship it to the parent (Delta), fold the children's partials
+ * and ship the sum (GroupSigma), or fold, step and broadcast the new
+ * model (MasterSigma). Two drivers run that round over a Transport:
+ *
+ *  - runRole() runs one synchronous iteration and ends with the wait
+ *    for the master's broadcast (the barrier protocol);
+ *  - runPipelined() runs free-running rounds, each gated only on the
+ *    freshness of the model the node holds (the pipelined protocol).
+ *
+ * Both read the inbox through one router: partials park until their
+ * round is collected, a fresher model is adopted (and relayed by a
+ * GroupSigma), an older one is counted and recycled. It is the same
  * code whether the node lives on a ClusterRuntime worker thread
  * (in-process fabric, N roles per process) or inside a `cosmicd`
  * process (TCP fabric, one role per OS process) — which is what makes
@@ -55,13 +64,6 @@ struct NodeRuntimeConfig
     FaultToleranceConfig faultTolerance;
     /** Timed tolerant receives instead of blocking ones. */
     bool faultsActive = false;
-    /**
-     * Non-master roles copy the received broadcast into new_model
-     * instead of discarding it. The in-process runtime leaves this
-     * off (the master's model is shared by reference); a cosmicd
-     * process needs the broadcast to carry its next iteration.
-     */
-    bool adoptBroadcast = false;
     /** Wire payload encoding. In Q16 mode the master quantizes the
      *  new model *before* broadcasting, so the model it keeps is
      *  bit-identical to the (idempotently re-quantized) copies every
@@ -109,17 +111,28 @@ struct StalenessStats
 class NodeRuntime
 {
   public:
-    /** What one iteration of the role reported. */
+    /** What one round of the role reported. */
     struct Result
     {
         /** Partial-update compute time. */
         double computeSec = 0.0;
-        /** Post-compute aggregation/communication wait. */
+        /** The rest of the round: the wait for a fresh model, partial
+         *  collection, the fold and the broadcast. */
         double aggregationSec = 0.0;
-        /** This node's recovery counters for the iteration. */
+        /** Training records the round's compute consumed. */
+        int64_t records = 0;
+        /** This node's recovery counters for the round. */
         RecoveryStats recovery;
         /** Peers this node suspects (missed partials/broadcasts). */
         std::vector<int> suspects;
+        /** runRole only: the round's model. On the master the new
+         *  model; on any other node the received broadcast, or empty
+         *  if it was missed. */
+        std::vector<double> model;
+
+        /** Resets the report for another round; suspects keeps its
+         *  capacity. */
+        void clear();
     };
 
     /**
@@ -132,15 +145,15 @@ class NodeRuntime
                 BufferPool &pool);
 
     /**
-     * Runs assignment @p assign's side of iteration @p seq starting
-     * from @p model. The master writes the new global model into
-     * @p new_model; other roles write it only with adoptBroadcast
-     * (leaving it untouched when the broadcast never arrived).
+     * The barrier driver: runs assignment @p assign's side of
+     * iteration @p seq from @p model (the round's model, owned by the
+     * caller), then waits for the master's broadcast. Fills @p res,
+     * its model included.
      */
-    Result runRole(const NodeAssignment &assign,
-                   const ClusterTopology &topo,
-                   const std::vector<double> &model, uint64_t seq,
-                   std::vector<double> &new_model);
+    void runRole(const NodeAssignment &assign,
+                 const ClusterTopology &topo,
+                 const std::vector<double> &model, uint64_t seq,
+                 Result &res);
 
     /** Where the pipelined loop reports per-round results. Methods
      *  are called from the node's worker thread; distinct nodes
@@ -149,11 +162,8 @@ class NodeRuntime
     {
       public:
         virtual ~PipelineSink() = default;
-        /** One node finished (or skipped) round @p seq. */
-        virtual void onRound(int node, uint64_t seq,
-                             double compute_sec,
-                             double aggregation_sec,
-                             int64_t records) = 0;
+        /** A node finished (or skipped) round @p seq. */
+        virtual void onRound(uint64_t seq, const Result &res) = 0;
         /** The master produced round @p seq's new global model. */
         virtual void onModel(uint64_t seq,
                              std::vector<double> model) = 0;
@@ -167,14 +177,14 @@ class NodeRuntime
     };
 
     /**
-     * The pipelined protocol: runs this node's role for @p rounds
+     * The pipelined driver: runs this node's role for @p rounds
      * free-running rounds starting from @p model0 (epoch 0), with no
      * cluster-wide barrier between iterations. Each node starts round
      * k as soon as *it* holds a model no staler than maxStaleness
      * epochs; with maxStaleness = 0 that is exactly the round-(k-1)
      * broadcast and the trajectory is bit-identical to the barrier
-     * protocol, while a fast node's compute still overlaps the rest
-     * of the cluster's reduction tail.
+     * driver, while a fast node's compute still overlaps the rest of
+     * the cluster's reduction tail.
      */
     PipelineResult runPipelined(const NodeAssignment &assign,
                                 const ClusterTopology &topo,
@@ -182,17 +192,33 @@ class NodeRuntime
                                 uint64_t rounds, PipelineSink &sink);
 
   private:
+    /** Takes on role @p assign in @p topo for the next rounds. */
+    void enter(const NodeAssignment &assign,
+               const ClusterTopology &topo);
+    /** One round of the role from @p model, the epoch_ model: compute,
+     *  then ship, or fold and ship, or fold, step and broadcast (the
+     *  master then holds the new model). */
+    void runRound(const std::vector<double> &model, uint64_t seq,
+                  Result &res);
+    /** Folds round @p seq's partials into the armed engine: parked
+     *  ones first, then received ones until every child's partial is
+     *  complete or the window expires (k-of-n: the missing children
+     *  are counted and suspected). */
+    void collectPartials(uint64_t seq, Result &res);
+    /** Receives until the held model is at least epoch @p min_epoch;
+     *  false (counted, parent suspected) if the window expires. */
+    bool awaitModel(uint64_t min_epoch, Result &res);
+    /** Routes a message outside its round's collection: a partial
+     *  parks in the stash, a fresher model is relayed to the children
+     *  and adopted, an older one is counted and recycled. */
+    void route(Message &&msg, Result &res);
     RecvStatus receiveProtocol(Message &out, double budget_scale,
                                RecoveryStats &recovery);
-    void collectPartials(const NodeAssignment &assign,
-                         const std::vector<int> &expected,
-                         double budget_scale, Result &res);
-    bool awaitBroadcast(const NodeAssignment &assign, uint64_t seq,
-                        Message &bcast, Result &res);
-    /** Ships one partial update (whole, or split into streaming
-     *  chunks when streamChunkWords is set); consumes @p update. */
-    void sendUpdate(int to, int from_id, uint64_t seq, uint64_t epoch,
-                    int contributors, std::vector<double> update);
+    /** Ships one partial update to the parent (whole, or split into
+     *  streaming chunks when streamChunkWords is set); consumes
+     *  @p update. */
+    void sendUpdate(uint64_t seq, uint64_t epoch, int contributors,
+                    std::vector<double> update);
     /** The staleness gate begin() is armed with for round @p seq. */
     uint64_t minEpochFor(uint64_t seq) const;
     /** The master's new global model from the round's folded @p sum
@@ -202,10 +228,10 @@ class NodeRuntime
     std::vector<double> masterStep(const std::vector<double> &model,
                                    std::vector<double> sum,
                                    int contributors);
-    /** Sends each node of @p to a pooled copy of @p model as round
-     *  @p seq's epoch-@p epoch model broadcast. */
-    void broadcast(const std::vector<int> &to, int from_id, uint64_t seq,
-                   uint64_t epoch, const std::vector<double> &model);
+    /** Sends each child a pooled copy of @p model as round @p seq's
+     *  epoch-@p epoch model broadcast. */
+    void broadcast(uint64_t seq, uint64_t epoch,
+                   const std::vector<double> &model);
 
     const dfg::Translation &translation_;
     NodeRuntimeConfig config_;
@@ -213,6 +239,20 @@ class NodeRuntime
     net::Transport &transport_;
     AggregationEngine *engine_;
     BufferPool &pool_;
+
+    /** The role the current rounds run. */
+    NodeAssignment assign_;
+    /** The nodes this Sigma folds partials from and sends the model
+     *  to, GroupSigmas first; empty for a Delta. */
+    std::vector<int> children_;
+    /** The model this node holds and its epoch (round k's product is
+     *  epoch k+1). Under runRole the caller owns the round's model,
+     *  and model_ only receives the round's product or broadcast. */
+    std::vector<double> model_;
+    uint64_t epoch_ = 0;
+    /** Partials read outside a collection, kept for the next one
+     *  (whose engine folds or reconciles them). */
+    std::vector<Message> stash_;
 };
 
 } // namespace cosmic::sys

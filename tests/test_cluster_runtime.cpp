@@ -92,12 +92,18 @@ TEST(ClusterRuntime, TopologyReported)
     EXPECT_EQ(report.topology.groups, 2);
     EXPECT_EQ(report.iterations, 3); // ceil(96/32) per epoch
     ASSERT_EQ(report.iterationSeconds.size(), 3u);
-    ASSERT_EQ(report.maxNodeComputeSeconds.size(), 3u);
+    ASSERT_EQ(report.iterationStats.size(), 3u);
     for (size_t i = 0; i < 3; ++i) {
+        const IterationStats &it = report.iterationStats[i];
         EXPECT_GT(report.iterationSeconds[i], 0.0);
-        EXPECT_GT(report.maxNodeComputeSeconds[i], 0.0);
-        EXPECT_LE(report.maxNodeComputeSeconds[i],
+        EXPECT_GT(it.maxComputeSec, 0.0);
+        EXPECT_LE(it.maxComputeSec,
                   report.iterationSeconds[i] * 1.5 + 0.01);
+        // Every node trains one minibatch per round.
+        EXPECT_EQ(it.records, cfg.nodes * cfg.minibatchPerNode);
+        EXPECT_GE(it.sumComputeSec, it.maxComputeSec);
+        EXPECT_GE(it.maxAggregationSec, 0.0);
+        EXPECT_GE(it.sumAggregationSec, it.maxAggregationSec);
     }
 }
 

@@ -342,6 +342,40 @@ TEST(FaultInjectionCluster, PersistentStragglerIsEvicted)
 }
 
 /**
+ * The master gives up on a stalled GroupSigma and broadcasts without
+ * it. The broadcast reaches the Sigma while it is still collecting (a
+ * member's partial was dropped, so it reads on past its other
+ * members): the Sigma relays and adopts the model instead of folding
+ * it as a partial, and its own late partial is reconciled away at the
+ * master.
+ */
+TEST(FaultInjectionCluster, BroadcastReachingCollectingSigmaIsRelayed)
+{
+    auto cfg = chaosCluster(8, 2); // group 1 = {4: sigma, 5, 6, 7}
+    tightWindows(cfg);
+    // Stall >> the master's window (50*2 + 100*2 = 300 ms) and the
+    // members' broadcast wait (50*3 + 100*3 = 450 ms).
+    cfg.faultPlan.straggle(4, 1, 1, 600.0);
+    cfg.faultPlan.drop(5, 4, 1);
+
+    ClusterRuntime runtime(ml::Workload::byName("tumor"), 64.0, cfg);
+    auto report = runtime.train(3); // 6 iterations
+
+    const RecoveryStats &r = report.recovery;
+    EXPECT_EQ(r.messagesDropped, 1u);
+    EXPECT_EQ(r.stragglerStalls, 1u);
+    EXPECT_EQ(r.partialsMissed, 2u);   // node 4 at the master, 5 at 4
+    EXPECT_EQ(r.broadcastsMissed, 3u); // 5, 6, 7 gave up; 4 did not
+    // Node 4's late partial at the master, and the late relay at 5,
+    // 6 and 7 in the next round.
+    EXPECT_EQ(r.staleDropped, 4u);
+    EXPECT_EQ(r.duplicatesDropped, 0u);
+    EXPECT_EQ(r.nodesEvicted, 0u); // one miss each is forgiven
+    EXPECT_EQ(report.topology.nodes.size(), 8u);
+    EXPECT_LT(report.epochLoss.back(), report.epochLoss.front());
+}
+
+/**
  * Property test at the AggregationEngine level: delivering a round's
  * partials in any order, with duplicated senders and stale messages
  * from other rounds mixed in, never changes the aggregate, the

@@ -3,9 +3,10 @@
  * Pipelined-iteration tests: the barrier-free training loop
  * (ClusterConfig::overlapIterations) must be bit-identical to the
  * barrier protocol in synchronous mode (maxStaleness = 0) on every
- * workload, payload encoding, and transport backend; bounded-staleness
- * async mode (maxStaleness > 0) must converge while never exceeding
- * its staleness bound; and streaming chunked aggregation
+ * workload, payload encoding, and transport backend, with one group
+ * and with two (a GroupSigma between master and Deltas);
+ * bounded-staleness async mode (maxStaleness > 0) must converge while
+ * never exceeding its staleness bound; and streaming chunked aggregation
  * (streamChunkWords) must reassemble to exactly the whole-vector sum.
  */
 #include <gtest/gtest.h>
@@ -47,8 +48,16 @@ struct OverlapCase
 {
     const char *workload;
     accel::Numeric payload;
+    /** 0 = the 4-node, one-group cluster; 2 = eight nodes in two
+     *  groups, so a GroupSigma folds and relays between the master
+     *  and its Deltas. One byte, in the padding after `payload`, so
+     *  the case stays 16 bytes and gtest prints the one-group cases
+     *  as it did before the two-group ones were added. */
+    uint8_t groups = 0;
     net::TransportKind transport;
 };
+static_assert(sizeof(OverlapCase) == 16,
+              "OverlapCase grew: gtest's printed parameter changes");
 
 std::string
 caseName(const ::testing::TestParamInfo<OverlapCase> &info)
@@ -58,6 +67,8 @@ caseName(const ::testing::TestParamInfo<OverlapCase> &info)
     name += info.param.transport == net::TransportKind::Tcp
                 ? "_tcp"
                 : "_inproc";
+    if (info.param.groups > 0)
+        name += "_groups" + std::to_string(int(info.param.groups));
     return name;
 }
 
@@ -69,7 +80,8 @@ class SyncOverlapBitExact
 TEST_P(SyncOverlapBitExact, MatchesBarrierTrajectory)
 {
     const OverlapCase &p = GetParam();
-    ClusterConfig cfg = smallCluster();
+    ClusterConfig cfg =
+        p.groups > 0 ? smallCluster(8, p.groups) : smallCluster();
     cfg.transport.payload = p.payload;
     cfg.transport.kind = p.transport;
 
@@ -106,13 +118,15 @@ std::vector<OverlapCase>
 overlapMatrix()
 {
     std::vector<OverlapCase> cases;
-    for (const auto &w : ml::Workload::suite())
-        for (accel::Numeric payload :
-             {accel::Numeric::F64, accel::Numeric::Q16})
-            for (net::TransportKind transport :
-                 {net::TransportKind::InProcess,
-                  net::TransportKind::Tcp})
-                cases.push_back({w.name.c_str(), payload, transport});
+    for (uint8_t groups : {uint8_t{0}, uint8_t{2}})
+        for (const auto &w : ml::Workload::suite())
+            for (accel::Numeric payload :
+                 {accel::Numeric::F64, accel::Numeric::Q16})
+                for (net::TransportKind transport :
+                     {net::TransportKind::InProcess,
+                      net::TransportKind::Tcp})
+                    cases.push_back(
+                        {w.name.c_str(), payload, groups, transport});
     return cases;
 }
 
@@ -225,17 +239,21 @@ TEST(PipelinedCluster, ReportsComputeVsAggregationBreakdown)
     cfg.overlapIterations = true;
     ClusterRuntime runtime(ml::Workload::byName("stock"), 64.0, cfg);
     TrainingReport report = runtime.train(2);
-    ASSERT_EQ(report.computeSecondsTotal.size(),
+    ASSERT_EQ(report.iterationStats.size(),
               static_cast<size_t>(report.iterations));
-    ASSERT_EQ(report.aggregationSecondsTotal.size(),
-              static_cast<size_t>(report.iterations));
+    ASSERT_EQ(report.iterationSeconds.size(),
+              report.iterationStats.size());
     double compute = 0.0;
-    for (double s : report.computeSecondsTotal)
-        compute += s;
+    for (const IterationStats &it : report.iterationStats)
+        compute += it.sumComputeSec;
     EXPECT_GT(compute, 0.0) << "someone must have computed gradients";
-    for (size_t i = 0; i < report.computeSecondsTotal.size(); ++i) {
-        EXPECT_GE(report.computeSecondsTotal[i], 0.0);
-        EXPECT_GE(report.aggregationSecondsTotal[i], 0.0);
+    for (const IterationStats &it : report.iterationStats) {
+        EXPECT_GE(it.sumComputeSec, 0.0);
+        EXPECT_GE(it.sumAggregationSec, 0.0);
+        EXPECT_GE(it.maxComputeSec, 0.0);
+        EXPECT_GE(it.maxAggregationSec, 0.0);
+        // Every node trains one minibatch per round.
+        EXPECT_EQ(it.records, cfg.nodes * cfg.minibatchPerNode);
     }
 }
 

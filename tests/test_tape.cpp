@@ -825,14 +825,13 @@ TEST(Tape, TrainingReportCarriesPerfCounters)
     sys::ClusterRuntime runtime(ml::Workload::byName("stock"), 64.0,
                                 cfg);
     auto report = runtime.train(1);
-    ASSERT_EQ(report.recordsPerSecond.size(),
+    ASSERT_EQ(report.iterationStats.size(),
               report.iterationSeconds.size());
-    ASSERT_EQ(report.aggregationWaitSeconds.size(),
-              report.iterationSeconds.size());
-    for (size_t i = 0; i < report.recordsPerSecond.size(); ++i) {
-        EXPECT_GT(report.recordsPerSecond[i], 0.0);
-        EXPECT_GE(report.aggregationWaitSeconds[i], 0.0);
-        EXPECT_LE(report.aggregationWaitSeconds[i],
+    for (size_t i = 0; i < report.iterationStats.size(); ++i) {
+        const sys::IterationStats &it = report.iterationStats[i];
+        EXPECT_GT(it.records / report.iterationSeconds[i], 0.0);
+        EXPECT_GE(it.maxAggregationSec, 0.0);
+        EXPECT_LE(it.maxAggregationSec,
                   report.iterationSeconds[i] * 1.5 + 0.01);
     }
 }
