@@ -17,8 +17,8 @@ namespace cosmic::bench {
 
 namespace {
 
-/** v5: workloads compile through the pipeline's DFG passes. */
-constexpr int kCacheVersion = 5;
+/** v6: the platform name sits on its own line (it contains spaces). */
+constexpr int kCacheVersion = 6;
 
 bool
 cacheEnabled()
@@ -50,7 +50,8 @@ loadSummary(const std::filesystem::path &path, WorkloadSummary &out)
     in >> version;
     if (version != kCacheVersion)
         return false;
-    in >> out.workload >> out.platform;
+    in >> out.workload;
+    std::getline(in >> std::ws, out.platform);
     in >> out.perf.frequencyHz >> out.perf.threads >> out.perf.columns >>
         out.perf.wordsPerCycle >> out.perf.pcieBandwidthBytesPerSec >>
         out.perf.computeCyclesPerRecord >> out.perf.recordWords >>
@@ -74,7 +75,7 @@ storeSummary(const std::filesystem::path &path,
         return;
     out.precision(17);
     out << kCacheVersion << "\n";
-    out << s.workload << " " << s.platform << "\n";
+    out << s.workload << "\n" << s.platform << "\n";
     out << s.perf.frequencyHz << " " << s.perf.threads << " "
         << s.perf.columns << " " << s.perf.wordsPerCycle << " "
         << s.perf.pcieBandwidthBytesPerSec << " "
@@ -100,7 +101,8 @@ buildSummary(const ml::Workload &workload,
     auto path = cachePath(workload, platform, scale);
     WorkloadSummary summary;
     if (cacheEnabled() && loadSummary(path, summary) &&
-        summary.workload == workload.name)
+        summary.workload == workload.name &&
+        summary.platform == platform.name)
         return summary;
 
     std::fprintf(stderr, "[bench] building %s on %s ...\n",
@@ -135,7 +137,8 @@ buildTablaSummary(const ml::Workload &workload,
     auto path = cachePath(workload, tagged, scale);
     WorkloadSummary summary;
     if (cacheEnabled() && loadSummary(path, summary) &&
-        summary.workload == workload.name)
+        summary.workload == workload.name &&
+        summary.platform == tagged.name)
         return summary;
 
     std::fprintf(stderr, "[bench] building %s on %s (TABLA) ...\n",

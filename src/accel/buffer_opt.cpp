@@ -23,18 +23,19 @@ placementBytes(const std::vector<ElasticLinkStats> &links)
     return slots * kBytesPerSlot;
 }
 
-/** Rebuilds the per-link capacity map of a placement from its links. */
+/** Rebuilds the per-link capacity list of a placement from its links. */
 void
 syncConfig(BufferPlacement &placement, int num_pes)
 {
     placement.config.linkCapacity.clear();
-    // A link outside the map would get the default; keep the default at
-    // 1 so an unforeseen link stays live rather than deadlocking.
+    // A link outside the list would get the default; keep the default
+    // at 1 so an unforeseen link stays live rather than deadlocking.
     placement.config.defaultCapacity = 1;
+    placement.config.linkCapacity.reserve(placement.links.size());
     for (const auto &link : placement.links)
-        placement.config.linkCapacity[static_cast<int64_t>(link.srcPe) *
-                                          num_pes +
-                                      link.dstPe] = link.capacity;
+        placement.config.linkCapacity.emplace_back(
+            static_cast<int64_t>(link.srcPe) * num_pes + link.dstPe,
+            link.capacity);
     placement.bufferBytesPerThread = placementBytes(placement.links);
 }
 
@@ -88,15 +89,6 @@ BufferOptimizer::budgetPerThread(const AcceleratorPlan &plan,
 BufferPlacement
 BufferOptimizer::probe(const dfg::Translation &translation,
                        const compiler::CompiledKernel &kernel,
-                       const AcceleratorPlan &plan, int probe_records)
-{
-    return probe(translation, kernel, dfg::analyze(translation.dfg), plan,
-                 probe_records);
-}
-
-BufferPlacement
-BufferOptimizer::probe(const dfg::Translation &translation,
-                       const compiler::CompiledKernel &kernel,
                        const dfg::DfgAnalysis &analysis,
                        const AcceleratorPlan &plan, int probe_records)
 {
@@ -120,15 +112,6 @@ BufferOptimizer::probe(const dfg::Translation &translation,
     placement.withinBudget =
         placement.bufferBytesPerThread <= placement.budgetBytesPerThread;
     return placement;
-}
-
-BufferPlacement
-BufferOptimizer::fit(const dfg::Translation &translation,
-                     const compiler::CompiledKernel &kernel,
-                     const BufferPlacement &probed, int64_t budget_bytes)
-{
-    return fit(translation, kernel, dfg::analyze(translation.dfg), probed,
-               budget_bytes);
 }
 
 BufferPlacement

@@ -67,13 +67,8 @@ class BufferOptimizer
      * Unbounded-capacity probe: streams @p probe_records synthetic
      * records, caps every link at its observed peak occupancy. Timing
      * is value-independent, so the placement transfers to real data.
+     * @p analysis is dfg::analyze of the translation's DFG.
      */
-    static BufferPlacement probe(const dfg::Translation &translation,
-                                 const compiler::CompiledKernel &kernel,
-                                 const AcceleratorPlan &plan,
-                                 int probe_records = 6);
-
-    /** probe() with the DFG's shared analyses (dfg::analyze). */
     static BufferPlacement probe(const dfg::Translation &translation,
                                  const compiler::CompiledKernel &kernel,
                                  const dfg::DfgAnalysis &analysis,
@@ -86,12 +81,6 @@ class BufferOptimizer
      * not fit. Falls back to the peak placement with withinBudget =
      * false when no completing configuration fits.
      */
-    static BufferPlacement fit(const dfg::Translation &translation,
-                               const compiler::CompiledKernel &kernel,
-                               const BufferPlacement &probed,
-                               int64_t budget_bytes);
-
-    /** fit() with the DFG's shared analyses (dfg::analyze). */
     static BufferPlacement fit(const dfg::Translation &translation,
                                const compiler::CompiledKernel &kernel,
                                const dfg::DfgAnalysis &analysis,

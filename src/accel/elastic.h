@@ -28,13 +28,24 @@
  * quantized (Q16.16) modes. A configuration that cannot make progress
  * (e.g. a zero-capacity FIFO on a live edge) is reported as a
  * structured deadlock violation rather than a hang.
+ *
+ * The planner probes one kernel per row count, so the cost per firing
+ * is what its elastic exploration costs. Every event matures at most a
+ * route's latency after it is made (14 cycles across 48 rows; a
+ * writeback takes one or two cycles, a refill admission one), so
+ * runBatch keeps a ring of time buckets in place of a global heap. A
+ * bucket drains admissions first, then writebacks, those that send
+ * across PEs in (slot, node) order, since that order decides bus-queue
+ * order and so the timing, and then arrivals, which only wake
+ * consumers. A PE's ready operations are a bitmap over its operations
+ * ranked in firing order, so firing takes the lowest set bit.
  */
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "accel/plan.h"
@@ -58,9 +69,11 @@ struct ElasticConfig
      *  construction, which is the supported way to run real kernels. */
     int defaultCapacity = 16;
 
-    /** Per-link capacity overrides, keyed srcPe * numPes + dstPe
-     *  (the buffer-placement optimizer fills this in). */
-    std::unordered_map<int64_t, int32_t> linkCapacity;
+    /** Per-link capacity overrides as (srcPe * numPes + dstPe,
+     *  capacity) pairs (the buffer-placement optimizer fills this in);
+     *  a link listed twice takes its last capacity, and links the
+     *  kernel does not use are ignored. */
+    std::vector<std::pair<int64_t, int32_t>> linkCapacity;
 
     /**
      * Training records concurrently in flight. The default matches the
@@ -138,10 +151,9 @@ class ElasticSimulator
                      Numeric numeric = Numeric::F64);
 
     /**
-     * Same, firing by the heights of @p analysis (dfg::analyze of the
-     * translation's DFG) instead of computing them; like the
-     * translation and the kernel, @p analysis must outlive the
-     * simulator.
+     * Same, with the translation's shared analyses (dfg::analyze of its
+     * DFG) instead of computing them; the simulator keeps no reference
+     * to @p analysis.
      */
     ElasticSimulator(const dfg::Translation &translation,
                      const compiler::CompiledKernel &kernel,
@@ -175,25 +187,6 @@ class ElasticSimulator
     const ElasticConfig &config() const { return config_; }
 
   private:
-    /** How one operand reaches its consumer (precomputed per edge). */
-    enum class OperandKind : int8_t
-    {
-        Absent,
-        Resident,
-        SamePe,
-        CrossPe,
-    };
-
-    /** One precomputed operand edge of an operation. */
-    struct OperandRoute
-    {
-        OperandKind kind = OperandKind::Absent;
-        /** Producer node (SamePe / CrossPe). */
-        dfg::NodeId src = dfg::kInvalidNode;
-        /** Global send-plan entry delivering this operand (CrossPe). */
-        int32_t sendEntry = -1;
-    };
-
     /** One (producer node -> destination PE) message template. */
     struct SendPlanEntry
     {
@@ -214,13 +207,6 @@ class ElasticSimulator
         int32_t capacity = 0;
     };
 
-    ElasticSimulator(const dfg::Translation &translation,
-                     const compiler::CompiledKernel &kernel,
-                     const std::vector<int32_t> *height,
-                     ElasticConfig config, Numeric numeric);
-
-    int32_t linkIndexFor(int src_pe, int dst_pe);
-
     const dfg::Translation &tr_;
     const compiler::CompiledKernel &kernel_;
     ElasticConfig config_;
@@ -231,16 +217,41 @@ class ElasticSimulator
 
     /** Operation nodes in id order. */
     std::vector<dfg::NodeId> ops_;
+    /** Operations per PE as prefix offsets (numPes_ + 1 entries) into
+     *  peOrder_. */
+    std::vector<int32_t> peOpBase_;
+    /** Each PE's operations in firing order: tallest dependence chain
+     *  first, then lowest id. */
+    std::vector<dfg::NodeId> peOrder_;
+    /** Per node: the operation's position in its PE's peOrder_ list. */
+    std::vector<int32_t> rank_;
+    /** Ready sets are bitmaps over peOrder_ ranks, one per (PE, record
+     *  in flight); a PE's bitmap has peWordBase_[pe + 1] -
+     *  peWordBase_[pe] words. */
+    std::vector<int32_t> peWordBase_;
+    /** Each PE's ready bitmap at admission (the operations with no
+     *  operand to wait for), and its population. */
+    std::vector<uint64_t> initialReady_;
+    std::vector<int32_t> initialCount_;
+    /** Where an input node's value comes from at admission. */
+    struct InputSource
+    {
+        dfg::NodeId node = dfg::kInvalidNode;
+        int64_t pos = 0;
+        /** Record word (DATA) or model word (MODEL). */
+        bool data = false;
+    };
     /** Input nodes (constants are folded into the admission preload). */
-    std::vector<dfg::NodeId> inputs_;
-    /** Per-node operand routes (3 per node, ops only). */
-    std::vector<OperandRoute> routes_;
+    std::vector<InputSource> inputs_;
+    /** Cross-PE operand edges per operation, as send entries (CSR,
+     *  crossInBase_ has n + 1 entries; an operand read twice counts
+     *  twice). */
+    std::vector<int32_t> crossIn_;
+    std::vector<int32_t> crossInBase_;
+    /** Pipeline latency per operation (Scheduler::opLatency). */
+    std::vector<int8_t> latency_;
     /** Non-resident operand count per node (ready-counter template). */
     std::vector<int32_t> remainingInit_;
-    /** Heights computed here when the caller shares none. */
-    std::vector<int32_t> ownHeight_;
-    /** Longest dependence chain per node (firing priority). */
-    std::span<const int32_t> height_;
     /** Flat send plan, grouped producer-major, broadcast-group-minor. */
     std::vector<SendPlanEntry> sendPlan_;
     /**
@@ -257,7 +268,6 @@ class ElasticSimulator
     std::vector<int32_t> prodGroupBase_;
     /** Links with traffic, dense; capacity resolved from config. */
     std::vector<Link> links_;
-    std::unordered_map<int64_t, int32_t> linkIndex_;
     /** Same-PE consumers per producer (CSR; duplicates = edges). */
     std::vector<dfg::NodeId> samePeConsumers_;
     std::vector<int32_t> samePeBase_;

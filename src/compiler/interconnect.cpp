@@ -1,7 +1,6 @@
 #include "compiler/interconnect.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/error.h"
 
@@ -18,49 +17,6 @@ InterconnectModel::InterconnectModel(BusKind kind, int columns,
     busCount_ = kind_ == BusKind::Hierarchical
                     ? rows_ + columns_
                     : std::max(1, numPes_ / 64);
-}
-
-Route
-InterconnectModel::route(int src_pe, int dst_pe) const
-{
-    Route r;
-    if (src_pe == dst_pe)
-        return r;
-
-    if (kind_ == BusKind::SingleShared) {
-        // Flat arbitrated bus: the latency grows linearly with the
-        // number of sharers (TABLA's scalability limiter); transfers
-        // originate on the source group's bus segment.
-        r.latency = 1 + numPes_ / 64;
-        r.bus = src_pe / 64 % busCount_;
-        return r;
-    }
-
-    const int src_row = src_pe / columns_;
-    const int dst_row = dst_pe / columns_;
-    const int src_col = src_pe % columns_;
-    const int dst_col = dst_pe % columns_;
-
-    if (src_row == dst_row) {
-        if (std::abs(src_col - dst_col) == 1) {
-            // Level 1: dedicated bi-directional neighbour link.
-            r.latency = 1;
-            r.bus = -1;
-        } else {
-            // Level 2: the row's shared bus.
-            r.latency = 2;
-            r.bus = src_row;
-        }
-        return r;
-    }
-
-    // Level 3: tree bus across rows; latency is logarithmic in the row
-    // distance, and the transfer occupies the source column's lane.
-    const int dist = std::abs(src_row - dst_row);
-    const int levels = std::bit_width(static_cast<unsigned>(dist));
-    r.latency = 2 + 2 * levels;
-    r.bus = rows_ + src_col;
-    return r;
 }
 
 } // namespace cosmic::compiler

@@ -15,6 +15,7 @@
  */
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 
@@ -44,8 +45,54 @@ class InterconnectModel
   public:
     InterconnectModel(BusKind kind, int columns, int rows_per_thread);
 
-    /** Routes a transfer; src == dst yields a free zero-cycle route. */
-    Route route(int src_pe, int dst_pe) const;
+    /**
+     * Routes a transfer; src == dst yields a free zero-cycle route.
+     * Inline: the scheduler routes every cross-PE operand edge of every
+     * design point.
+     */
+    Route
+    route(int src_pe, int dst_pe) const
+    {
+        Route r;
+        if (src_pe == dst_pe)
+            return r;
+
+        if (kind_ == BusKind::SingleShared) {
+            // Flat arbitrated bus: the latency grows linearly with the
+            // number of sharers (TABLA's scalability limiter);
+            // transfers originate on the source group's bus segment.
+            r.latency = 1 + numPes_ / 64;
+            r.bus = src_pe / 64 % busCount_;
+            return r;
+        }
+
+        const int src_row = src_pe / columns_;
+        const int dst_row = dst_pe / columns_;
+        const int src_col = src_pe % columns_;
+        const int dst_col = dst_pe % columns_;
+
+        if (src_row == dst_row) {
+            if (std::abs(src_col - dst_col) == 1) {
+                // Level 1: dedicated bi-directional neighbour link.
+                r.latency = 1;
+                r.bus = -1;
+            } else {
+                // Level 2: the row's shared bus.
+                r.latency = 2;
+                r.bus = src_row;
+            }
+            return r;
+        }
+
+        // Level 3: tree bus across rows; latency is logarithmic in the
+        // row distance, and the transfer occupies the source column's
+        // lane.
+        const int dist = std::abs(src_row - dst_row);
+        const int levels = std::bit_width(static_cast<unsigned>(dist));
+        r.latency = 2 + 2 * levels;
+        r.bus = rows_ + src_col;
+        return r;
+    }
 
     /** Number of contended bus resources (for busy accounting). */
     int busCount() const { return busCount_; }

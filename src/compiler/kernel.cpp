@@ -46,7 +46,7 @@ KernelCompiler::compile(const dfg::Translation &tr,
                         const dfg::DfgAnalysis &analysis)
 {
     CompiledKernel kernel;
-    kernel.mapping = Mapper::map(tr.dfg, plan, options.strategy);
+    kernel.mapping = Mapper::map(tr.dfg, plan, options.strategy, analysis);
     InterconnectModel interconnect(options.bus, plan.columns,
                                    plan.rowsPerThread);
     kernel.schedule = Scheduler::schedule(tr.dfg, kernel.mapping,

@@ -29,29 +29,42 @@ Mapping
 Mapper::map(const Dfg &dfg, const accel::AcceleratorPlan &plan,
             MappingStrategy strategy)
 {
+    return map(dfg, plan, strategy, dfg::analyze(dfg));
+}
+
+Mapping
+Mapper::map(const Dfg &dfg, const accel::AcceleratorPlan &plan,
+            MappingStrategy strategy, const dfg::DfgAnalysis &analysis)
+{
     COSMIC_ASSERT(plan.pesPerThread() > 0, "plan has no PEs per thread");
+    COSMIC_ASSERT(static_cast<int64_t>(analysis.traits.size()) ==
+                      dfg.size(),
+                  "analysis of a different DFG");
     Mapping m = strategy == MappingStrategy::DataFirst
-                    ? mapDataFirst(dfg, plan)
+                    ? mapDataFirst(dfg, plan, analysis)
                     : mapOperationFirst(dfg, plan);
-    countCrossEdges(dfg, m);
+    countCrossEdges(dfg, analysis, m);
     return m;
 }
 
 Mapping
-Mapper::mapDataFirst(const Dfg &dfg, const accel::AcceleratorPlan &plan)
+Mapper::mapDataFirst(const Dfg &dfg, const accel::AcceleratorPlan &plan,
+                     const dfg::DfgAnalysis &analysis)
 {
+    namespace trait = dfg::trait;
     Mapping m;
     m.numPes = plan.pesPerThread();
     m.columns = plan.columns;
     m.rowsPerThread = plan.rowsPerThread;
     m.peOf.assign(dfg.size(), -1);
+    const uint8_t *traits = analysis.traits.data();
 
     // Step 1 (data map): each DATA element goes to the PE wired to the
     // memory column that delivers it — this is what makes marshaling
     // unnecessary.
     for (NodeId v = 0; v < dfg.size(); ++v) {
-        const auto &node = dfg.node(v);
-        if (node.op == OpKind::Input && node.category == Category::Data) {
+        if ((traits[v] & trait::kInput) &&
+            dfg::traitCategory(traits[v]) == Category::Data) {
             m.peOf[v] = dataPeForStreamPos(dfg.inputPos(v), m.columns,
                                            m.rowsPerThread);
         }
@@ -66,22 +79,18 @@ Mapper::mapDataFirst(const Dfg &dfg, const accel::AcceleratorPlan &plan)
     // buses while private values would have to move — and (b) break
     // ties toward the least-loaded PE so reduction spines spread
     // instead of collapsing onto the leftmost leaf's PE.
-    std::vector<int32_t> use_count(dfg.size(), 0);
-    for (NodeId v = 0; v < dfg.size(); ++v) {
-        const auto &node = dfg.node(v);
-        if (node.op == OpKind::Const || node.op == OpKind::Input)
-            continue;
-        for (NodeId o : {node.a, node.b, node.c})
-            if (o != kInvalidNode)
-                ++use_count[o];
-    }
-
     std::vector<int64_t> load(m.numPes, 0);
     int32_t round_robin = 0;
+    auto next_round_robin = [&] {
+        const int32_t pe = round_robin;
+        if (++round_robin == m.numPes)
+            round_robin = 0;
+        return pe;
+    };
     for (NodeId v = 0; v < dfg.size(); ++v) {
-        const auto &node = dfg.node(v);
-        if (node.op == OpKind::Const || node.op == OpKind::Input)
+        if (traits[v] & (trait::kConst | trait::kInput))
             continue;
+        const auto &node = dfg.node(v);
 
         NodeId ops[3] = {node.a, node.b, node.c};
         NodeId data_op = kInvalidNode;
@@ -91,7 +100,7 @@ Mapper::mapDataFirst(const Dfg &dfg, const accel::AcceleratorPlan &plan)
         for (NodeId o : ops) {
             if (o == kInvalidNode)
                 continue;
-            switch (dfg.node(o).category) {
+            switch (dfg::traitCategory(traits[o])) {
               case Category::Data:
                 if (data_op == kInvalidNode)
                     data_op = o;
@@ -104,7 +113,7 @@ Mapper::mapDataFirst(const Dfg &dfg, const accel::AcceleratorPlan &plan)
                 int32_t pe = m.peOf[o];
                 if (pe < 0)
                     break;
-                bool is_private = use_count[o] <= 1;
+                bool is_private = !(traits[o] & trait::kShared);
                 bool better =
                     best_interim_pe < 0 ||
                     (is_private && !best_is_private) ||
@@ -130,10 +139,8 @@ Mapper::mapDataFirst(const Dfg &dfg, const accel::AcceleratorPlan &plan)
         } else if (model_op != kInvalidNode) {
             // Rule 4: follow the model parameter; place it round-robin
             // on first use so neighbouring PEs work in parallel.
-            if (m.peOf[model_op] < 0) {
-                m.peOf[model_op] = round_robin;
-                round_robin = (round_robin + 1) % m.numPes;
-            }
+            if (m.peOf[model_op] < 0)
+                m.peOf[model_op] = next_round_robin();
             m.peOf[v] = m.peOf[model_op];
         } else if (best_interim_pe >= 0) {
             // Rule 5: stay where an intermediate operand lives,
@@ -141,21 +148,16 @@ Mapper::mapDataFirst(const Dfg &dfg, const accel::AcceleratorPlan &plan)
             m.peOf[v] = best_interim_pe;
         } else {
             // Constant-only expression: round-robin.
-            m.peOf[v] = round_robin;
-            round_robin = (round_robin + 1) % m.numPes;
+            m.peOf[v] = next_round_robin();
         }
         ++load[m.peOf[v]];
     }
 
     // Any MODEL parameter never consumed by an operation (possible when
     // a gradient directly re-emits a parameter) still needs a home.
-    for (NodeId v = 0; v < dfg.size(); ++v) {
-        const auto &node = dfg.node(v);
-        if (node.op == OpKind::Input && m.peOf[v] < 0) {
-            m.peOf[v] = round_robin;
-            round_robin = (round_robin + 1) % m.numPes;
-        }
-    }
+    for (NodeId v = 0; v < dfg.size(); ++v)
+        if ((traits[v] & trait::kInput) && m.peOf[v] < 0)
+            m.peOf[v] = next_round_robin();
     return m;
 }
 
@@ -215,16 +217,21 @@ Mapper::mapOperationFirst(const Dfg &dfg,
 }
 
 void
-Mapper::countCrossEdges(const Dfg &dfg, Mapping &m)
+Mapper::countCrossEdges(const Dfg &dfg, const dfg::DfgAnalysis &analysis,
+                        Mapping &m)
 {
+    // A pass of its own: folded into the data-first walk, this test
+    // lengthens that walk's branchy body and costs more than the pass.
+    const uint8_t *traits = analysis.traits.data();
+    const uint8_t skip = dfg::trait::kConst | dfg::trait::kInput;
     m.crossPeEdges = 0;
     m.totalEdges = 0;
     for (NodeId v = 0; v < dfg.size(); ++v) {
-        const auto &node = dfg.node(v);
-        if (node.op == OpKind::Const || node.op == OpKind::Input)
+        if (traits[v] & skip)
             continue;
+        const auto &node = dfg.node(v);
         for (NodeId o : {node.a, node.b, node.c}) {
-            if (o == kInvalidNode || dfg.node(o).op == OpKind::Const)
+            if (o == kInvalidNode || (traits[o] & dfg::trait::kConst))
                 continue;
             ++m.totalEdges;
             if (m.peOf[o] != m.peOf[v])

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "accel/plan.h"
+#include "dfg/analysis.h"
 #include "dfg/graph.h"
 
 namespace cosmic::compiler {
@@ -61,17 +62,28 @@ class Mapper
      * @param plan Shape of the accelerator; only the per-thread
      *        sub-array matters here (all threads share one mapping,
      *        offset by the Thread Index Table at runtime).
+     * @param analysis dfg::analyze of @p dfg; the walks read each
+     *        node's category and fanout from its traits.
      */
+    static Mapping map(const dfg::Dfg &dfg,
+                       const accel::AcceleratorPlan &plan,
+                       MappingStrategy strategy,
+                       const dfg::DfgAnalysis &analysis);
+
+    /** Same, computing the analyses for this one call. */
     static Mapping map(const dfg::Dfg &dfg,
                        const accel::AcceleratorPlan &plan,
                        MappingStrategy strategy);
 
   private:
     static Mapping mapDataFirst(const dfg::Dfg &dfg,
-                                const accel::AcceleratorPlan &plan);
+                                const accel::AcceleratorPlan &plan,
+                                const dfg::DfgAnalysis &analysis);
     static Mapping mapOperationFirst(const dfg::Dfg &dfg,
                                      const accel::AcceleratorPlan &plan);
-    static void countCrossEdges(const dfg::Dfg &dfg, Mapping &mapping);
+    static void countCrossEdges(const dfg::Dfg &dfg,
+                                const dfg::DfgAnalysis &analysis,
+                                Mapping &mapping);
 };
 
 } // namespace cosmic::compiler

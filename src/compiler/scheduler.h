@@ -24,6 +24,16 @@
  * keeping a queue. The order, like the broadcast-slot layout, does not
  * depend on the mapping, so the Planner computes it once per DFG and
  * shares it across every design point it schedules.
+ *
+ * The walk's cost is its memory reads. It streams each operation's
+ * operands from the analysis's issue-ordered copy rather than reading
+ * the operation's node, which issue order visits out of id order. The
+ * operands themselves land anywhere in the graph, so it reads an
+ * operand's facts from the analysis's one-byte traits rather than its
+ * 16-byte node. It reads the operand's ready
+ * cycle from the issue cycles, since every operand issues before its
+ * consumers. A producer with at least as many consumer edges as there
+ * are rows finds its broadcast to row r in its slot r without a scan.
  */
 #pragma once
 
@@ -86,6 +96,13 @@ class Scheduler
     opLatency(dfg::OpKind op)
     {
         return dfg::isNonlinear(op) ? 2 : 1;
+    }
+
+    /** Same, from the operation's dfg::DfgAnalysis::traits byte. */
+    static int64_t
+    opLatency(uint8_t traits)
+    {
+        return traits & dfg::trait::kNonlinear ? 2 : 1;
     }
 };
 

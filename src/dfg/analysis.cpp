@@ -142,16 +142,46 @@ analyze(const Dfg &dfg)
 {
     const int64_t n = dfg.size();
     DfgAnalysis a;
-    a.height = computeHeights(dfg);
-    a.criticalPath = longestChain(dfg, a.height);
+    const std::vector<int32_t> height = computeHeights(dfg);
+    a.criticalPath = longestChain(dfg, height);
     a.maxLiveInterim = maxLiveInterim(dfg);
+
+    a.fanoutBase.assign(n + 1, 0);
+    int64_t *fanout = a.fanoutBase.data();
+    for (NodeId v = 0; v < n; ++v) {
+        const Node &node = dfg.node(v);
+        for (NodeId o : {node.a, node.b, node.c})
+            if (o != kInvalidNode)
+                ++fanout[o + 1];
+    }
+
+    // Traits from a per-OpKind table and the edge counts, branch-free:
+    // neither the node kinds nor sharing follow a pattern in id order.
+    uint8_t op_bits[256];
+    for (int op = 0; op < 256; ++op)
+        op_bits[op] = isNonlinear(static_cast<OpKind>(op))
+                          ? trait::kNonlinear
+                          : 0;
+    op_bits[static_cast<uint8_t>(OpKind::Const)] = trait::kConst;
+    op_bits[static_cast<uint8_t>(OpKind::Input)] = trait::kInput;
+    a.traits.resize(n);
+    uint8_t *traits = a.traits.data();
+    for (NodeId v = 0; v < n; ++v) {
+        const Node &node = dfg.node(v);
+        traits[v] = static_cast<uint8_t>(node.category) |
+                    op_bits[static_cast<uint8_t>(node.op)] |
+                    (fanout[v + 1] > 1 ? trait::kShared : 0);
+    }
+    for (int64_t i = 1; i <= n; ++i)
+        fanout[i] += fanout[i - 1];
 
     // Counting sort of the operations by height, tallest bucket first;
     // filling each bucket in id order breaks ties by ascending id.
+    const uint8_t leaf = trait::kConst | trait::kInput;
     std::vector<int64_t> bucket(a.criticalPath + 2, 0);
     for (NodeId v = 0; v < n; ++v)
-        if (isOperation(dfg.node(v)))
-            ++bucket[a.height[v]];
+        if (!(traits[v] & leaf))
+            ++bucket[height[v]];
     int64_t next = 0;
     for (int64_t h = a.criticalPath; h >= 0; --h) {
         const int64_t count = bucket[h];
@@ -160,19 +190,19 @@ analyze(const Dfg &dfg)
     }
     a.operationCount = next;
     a.issueOrder.resize(next);
-    for (NodeId v = 0; v < n; ++v)
-        if (isOperation(dfg.node(v)))
-            a.issueOrder[bucket[a.height[v]]++] = v;
-
-    a.fanoutBase.assign(n + 1, 0);
+    a.issueOperands.resize(3 * next);
     for (NodeId v = 0; v < n; ++v) {
+        if (traits[v] & leaf)
+            continue;
+        const int64_t pos = bucket[height[v]]++;
+        a.issueOrder[pos] = v;
         const Node &node = dfg.node(v);
+        NodeId *operand = &a.issueOperands[3 * pos];
         for (NodeId o : {node.a, node.b, node.c})
-            if (o != kInvalidNode)
-                ++a.fanoutBase[o + 1];
+            *operand++ = o != kInvalidNode && !(traits[o] & trait::kConst)
+                             ? o
+                             : kInvalidNode;
     }
-    for (int64_t i = 1; i <= n; ++i)
-        a.fanoutBase[i] += a.fanoutBase[i - 1];
     return a;
 }
 

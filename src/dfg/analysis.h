@@ -65,27 +65,60 @@ int64_t storageWords(const Dfg &dfg, int64_t record_words,
                      int64_t model_words);
 
 /**
+ * Bits of DfgAnalysis::traits. The low two bits hold the node's
+ * Category; the flags say whether the node is a constant, an input or a
+ * nonlinear operation, and whether more than one operand edge reads it.
+ */
+namespace trait {
+inline constexpr uint8_t kCategoryMask = 0x3;
+inline constexpr uint8_t kConst = 1 << 2;
+inline constexpr uint8_t kInput = 1 << 3;
+inline constexpr uint8_t kNonlinear = 1 << 4;
+inline constexpr uint8_t kShared = 1 << 5;
+} // namespace trait
+
+/** The Category held in a DfgAnalysis::traits byte. */
+inline Category
+traitCategory(uint8_t traits)
+{
+    return static_cast<Category>(traits & trait::kCategoryMask);
+}
+
+/**
  * The shape-independent analyses every design point of one DFG needs:
- * the scheduler's issue order and broadcast-slot layout, the kernel's
- * operation count and critical path, the interim-buffer high-water
- * mark and the elastic simulator's firing priority.
+ * the scheduler's issue order and broadcast-slot layout, the mapper's
+ * and scheduler's per-operand facts, the kernel's operation count and
+ * critical path and the interim-buffer high-water mark.
  */
 struct DfgAnalysis
 {
-    /** computeHeights(). */
-    std::vector<int32_t> height;
     /**
-     * Operations in list-scheduling order: height descending, then id
-     * ascending. Every operand of an operation is strictly taller than
-     * the operation, so this is also a topological order.
+     * Operations in list-scheduling order: height (computeHeights)
+     * descending, then id ascending. Every operand of an operation is
+     * strictly taller than the operation, so this is also a topological
+     * order. The elastic simulator fires each PE's ready operations in
+     * this order too.
      */
     std::vector<NodeId> issueOrder;
+    /**
+     * The operands of issueOrder[i] at [3 * i, 3 * i + 3), in operand
+     * order, with kInvalidNode for an absent or constant operand. The
+     * scheduler streams these in issue order instead of reading each
+     * operation's node, which issue order visits out of id order.
+     */
+    std::vector<NodeId> issueOperands;
     /**
      * Consumer-edge offsets (n + 1 entries): node v's consumer edges
      * are [fanoutBase[v], fanoutBase[v + 1]); an operation reading v
      * twice counts twice.
      */
     std::vector<int64_t> fanoutBase;
+    /**
+     * One byte of trait:: bits per node. The mapper and the scheduler
+     * read an operand's facts once per edge, in no useful order; a byte
+     * per node stays in cache where the 16-byte Node array does not.
+     */
+    std::vector<uint8_t> traits;
     /** criticalPathLength(). */
     int64_t criticalPath = 0;
     /** Dfg::operationCount(). */

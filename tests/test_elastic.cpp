@@ -10,6 +10,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "accel/buffer_opt.h"
@@ -157,6 +158,27 @@ TEST(ElasticSimulator, ZeroCapacityFifoDeadlocksStructurally)
         << result.violation;
 }
 
+TEST(ElasticSimulator, CapacityOverridesOnUnusedLinksAreIgnored)
+{
+    auto c = compileWorkload("tumor", 1, 8);
+    // Everything on PE 0: no operand crosses a PE, so the kernel has no
+    // link for the override to name.
+    std::fill(c.kernel.mapping.peOf.begin(), c.kernel.mapping.peOf.end(),
+              0);
+    ElasticConfig config;
+    config.linkCapacity = {{1, 0}, {int64_t{7} * 128 + 3, 0}};
+    ElasticSimulator local(c.tr, c.kernel, config);
+    EXPECT_EQ(local.linkCount(), 0);
+
+    Rng rng(45);
+    const auto &w = ml::Workload::byName("tumor");
+    auto ds = ml::DatasetGenerator::generate(w, kScale, 1, rng);
+    auto model = ml::DatasetGenerator::initialModel(w, kScale, rng);
+    auto result = local.run(ds.record(0), model);
+    ASSERT_TRUE(result.ok) << result.violation;
+    EXPECT_EQ(result.messages, 0);
+}
+
 TEST(ElasticSimulator, BackpressureShapesTimingNotValues)
 {
     auto c = compileWorkload("tumor", 1, 8);
@@ -193,7 +215,8 @@ TEST(ElasticSimulator, BackpressureShapesTimingNotValues)
 TEST(BufferOptimizer, PeakPlacementReproducesUnboundedThroughput)
 {
     auto c = compileWorkload("texture", 2, 8);
-    auto probed = BufferOptimizer::probe(c.tr, c.kernel, c.plan);
+    auto probed = BufferOptimizer::probe(c.tr, c.kernel,
+                                         dfg::analyze(c.tr.dfg), c.plan);
     ASSERT_GT(probed.links.size(), 0u);
     EXPECT_GT(probed.bufferBytesPerThread, 0);
 
@@ -219,16 +242,17 @@ TEST(BufferOptimizer, PeakPlacementReproducesUnboundedThroughput)
 TEST(BufferOptimizer, FitRespectsBudget)
 {
     auto c = compileWorkload("texture", 2, 8);
-    auto probed = BufferOptimizer::probe(c.tr, c.kernel, c.plan);
+    const dfg::DfgAnalysis analysis = dfg::analyze(c.tr.dfg);
+    auto probed = BufferOptimizer::probe(c.tr, c.kernel, analysis, c.plan);
 
     // A generous budget keeps the peak placement untouched.
-    auto roomy = BufferOptimizer::fit(c.tr, c.kernel, probed,
+    auto roomy = BufferOptimizer::fit(c.tr, c.kernel, analysis, probed,
                                       probed.bufferBytesPerThread);
     EXPECT_TRUE(roomy.withinBudget);
     EXPECT_EQ(roomy.bufferBytesPerThread, probed.bufferBytesPerThread);
 
     // A tight budget forces shrinking (or an honest over-budget flag).
-    auto tight = BufferOptimizer::fit(c.tr, c.kernel, probed,
+    auto tight = BufferOptimizer::fit(c.tr, c.kernel, analysis, probed,
                                       probed.bufferBytesPerThread / 2);
     if (tight.withinBudget) {
         EXPECT_LE(tight.bufferBytesPerThread,

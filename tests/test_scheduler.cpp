@@ -393,11 +393,12 @@ TEST(SchedulerEquivalence, IssueOrderIsTallestFirstThenById)
     EXPECT_EQ(a.operationCount, tr.dfg.operationCount());
     EXPECT_EQ(a.criticalPath, dfg::criticalPathLength(tr.dfg));
     EXPECT_EQ(a.maxLiveInterim, dfg::maxLiveInterim(tr.dfg));
+    const std::vector<int32_t> height = dfg::computeHeights(tr.dfg);
     for (size_t i = 1; i < a.issueOrder.size(); ++i) {
         NodeId prev = a.issueOrder[i - 1];
         NodeId cur = a.issueOrder[i];
-        EXPECT_TRUE(a.height[prev] > a.height[cur] ||
-                    (a.height[prev] == a.height[cur] && prev < cur))
+        EXPECT_TRUE(height[prev] > height[cur] ||
+                    (height[prev] == height[cur] && prev < cur))
             << "positions " << i - 1 << ", " << i;
     }
     dfg::SuccessorCsr succ = dfg::buildSuccessors(tr.dfg);
