@@ -4,7 +4,8 @@
  *
  * Measures single-thread records/sec of the per-record gradient kernel
  * for all 10 Table-1 workloads — the node-order Interpreter against the
- * Tape's segment stream (runBatch) and the plain-SGD sweep that
+ * Tape's segment stream (runBatch; each program's segment count and
+ * scratch words are listed with it) and the plain-SGD sweep that
  * default training runs, in F64 and in Q16.16 (the PE number format;
  * reported only, with no target) — and times one functional-runtime
  * iteration to show the persistent-worker system layer end to end,
@@ -18,7 +19,8 @@
  * The last line of output is a machine-readable JSON summary so the
  * perf trajectory can be tracked:
  *   {"bench":"hotpath_tape","scale":...,"results":[{"workload":...,
- *    "interp_rps":...,"tape_rps":...,"sgd_rps":...,"sgd_q16_rps":...,
+ *    "segments":...,"scratch_words":...,"interp_rps":...,
+ *    "tape_rps":...,"sgd_rps":...,"sgd_q16_rps":...,
  *    "q16_slowdown":...,"speedup":...},...],
  *    "iteration":{...},"iteration_shards":{...}}
  *
@@ -149,7 +151,8 @@ main()
                        std::to_string(static_cast<int>(scale)) +
                        "; medians of " + std::to_string(kRounds) +
                        " alternating windows)");
-    table.setHeader({"Benchmark", "Algorithm", "DFG ops", "Interp rec/s",
+    table.setHeader({"Benchmark", "Algorithm", "DFG ops", "Segments",
+                     "Scratch words", "Interp rec/s",
                      "Tape rec/s", "SGD rec/s", "Q16 SGD rec/s",
                      "Q16 SGD us/rec", "Q16/F64 time", "Tape x"});
 
@@ -220,6 +223,8 @@ main()
 
         table.addRow({w.name, ml::algorithmName(w.algorithm),
                       std::to_string(tr.dfg.operationCount()),
+                      std::to_string(tape.segmentCount()),
+                      std::to_string(tape.scratchWords()),
                       TablePrinter::num(interp_rps, 0),
                       TablePrinter::num(tape_rps, 0),
                       sgd ? TablePrinter::num(sgd_rps, 0) : "-",
@@ -229,7 +234,9 @@ main()
                       TablePrinter::num(speedup, 2)});
 
         json << (first ? "" : ",") << "{\"workload\":\"" << w.name
-             << "\",\"interp_rps\":" << TablePrinter::num(interp_rps, 0)
+             << "\",\"segments\":" << tape.segmentCount()
+             << ",\"scratch_words\":" << tape.scratchWords()
+             << ",\"interp_rps\":" << TablePrinter::num(interp_rps, 0)
              << ",\"tape_rps\":" << TablePrinter::num(tape_rps, 0)
              << ",\"sgd_rps\":" << TablePrinter::num(sgd_rps, 0)
              << ",\"sgd_q16_rps\":" << TablePrinter::num(q16_rps, 0)

@@ -40,11 +40,9 @@ Mapper::map(const Dfg &dfg, const accel::AcceleratorPlan &plan,
     COSMIC_ASSERT(static_cast<int64_t>(analysis.traits.size()) ==
                       dfg.size(),
                   "analysis of a different DFG");
-    Mapping m = strategy == MappingStrategy::DataFirst
-                    ? mapDataFirst(dfg, plan, analysis)
-                    : mapOperationFirst(dfg, plan);
-    countCrossEdges(dfg, analysis, m);
-    return m;
+    return strategy == MappingStrategy::DataFirst
+               ? mapDataFirst(dfg, plan, analysis)
+               : mapOperationFirst(dfg, plan);
 }
 
 Mapping
@@ -216,28 +214,23 @@ Mapper::mapOperationFirst(const Dfg &dfg,
     return m;
 }
 
-void
-Mapper::countCrossEdges(const Dfg &dfg, const dfg::DfgAnalysis &analysis,
-                        Mapping &m)
+EdgeCounts
+countEdges(const Dfg &dfg, const Mapping &mapping)
 {
-    // A pass of its own: folded into the data-first walk, this test
-    // lengthens that walk's branchy body and costs more than the pass.
-    const uint8_t *traits = analysis.traits.data();
-    const uint8_t skip = dfg::trait::kConst | dfg::trait::kInput;
-    m.crossPeEdges = 0;
-    m.totalEdges = 0;
+    EdgeCounts counts;
     for (NodeId v = 0; v < dfg.size(); ++v) {
-        if (traits[v] & skip)
-            continue;
         const auto &node = dfg.node(v);
+        if (node.op == OpKind::Const || node.op == OpKind::Input)
+            continue;
         for (NodeId o : {node.a, node.b, node.c}) {
-            if (o == kInvalidNode || (traits[o] & dfg::trait::kConst))
+            if (o == kInvalidNode || dfg.node(o).op == OpKind::Const)
                 continue;
-            ++m.totalEdges;
-            if (m.peOf[o] != m.peOf[v])
-                ++m.crossPeEdges;
+            ++counts.total;
+            if (mapping.peOf[o] != mapping.peOf[v])
+                ++counts.crossPe;
         }
     }
+    return counts;
 }
 
 } // namespace cosmic::compiler

@@ -44,14 +44,22 @@ struct Mapping
     int columns = 0;
     int rowsPerThread = 0;
 
-    /** Edges whose producer and consumer sit on different PEs. */
-    int64_t crossPeEdges = 0;
-    /** All producer-consumer edges between mapped values. */
-    int64_t totalEdges = 0;
-
     int rowOf(int pe) const { return pe / columns; }
     int colOf(int pe) const { return pe % columns; }
 };
+
+/** The producer-consumer edges between mapped values: every operand
+ *  edge of an operation whose producer is not a constant. */
+struct EdgeCounts
+{
+    /** Edges whose producer and consumer sit on different PEs. */
+    int64_t crossPe = 0;
+    int64_t total = 0;
+};
+
+/** Counts @p mapping's edges over @p dfg (the DFG it maps): one walk
+ *  over every operand edge, run only when asked. */
+EdgeCounts countEdges(const dfg::Dfg &dfg, const Mapping &mapping);
 
 /** Maps a DFG per the selected strategy. */
 class Mapper
@@ -81,9 +89,6 @@ class Mapper
                                 const dfg::DfgAnalysis &analysis);
     static Mapping mapOperationFirst(const dfg::Dfg &dfg,
                                      const accel::AcceleratorPlan &plan);
-    static void countCrossEdges(const dfg::Dfg &dfg,
-                                const dfg::DfgAnalysis &analysis,
-                                Mapping &mapping);
 };
 
 } // namespace cosmic::compiler

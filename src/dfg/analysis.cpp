@@ -1,6 +1,9 @@
 #include "dfg/analysis.h"
 
 #include <algorithm>
+#include <limits>
+
+#include "common/error.h"
 
 namespace cosmic::dfg {
 
@@ -146,8 +149,11 @@ analyze(const Dfg &dfg)
     a.criticalPath = longestChain(dfg, height);
     a.maxLiveInterim = maxLiveInterim(dfg);
 
+    // At most three operand edges per node.
+    COSMIC_ASSERT(3 * n <= std::numeric_limits<int32_t>::max(),
+                  "DFG too large for 32-bit edge offsets");
     a.fanoutBase.assign(n + 1, 0);
-    int64_t *fanout = a.fanoutBase.data();
+    int32_t *fanout = a.fanoutBase.data();
     for (NodeId v = 0; v < n; ++v) {
         const Node &node = dfg.node(v);
         for (NodeId o : {node.a, node.b, node.c})

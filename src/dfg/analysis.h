@@ -110,9 +110,9 @@ struct DfgAnalysis
     /**
      * Consumer-edge offsets (n + 1 entries): node v's consumer edges
      * are [fanoutBase[v], fanoutBase[v + 1]); an operation reading v
-     * twice counts twice.
+     * twice counts twice. 32-bit: analyze asserts the edges fit.
      */
-    std::vector<int64_t> fanoutBase;
+    std::vector<int32_t> fanoutBase;
     /**
      * One byte of trait:: bits per node. The mapper and the scheduler
      * read an operand's facts once per edge, in no useful order; a byte

@@ -1,6 +1,7 @@
 #include "dfg/tape.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/error.h"
@@ -14,27 +15,47 @@ using accel::roundTo;
 
 namespace {
 
-/** Unit dst stride and no operand reading a slot the segment writes:
- *  the segment's operations are independent, so a vectorized loop
- *  computes exactly what the in-order loop does. */
+/** Unit dst stride and, in every row, no operand reading a slot the
+ *  row writes: each row's operations are independent, so a vectorized
+ *  loop computes exactly what the in-order loop does. Rows still run
+ *  one after another, so a row may read what an earlier row wrote. */
 bool
 isFlat(const TapeSegment &seg)
 {
     if (seg.dstStride != 1)
         return false;
     const int64_t n = seg.count;
-    const int64_t dst = seg.dst;
-    const int32_t operand[3] = {seg.a, seg.b, seg.c};
     const int32_t stride[3] = {seg.aStride, seg.bStride, seg.cStride};
-    for (int k = 0; k < 3; ++k) {
-        const int64_t first = operand[k];
-        const int64_t last = first + (n - 1) * stride[k];
-        const int64_t lo = std::min(first, last);
-        const int64_t hi = std::max(first, last) + 1;
-        if (lo < dst + n && dst < hi)
-            return false;
+    for (int64_t r = 0; r < seg.rows; ++r) {
+        const int64_t dst = seg.dst + r * seg.rowDst;
+        const int64_t operand[3] = {seg.a + r * seg.rowA,
+                                    seg.b + r * seg.rowB,
+                                    seg.c + r * seg.rowC};
+        for (int k = 0; k < 3; ++k) {
+            const int64_t last = operand[k] + (n - 1) * stride[k];
+            const int64_t lo = std::min(operand[k], last);
+            const int64_t hi = std::max(operand[k], last) + 1;
+            if (lo < dst + n && dst < hi)
+                return false;
+        }
     }
     return true;
+}
+
+/** Calls @p row(d, a, b, c) with the first slots of each of @p seg's
+ *  rows, in row order. */
+template <typename Row>
+inline void
+forRows(const TapeSegment &seg, double *s, Row row)
+{
+    int64_t d = seg.dst, a = seg.a, b = seg.b, c = seg.c;
+    for (int32_t r = 0; r < seg.rows; ++r) {
+        row(s + d, s + a, s + b, s + c);
+        d += seg.rowDst;
+        a += seg.rowA;
+        b += seg.rowB;
+        c += seg.rowC;
+    }
 }
 
 /** d[k] = f(a[k * sa], b[k * sb]) for k < n, d overlapping neither a
@@ -94,84 +115,91 @@ flatSelect(double *__restrict__ d, const double *__restrict__ a,
         d[k] = a[k * sa] != 0.0 ? b[k * sb] : c[k * sc];
 }
 
-/** Runs a flat segment of an F64 tape as a vectorizable
- *  loop; false for opcodes without one. */
+/** Runs a flat segment of an F64 tape as one vectorizable loop per
+ *  row; false for opcodes without one. */
 inline bool
 runFlat(const TapeSegment &seg, double *s)
 {
     const int64_t n = seg.count;
-    double *d = s + seg.dst;
-    const double *a = s + seg.a;
-    const double *b = s + seg.b;
+    const int64_t sa = seg.aStride;
+    const int64_t sb = seg.bStride;
+    const auto binary = [&](auto f) {
+        forRows(seg, s,
+                [&](double *d, const double *a, const double *b,
+                    const double *) { flatBinary(d, a, sa, b, sb, n, f); });
+        return true;
+    };
     switch (seg.op) {
       case OpKind::Add:
-        flatBinary(d, a, seg.aStride, b, seg.bStride, n,
-                   [](double x, double y) { return x + y; });
-        return true;
+        return binary([](double x, double y) { return x + y; });
       case OpKind::Sub:
-        flatBinary(d, a, seg.aStride, b, seg.bStride, n,
-                   [](double x, double y) { return x - y; });
-        return true;
+        return binary([](double x, double y) { return x - y; });
       case OpKind::Mul:
-        flatBinary(d, a, seg.aStride, b, seg.bStride, n,
-                   [](double x, double y) { return x * y; });
-        return true;
+        return binary([](double x, double y) { return x * y; });
       case OpKind::Select:
-        flatSelect(d, a, seg.aStride, b, seg.bStride, s + seg.c,
-                   seg.cStride, n);
+        forRows(seg, s,
+                [&](double *d, const double *a, const double *b,
+                    const double *c) {
+                    flatSelect(d, a, sa, b, sb, c, seg.cStride, n);
+                });
         return true;
       default:
         return false;
     }
 }
 
-/** Runs one segment in order as a strided loop: the common ALU
- *  opcodes get dedicated loops, everything else (LUT ops, compares,
+/** Runs one segment in order as a strided loop per row: the common
+ *  ALU opcodes get dedicated loops, everything else (LUT ops, compares,
  *  select) goes through the shared datapath switch. */
 template <Numeric N>
 inline void
 runStrided(const TapeSegment &seg, double *s)
 {
     const int64_t n = seg.count;
-    double *d = s + seg.dst;
-    const double *a = s + seg.a;
-    const double *b = s + seg.b;
     const int64_t sd = seg.dstStride;
     const int64_t sa = seg.aStride;
     const int64_t sb = seg.bStride;
+    const int64_t sc = seg.cStride;
+    const auto binary = [&](auto f) {
+        forRows(seg, s,
+                [&](double *d, const double *a, const double *b,
+                    const double *) {
+                    for (int64_t k = 0; k < n; ++k) {
+                        double v = f(a[k * sa], b[k * sb]);
+                        d[k * sd] = roundTo<N>(v);
+                    }
+                });
+    };
     switch (seg.op) {
       case OpKind::Add:
-        for (int64_t k = 0; k < n; ++k) {
-            double v = a[k * sa] + b[k * sb];
-            d[k * sd] = roundTo<N>(v);
-        }
+        binary([](double x, double y) { return x + y; });
         break;
       case OpKind::Sub:
-        for (int64_t k = 0; k < n; ++k) {
-            double v = a[k * sa] - b[k * sb];
-            d[k * sd] = roundTo<N>(v);
-        }
+        binary([](double x, double y) { return x - y; });
         break;
       case OpKind::Mul:
-        for (int64_t k = 0; k < n; ++k) {
-            double v = a[k * sa] * b[k * sb];
-            d[k * sd] = roundTo<N>(v);
-        }
+        binary([](double x, double y) { return x * y; });
         break;
-      default: {
-        const double *c = s + seg.c;
-        const int64_t sc = seg.cStride;
-        for (int64_t k = 0; k < n; ++k) {
-            double v = evaluateOp(seg.op, a[k * sa], b[k * sb], c[k * sc]);
-            d[k * sd] = roundTo<N>(v);
-        }
+      default:
+        forRows(seg, s,
+                [&](double *d, const double *a, const double *b,
+                    const double *c) {
+                    for (int64_t k = 0; k < n; ++k) {
+                        double v = evaluateOp(seg.op, a[k * sa],
+                                              b[k * sb], c[k * sc]);
+                        d[k * sd] = roundTo<N>(v);
+                    }
+                });
         break;
-      }
     }
 }
 
 /** Dot trees one lane-parallel step runs, one per SIMD lane. */
 constexpr int64_t kLanes = 8;
+/** A flat dot segment of at least kMinBlock trees runs them in blocks
+ *  of at most kBlock trees instead (dotBlock). */
+constexpr int64_t kMinBlock = 32;
+constexpr int64_t kBlock = 64;
 
 /** One pairwise level of a dot tree: to[i] = from[2i] + from[2i + 1]
  *  over the level's @p m values, the odd last one carried up. */
@@ -276,20 +304,124 @@ dotLanes(const TapeSegment &seg, int64_t k0, double *s, double *buf)
         d[lane * seg.dstStride] = buf[lane];
 }
 
-/** Runs dot segment @p seg: independent trees eight at a time, the
- *  rest (and every tree of a dependent segment) one by one, in order.
- *  @p buf holds Tape::dotWords_ words. */
+/** to[t] = from[t] + to[t], rounded, for t < n. */
+template <Numeric N>
+inline void
+addRow(double *__restrict__ to, const double *__restrict__ from, int64_t n)
+{
+    for (int64_t t = 0; t < n; ++t) {
+        double v = to[t] + from[t];
+        to[t] = roundTo<N>(v);
+    }
+}
+
+/** row[t] = row[t] + x[t * sx] * y[t * sy] for t < n, the product and
+ *  the sum each rounded; unit-stride and broadcast operands get their
+ *  own loops, as in flatBinary. */
+template <Numeric N>
+inline void
+addProducts(double *__restrict__ row, const double *__restrict__ x,
+            int64_t sx, const double *__restrict__ y, int64_t sy,
+            int64_t n)
+{
+    const auto add = [&](int64_t t, double p) {
+        double v = row[t] + roundTo<N>(p);
+        row[t] = roundTo<N>(v);
+    };
+    if (sy == 0 && sx == 1) {
+        const double c = *y;
+        for (int64_t t = 0; t < n; ++t)
+            add(t, x[t] * c);
+    } else if (sx == 0 && sy == 1) {
+        const double c = *x;
+        for (int64_t t = 0; t < n; ++t)
+            add(t, c * y[t]);
+    } else {
+        for (int64_t t = 0; t < n; ++t)
+            add(t, x[t * sx] * y[t * sy]);
+    }
+}
+
+/** Rows of dotBlock's buffer for trees of @p leaves leaves: one per
+ *  bit of the leaf count, and one for the newest products. */
+inline int64_t
+blockRows(int64_t leaves)
+{
+    return std::bit_width(static_cast<uint64_t>(leaves)) + 1;
+}
+
+/**
+ * Trees k0 .. k0 + w - 1 of flat dot segment @p seg side by side, on a
+ * stack of rows of w values in @p buf (blockRows(seg.leaves) rows).
+ * Leaf l's w rounded products are pushed as a row; then the top two
+ * rows are added once per trailing zero bit of l + 1, as a binary
+ * counter carries, and the rows left at the end are added from the top
+ * down. That is Translator::buildTree's order: its tree over n leaves
+ * is the perfect tree over the first 2^k, 2^k the largest power of two
+ * below n, plus its tree over the rest. So each tree performs exactly
+ * the scalar tree's operations, and only independent operations (the
+ * same step of different trees) run side by side. An odd leaf's
+ * products are added to the row below as they are made: the first
+ * carry, without storing the row.
+ */
+template <Numeric N>
+inline void
+dotBlock(const TapeSegment &seg, int64_t k0, int64_t w, double *s,
+         double *buf)
+{
+    const double *a = s + seg.a + k0 * seg.aStride;
+    const double *b = s + seg.b + k0 * seg.bStride;
+    const auto mul = [](double x, double y) { return x * y; };
+    int64_t depth = 0;
+    for (int64_t l = 0; l < seg.leaves; ++l) {
+        const double *x = a + l * seg.leafAStride;
+        const double *y = b + l * seg.leafBStride;
+        if (l % 2 == 1) {
+            addProducts<N>(buf + (depth - 1) * w, x, seg.aStride, y,
+                           seg.bStride, w);
+            for (int64_t c = (l + 1) / 2; c % 2 == 0; c /= 2, --depth)
+                addRow<N>(buf + (depth - 2) * w, buf + (depth - 1) * w, w);
+            continue;
+        }
+        double *row = buf + depth++ * w;
+        if constexpr (N == Numeric::Q16) {
+            for (int64_t t = 0; t < w; ++t)
+                row[t] = roundQ16(x[t * seg.aStride] * y[t * seg.bStride]);
+        } else {
+            flatBinary(row, x, seg.aStride, y, seg.bStride, w, mul);
+        }
+    }
+    for (; depth > 1; --depth)
+        addRow<N>(buf + (depth - 2) * w, buf + (depth - 1) * w, w);
+    double *d = s + seg.dst + k0 * seg.dstStride;
+    for (int64_t t = 0; t < w; ++t)
+        d[t * seg.dstStride] = buf[t];
+}
+
+/**
+ * Runs dot segment @p seg. The trees of a flat segment run side by
+ * side: kBlock at a time when there are at least kMinBlock of them, so
+ * a leaf's operands across the trees are long runs, else eight at a
+ * time, one per lane, and the rest one by one. The trees of a segment
+ * that reads its own roots run one by one, in order. @p buf holds
+ * Tape::dotWords_ words.
+ */
 template <Numeric N>
 inline void
 runDot(const TapeSegment &seg, double *s, double *buf)
 {
     int64_t k = 0;
+    if (seg.flat && seg.count >= kMinBlock) {
+        for (; k < seg.count; k += kBlock)
+            dotBlock<N>(seg, k, std::min<int64_t>(kBlock, seg.count - k),
+                        s, buf);
+        return;
+    }
     if (seg.flat)
         for (; k + kLanes <= seg.count; k += kLanes)
             dotLanes<N>(seg, k, s, buf);
     for (; k < seg.count; ++k)
-        s[seg.dst + k * seg.dstStride] =
-            dotTree<N>(seg, k, s, buf);
+        s[seg.dst + k * seg.dstStride] = dotTree<N>(seg, k, s, buf);
 }
 
 /** One SGD step, m[i] -= lr * g[i]: element-wise, so vectorizing it
@@ -303,9 +435,9 @@ sgdStep(double *__restrict__ m, const double *__restrict__ g, size_t n,
 }
 
 /**
- * One execution item: a region-layout operation (leaves == 0), or a
- * dot tree (leaves >= 2) whose root is dst and whose leaf l multiplies
- * slots a + l * leafA and b + l * leafB.
+ * One execution item, in the node-order numbering: an operation
+ * (leaves == 0), or a dot tree (leaves >= 2) whose root is dst and
+ * whose leaf l multiplies slots a + l * leafA and b + l * leafB.
  */
 struct Item
 {
@@ -354,8 +486,41 @@ startSegment(const Item &x)
             .dst = x.dst, .a = x.a, .b = x.b, .c = x.c};
 }
 
-/** Cuts items, fed in execution order, into segments; without an
- *  output vector it only counts them. */
+/** Appends plain segment @p seg to the plain segment @p rows as its
+ *  next row, when both have seg's opcode, count and strides and seg's
+ *  first slots continue the rows' constant advance. A segment's second
+ *  row sets its advances. */
+inline bool
+continueRows(TapeSegment &rows, const TapeSegment &seg)
+{
+    if (rows.leaves != 0 || seg.leaves != 0 || rows.op != seg.op ||
+        rows.count != seg.count || rows.dstStride != seg.dstStride ||
+        rows.aStride != seg.aStride || rows.bStride != seg.bStride ||
+        rows.cStride != seg.cStride)
+        return false;
+    // The last row's first slots.
+    const int64_t last = rows.rows - 1;
+    const int64_t dst = seg.dst - (rows.dst + last * rows.rowDst);
+    const int64_t a = seg.a - (rows.a + last * rows.rowA);
+    const int64_t b = seg.b - (rows.b + last * rows.rowB);
+    const int64_t c = seg.c - (rows.c + last * rows.rowC);
+    if (rows.rows == 1) {
+        rows.rowDst = static_cast<int32_t>(dst);
+        rows.rowA = static_cast<int32_t>(a);
+        rows.rowB = static_cast<int32_t>(b);
+        rows.rowC = static_cast<int32_t>(c);
+    } else if (dst != rows.rowDst || a != rows.rowA || b != rows.rowB ||
+               c != rows.rowC) {
+        return false;
+    }
+    ++rows.rows;
+    return true;
+}
+
+/** Cuts items, fed in execution order, into segments, and joins
+ *  consecutive plain segments of one shape into the rows of one
+ *  segment; without an output vector it only counts the segments,
+ *  without rows. */
 class SegmentBuilder
 {
   public:
@@ -384,7 +549,8 @@ class SegmentBuilder
   private:
     void close()
     {
-        if (out_ && seg_.count > 0)
+        if (out_ && seg_.count > 0 &&
+            (out_->empty() || !continueRows(out_->back(), seg_)))
             out_->push_back(seg_);
         seg_.count = 0;
     }
@@ -395,8 +561,45 @@ class SegmentBuilder
     int64_t count_ = 0;
 };
 
-/** The node-order instructions, in region-layout slots. */
+/** The node-order instructions, in the node-order numbering. */
 using Instrs = std::span<const TapeInstr>;
+
+/** Readers of each node-order operation slot, saturated at 2. */
+class Readers
+{
+  public:
+    /** Slots @p base .. base + @p slots - 1; slots below @p base (the
+     *  inputs, gradients and constants) are never single-reader. */
+    Readers(int32_t base, int64_t slots) : base_(base), count_(slots, 0)
+    {
+    }
+
+    void read(int32_t s)
+    {
+        if (s >= base_) {
+            uint8_t &c = count_[s - base_];
+            c = static_cast<uint8_t>(std::min(c + 1, 2));
+        }
+    }
+
+    /** Counts slot @p s as read twice: a gradient is read outside the
+     *  tape. */
+    void pin(int32_t s)
+    {
+        if (s >= base_)
+            count_[s - base_] = 2;
+    }
+
+    /** Whether slot @p s has exactly one reader. */
+    bool single(int32_t s) const
+    {
+        return s >= base_ && count_[s - base_] == 1;
+    }
+
+  private:
+    int32_t base_;
+    std::vector<uint8_t> count_;
+};
 
 /**
  * The first product of the dot tree whose products end the Mul run
@@ -405,12 +608,11 @@ using Instrs = std::span<const TapeInstr>;
  * stride, and the n - 1 instructions after the run must be exactly
  * the Adds Translator::buildTree emits over them: its pairing is
  * replayed over the product slots, the odd element carried up a
- * level. Every product and partial sum must have one reader (@p
- * readers, saturated at 2), its tree parent. @p level is scratch.
+ * level. Every product and partial sum must have one reader, its
+ * tree parent. @p level is scratch.
  */
 int64_t
-dotTreeStart(Instrs x, int64_t begin, int64_t end,
-             const std::vector<uint8_t> &readers,
+dotTreeStart(Instrs x, int64_t begin, int64_t end, const Readers &readers,
              std::vector<int32_t> &level)
 {
     const int64_t n = std::ssize(x);
@@ -429,7 +631,7 @@ dotTreeStart(Instrs x, int64_t begin, int64_t end,
     for (int64_t t = first; t < end; ++t) {
         if (x[t].a - x[first].a != (t - first) * leaf_a ||
             x[t].b - x[first].b != (t - first) * leaf_b ||
-            readers[x[t].dst] != 1)
+            !readers.single(x[t].dst))
             return -1;
         level.push_back(x[t].dst);
     }
@@ -438,7 +640,7 @@ dotTreeStart(Instrs x, int64_t begin, int64_t end,
         for (size_t p = 0; p < m / 2; ++p, ++at) {
             if (x[at].op != OpKind::Add || x[at].a != level[2 * p] ||
                 x[at].b != level[2 * p + 1] ||
-                (m > 2 && readers[x[at].dst] != 1))
+                (m > 2 && !readers.single(x[at].dst)))
                 return -1;
             level[p] = x[at].dst;
         }
@@ -452,38 +654,29 @@ dotTreeStart(Instrs x, int64_t begin, int64_t end,
  * The execution items of the node-order instructions @p x: each dot
  * tree (see dotTreeStart) becomes one item at its root's position, and
  * every other instruction is its own item. Products and partial sums
- * read only by their tree parent are never written, so none may be a
- * gradient (@p grad_slots). They are operation slots, at or above
- * @p op_base (below it lie the inputs, the constants and the gradient
- * region), of the @p slots in the region layout.
+ * read only by their tree parent (@p readers; gradients are pinned)
+ * are never written. @p run_starts receives the first item of each
+ * node-order segment, cut as the items are made.
  */
 std::vector<Item>
-fuseDotTrees(Instrs x, std::span<const int32_t> grad_slots,
-             int32_t op_base, size_t slots)
+fuseDotTrees(Instrs x, const Readers &readers,
+             std::vector<int32_t> &run_starts)
 {
-    // Readers of each operation slot, saturated at 2; a gradient
-    // counts as 2. Slots below op_base stay 0: never private.
-    std::vector<uint8_t> readers(slots, 0);
-    const auto read = [&](int32_t v) {
-        if (v >= op_base)
-            readers[v] = static_cast<uint8_t>(std::min(readers[v] + 1, 2));
-    };
-    for (const TapeInstr &in : x) {
-        read(in.a);
-        read(in.b);
-        read(in.c);
-    }
-    for (int32_t g : grad_slots)
-        readers[g] = 2;
-
     // Reserved whole: growing by copies faults in every intermediate
     // buffer, and capacity never written costs no resident memory.
     std::vector<Item> items;
     items.reserve(x.size());
     std::vector<int32_t> level;
+    TapeSegment run;
+    const auto push = [&](const Item &item) {
+        if (items.empty() || !continueSegment(run, items.back(), item)) {
+            run = startSegment(item);
+            run_starts.push_back(static_cast<int32_t>(items.size()));
+        }
+        items.push_back(item);
+    };
     const auto plain = [&](const TapeInstr &in) {
-        items.push_back(
-            {.op = in.op, .dst = in.dst, .a = in.a, .b = in.b, .c = in.c});
+        push({.op = in.op, .dst = in.dst, .a = in.a, .b = in.b, .c = in.c});
     };
     const int64_t n = std::ssize(x);
     for (int64_t i = 0; i < n;) {
@@ -501,13 +694,13 @@ fuseDotTrees(Instrs x, std::span<const int32_t> grad_slots,
             continue;
         const int64_t leaves = end - first;
         const int64_t root = end + leaves - 2;
-        items.push_back({.op = OpKind::Add,
-                         .dst = x[root].dst,
-                         .a = x[first].a,
-                         .b = x[first].b,
-                         .leaves = static_cast<int32_t>(leaves),
-                         .leafA = x[first + 1].a - x[first].a,
-                         .leafB = x[first + 1].b - x[first].b});
+        push({.op = OpKind::Add,
+              .dst = x[root].dst,
+              .a = x[first].a,
+              .b = x[first].b,
+              .leaves = static_cast<int32_t>(leaves),
+              .leafA = x[first + 1].a - x[first].a,
+              .leafB = x[first + 1].b - x[first].b});
         i = root + 1;
     }
     return items;
@@ -591,15 +784,6 @@ struct Stretch
     int64_t end() const { return begin + chains * reps; }
 };
 
-/** Feeds @p s's items to @p out chain by chain. */
-void
-emitTransposed(Items x, const Stretch &s, SegmentBuilder &out)
-{
-    for (int64_t j = 0; j < s.chains; ++j)
-        for (int64_t r = 0; r < s.reps; ++r)
-            out.add(x[s.begin + r * s.chains + j]);
-}
-
 /** Segments of x[begin, end) in node order, counted in isolation. */
 int64_t
 nodeOrderSegments(Items x, int64_t begin, int64_t end)
@@ -615,14 +799,9 @@ int64_t
 runLength(Items x, int64_t i)
 {
     TapeSegment seg = startSegment(x[i]);
-    Item prev = x[i];
     int64_t e = i + 1;
-    for (; e < std::ssize(x); ++e) {
-        const Item next = x[e];
-        if (!continueSegment(seg, prev, next))
-            break;
-        prev = next;
-    }
+    while (e < std::ssize(x) && continueSegment(seg, x[e - 1], x[e]))
+        ++e;
     return e - i;
 }
 
@@ -683,48 +862,204 @@ stretchReps(Items x, int64_t i, int64_t k)
 }
 
 /**
- * The stretches of the node-order items @p x worth emitting
- * chain by chain, in order: a greedy, left-to-right walk over the
- * node-order segments @p node_order. At the start of each segment,
- * chain counts k <= 8 at least as long as the segment are tried in
- * increasing order, and the first stretch that saves at least two
- * segments wins (so the seams it opens with its neighbours cannot eat
- * the saving; chains count as one segment each, an upper bound).
- * Trying only where the node-order segment is shorter than a template
- * keeps the walk linear: long same-opcode runs are skipped whole.
+ * The stretch worth emitting chain by chain that starts at x[i], the
+ * start of a node-order segment of @p run items; reps == 0 if none.
+ * Chain counts k <= 8 at least as long as the segment are tried in
+ * increasing order. A stretch must save at least two segments (so the
+ * seams it opens with its neighbours cannot eat the saving; chains
+ * count as one segment each, an upper bound), and the one saving the
+ * most wins; the search stops at the first winner that repeats three
+ * times or more, as a two-repetition template may be half of a longer
+ * period (an output's four-step error term, k = 2 against k = 4).
  */
-std::vector<Stretch>
-findStretches(Items x,
-              const std::vector<TapeSegment> &node_order)
+Stretch
+stretchAt(Items x, int64_t i, int64_t run)
 {
-    std::vector<Stretch> found;
-    const int64_t n = std::ssize(x);
-    // The node-order segment holding position i starts at seg_begin.
-    size_t seg = 0;
-    int64_t seg_begin = 0;
-    for (int64_t i = 0; i < n;) {
-        while (seg_begin + node_order[seg].count <= i)
-            seg_begin += node_order[seg++].count;
-        const int64_t run = seg_begin == i ? node_order[seg].count
-                                           : runLength(x, i);
-        Stretch best;
-        for (int64_t k = std::max<int64_t>(2, run);
-             k <= kMaxChains && i + 2 * k <= n; ++k) {
-            const Stretch s{.begin = i, .chains = k,
-                            .reps = stretchReps(x, i, k)};
-            if (s.reps >= 2 && nodeOrderSegments(x, i, s.end()) >= k + 2) {
-                best = s;
-                break;
-            }
+    Stretch best;
+    int64_t best_saving = 1;
+    for (int64_t k = std::max<int64_t>(2, run);
+         k <= kMaxChains && i + 2 * k <= std::ssize(x); ++k) {
+        const Stretch s{.begin = i, .chains = k,
+                        .reps = stretchReps(x, i, k)};
+        if (s.reps < 2)
+            continue;
+        const int64_t saving = nodeOrderSegments(x, i, s.end()) - k;
+        if (saving > best_saving) {
+            best = s;
+            best_saving = saving;
         }
-        if (best.reps > 0) {
-            found.push_back(best);
-            i = best.end();
-        } else {
-            i += run;
-        }
+        if (best.reps >= 3)
+            break;
     }
-    return found;
+    return best;
+}
+
+/**
+ * The execution-order numbering of the operation slots. Items arrive
+ * in execution order in the node-order numbering; each item's result
+ * takes the next operation slot (the slots below the node-order
+ * operations: the pinned zero, inputs, gradients and constants, keep
+ * their numbers), and its operands are read through the renumbering,
+ * so every operand's producer, which comes earlier in execution order,
+ * is already renumbered.
+ */
+struct Renumbering
+{
+    /** First node-order operation slot. */
+    int32_t nodeBase = 0;
+    /** The next execution-order operation slot. */
+    int32_t next = 0;
+    /** New number of node-order slot nodeBase + i, at index i. */
+    int32_t *renumbered = nullptr;
+
+    /** The new number of node-order slot @p s, once its producer has
+     *  been emitted. */
+    int32_t operator()(int32_t s) const
+    {
+        return s < nodeBase ? s : renumbered[s - nodeBase];
+    }
+
+    /** Gives the result in node-order slot @p s its slot. */
+    int32_t place(int32_t s)
+    {
+        return s < nodeBase ? s : (renumbered[s - nodeBase] = next++);
+    }
+
+    /** The renumbered stride of the @p leaves slots first + l * stride
+     *  into @p out; false if they no longer advance by one. */
+    bool leafStride(int32_t first, int32_t stride, int32_t leaves,
+                    int32_t &out)
+    {
+        const int64_t last = first + int64_t{leaves - 1} * stride;
+        if (std::max<int64_t>(first, last) < nodeBase) {
+            out = stride;
+            return true;
+        }
+        // The trees of a dot segment often all read one vector.
+        if (first != checked.first || stride != checked.stride ||
+            leaves != checked.leaves) {
+            const int32_t head = (*this)(first);
+            checked = {.first = first,
+                       .stride = stride,
+                       .leaves = leaves,
+                       .renumbered = (*this)(first + stride) - head,
+                       .affine = true};
+            for (int32_t l = 2; l < leaves && checked.affine; ++l)
+                checked.affine = (*this)(first + l * stride) ==
+                                 head + l * checked.renumbered;
+        }
+        out = checked.renumbered;
+        return checked.affine;
+    }
+
+    /** A leaf progression and its renumbered stride. */
+    struct Leaves
+    {
+        int32_t first = 0;
+        int32_t stride = 0;
+        int32_t leaves = 0;
+        int32_t renumbered = 0;
+        bool affine = false;
+    };
+    /** The one leafStride last renumbered (none yet: no leaves). */
+    Leaves checked;
+};
+
+/**
+ * Dot tree @p x, whose leaves no longer advance by one stride once
+ * renumbered, as Translator::buildTree's operations in @p out: the
+ * products, then the pairwise levels, the odd element carried up a
+ * level. Only the root keeps x's result; the others take fresh slots.
+ * Returns @p rn's next slot after them.
+ */
+int32_t
+expandTree(const Item &x, Renumbering rn, std::vector<Item> &out)
+{
+    out.clear();
+    for (int32_t l = 0; l < x.leaves; ++l)
+        out.push_back({.op = OpKind::Mul,
+                       .dst = rn.next++,
+                       .a = rn(x.a + l * x.leafA),
+                       .b = rn(x.b + l * x.leafB)});
+    std::vector<int32_t> level;
+    for (const Item &product : out)
+        level.push_back(product.dst);
+    for (size_t m = level.size(); m > 1; m = (m + 1) / 2) {
+        for (size_t p = 0; p < m / 2; ++p) {
+            const int32_t dst = m == 2 ? rn.place(x.dst) : rn.next++;
+            out.push_back({.op = OpKind::Add,
+                           .dst = dst,
+                           .a = level[2 * p],
+                           .b = level[2 * p + 1]});
+            level[p] = dst;
+        }
+        if (m % 2 == 1)
+            level[m / 2] = level[m - 1];
+    }
+    return rn.next;
+}
+
+/**
+ * Emits the node-order items @p x in execution order through the
+ * renumbering @p r into @p segments: a greedy, left-to-right walk over
+ * the node-order segments (each starting at an item of @p run_starts)
+ * that emits each segment as it is, or the stretch starting there
+ * (stretchAt) chain by chain. Trying stretches only where the
+ * node-order segment is shorter than a template keeps the walk linear:
+ * long same-opcode runs are emitted whole. A dot tree whose leaves no
+ * longer advance by one stride once renumbered is emitted as its
+ * operations instead (expandTree). Returns the slots in use.
+ */
+int32_t
+emitExecutionOrder(Items x, std::span<const int32_t> run_starts,
+                   Renumbering r, std::vector<TapeSegment> &segments)
+{
+    // r and build are locals, so the renumbering's stores cannot alias
+    // their fields, which stay in registers.
+    SegmentBuilder build(&segments);
+    std::vector<Item> expanded;
+    // Emits x[first], x[first + step], ... before end.
+    const auto emit = [&](int64_t first, int64_t end, int64_t step) {
+        for (int64_t i = first; i < end; i += step) {
+            const Item &in = x[i];
+            Item y = in;
+            y.a = r(in.a);
+            y.b = r(in.b);
+            y.c = r(in.c);
+            if (in.leaves > 0 &&
+                !(r.leafStride(in.a, in.leafA, in.leaves, y.leafA) &&
+                  r.leafStride(in.b, in.leafB, in.leaves, y.leafB))) {
+                r.next = expandTree(in, r, expanded);
+                for (const Item &e : expanded)
+                    build.add(e);
+                continue;
+            }
+            y.dst = r.place(in.dst);
+            build.add(y);
+        }
+    };
+    const int64_t n = std::ssize(x);
+    // The node-order segment holding item i starts at run_starts[seg].
+    size_t seg = 0;
+    for (int64_t i = 0; i < n;) {
+        while (seg + 1 < run_starts.size() && run_starts[seg + 1] <= i)
+            ++seg;
+        const int64_t run =
+            run_starts[seg] != i           ? runLength(x, i)
+            : seg + 1 < run_starts.size() ? run_starts[seg + 1] - i
+                                           : n - i;
+        const Stretch st = stretchAt(x, i, run);
+        if (st.reps == 0) {
+            emit(i, i + run, 1);
+            i += run;
+            continue;
+        }
+        for (int64_t j = 0; j < st.chains; ++j)
+            emit(st.begin + j, st.end(), st.chains);
+        i = st.end();
+    }
+    build.finish();
+    return r.next;
 }
 
 } // namespace
@@ -734,11 +1069,11 @@ Tape::Tape(const Translation &translation, Numeric numeric)
 {
     const Dfg &dfg = tr_->dfg;
     const int64_t n = dfg.size();
-    const int64_t ops = dfg.operationCount();
-    const int64_t consts =
-        n - ops - dfg.dataInputCount() - dfg.modelInputCount();
+    // Operations and constants, the nodes that are not inputs.
+    const int64_t computed =
+        n - dfg.dataInputCount() - dfg.modelInputCount();
     const std::vector<NodeId> &grads = dfg.gradientNodes();
-    COSMIC_ASSERT(1 + tr_->modelWords + tr_->recordWords + n <
+    COSMIC_ASSERT(1 + tr_->modelWords + tr_->recordWords + n + computed <
                       std::numeric_limits<int32_t>::max(),
                   "DFG too large for 32-bit tape slots");
 
@@ -770,21 +1105,23 @@ Tape::Tape(const Translation &translation, Numeric numeric)
                 slot[g] = -1;
         next = static_cast<int32_t>(dataBase_ + tr_->recordWords);
     }
-    opBase_ = static_cast<int32_t>(next + consts);
-    int32_t next_const = next;
-    int32_t next_op = opBase_;
-    image_.assign(opBase_ + ops - (distinct ? grads.size() : 0), 0.0);
 
-    instrs_.reserve(ops);
+    // The constants follow; the operations are numbered in node order
+    // first, above every slot the constants may take, and again in
+    // execution order below.
+    const int32_t node_base = static_cast<int32_t>(next + computed);
+    int32_t next_const = next;
+    int32_t next_op = node_base;
+    std::vector<double> consts;
+    Readers readers(node_base, computed);
+    instrs_.reserve(computed);
     for (NodeId v = 0; v < n; ++v) {
         const Node &node = dfg.node(v);
         switch (node.op) {
-          case OpKind::Const: {
-            double value = dfg.constValue(v);
+          case OpKind::Const:
             slot[v] = next_const++;
-            image_[slot[v]] = roundTo(numeric_, value);
+            consts.push_back(roundTo(numeric_, dfg.constValue(v)));
             break;
-          }
           case OpKind::Input: {
             const bool data = node.category == Category::Data;
             const int64_t pos = dfg.inputPos(v);
@@ -799,55 +1136,57 @@ Tape::Tape(const Translation &translation, Numeric numeric)
                 (data ? dataBase_ : modelBase_) + pos);
             break;
           }
-          default:
+          default: {
             if (slot[v] < 0)
                 slot[v] = next_op++;
             // Operands precede their consumer, so their slots are
             // assigned.
-            instrs_.push_back({node.op, slot[v], at(node.a), at(node.b),
-                               at(node.c)});
+            const TapeInstr in{node.op, slot[v], at(node.a), at(node.b),
+                               at(node.c)};
+            readers.read(in.a);
+            readers.read(in.b);
+            readers.read(in.c);
+            instrs_.push_back(in);
             break;
+          }
         }
     }
-    COSMIC_ASSERT(static_cast<size_t>(next_op) == image_.size(),
-                  "region layout miscounted its operation slots");
+    opBase_ = next_const;
 
     regionGradSlots_.reserve(grads.size());
-    for (NodeId g : grads)
+    for (NodeId g : grads) {
         regionGradSlots_.push_back(at(g));
+        readers.pin(regionGradSlots_.back());
+    }
 
     // Execution order: node order with each dot tree one item and the
-    // interleaved chains transposed, kept only if that has fewer
-    // segments.
+    // interleaved chains transposed. The operations are renumbered in
+    // that order, reusing the node slots' storage; the dot trees'
+    // products and partial sums get no slot.
+    std::vector<int32_t> run_starts;
     const std::vector<Item> items =
-        fuseDotTrees(instrs_, regionGradSlots_, opBase_, image_.size());
-    const Items x(items);
-    SegmentBuilder node_order(&segments_);
-    for (const Item &in : x)
-        node_order.add(in);
-    const int64_t node_order_segments = node_order.finish();
-    const std::vector<Stretch> stretches = findStretches(x, segments_);
-    if (!stretches.empty()) {
-        std::vector<TapeSegment> planned;
-        SegmentBuilder build(&planned);
-        int64_t i = 0;
-        for (const Stretch &st : stretches) {
-            for (; i < st.begin; ++i)
-                build.add(x[i]);
-            emitTransposed(x, st, build);
-            i = st.end();
-        }
-        for (; i < std::ssize(x); ++i)
-            build.add(x[i]);
-        if (build.finish() < node_order_segments)
-            segments_ = std::move(planned);
-    }
+        fuseDotTrees(instrs_, readers, run_starts);
+    const Renumbering rn{.nodeBase = node_base,
+                         .next = opBase_,
+                         .renumbered = slot.data(),
+                         .checked = {}};
+    image_.assign(emitExecutionOrder(items, run_starts, rn, segments_),
+                  0.0);
+    std::copy(consts.begin(), consts.end(), image_.begin() + next);
+    for (int32_t &g : regionGradSlots_)
+        g = rn(g);
+
     for (TapeSegment &seg : segments_) {
         seg.flat = seg.leaves > 0 ? treesIndependent(seg) : isFlat(seg);
-        // Eight rows per leaf for trees that run side by side, else two
+        // A block's stack of rows, eight lanes' rows per leaf, or two
         // halves for one tree's levels.
-        const int64_t rows = seg.flat && seg.count >= kLanes ? kLanes : 2;
-        dotWords_ = std::max(dotWords_, rows * seg.leaves);
+        const int64_t words =
+            !seg.flat                 ? 2 * seg.leaves
+            : seg.count >= kMinBlock  ? std::min<int64_t>(seg.count, kBlock) *
+                                           blockRows(seg.leaves)
+            : seg.count >= kLanes     ? kLanes * seg.leaves
+                                      : 2 * seg.leaves;
+        dotWords_ = std::max(dotWords_, words);
     }
 }
 
@@ -895,7 +1234,7 @@ TapeExecutor::runRecord(const double *record)
             continue;
         }
         // A lone instruction skips the loop set-up.
-        if (seg.count == 1) {
+        if (seg.count == 1 && seg.rows == 1) {
             double v = evaluateOp(seg.op, s[seg.a], s[seg.b], s[seg.c]);
             s[seg.dst] = roundTo<N>(v);
             continue;

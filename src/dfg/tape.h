@@ -6,38 +6,45 @@
  * node — constants, inputs and operations alike — once per training
  * record. That is fine for cross-checks but it is the inner loop of the
  * whole scale-out runtime: every gradient in the cluster flows through
- * it. The Tape lowers a Translation once, into one slot numbering: a
- * region layout in which data is laid out before operations (the
- * paper's "map data before operations"). Slot 0 is a pinned zero
- * (absent operands point at it, so no consumer has a kInvalidNode
- * branch), then come the model region (model word p at modelBase + p),
- * the data region (record word p at dataBase + p), the gradient region
- * (gradient i at gradientBase + i), constants (preloaded and
- * rounded to the tape's Numeric format at lowering time), then the
- * remaining operations in node order. Loading a model or a record is
- * one contiguous copy, and so is reading the gradient. The gradient
- * region exists only when every gradient is a distinct operation node
- * (true of every suite program); otherwise gradients are read slot by
- * slot.
+ * it. The Tape lowers a Translation once, into a region layout in
+ * which data is laid out before operations (the paper's "map data
+ * before operations"). Slot 0 is a pinned zero (absent operands point
+ * at it, so no consumer has a kInvalidNode branch), then come the
+ * model region (model word p at modelBase + p), the data region
+ * (record word p at dataBase + p), the gradient region (gradient i at
+ * gradientBase + i), constants (preloaded and rounded to the tape's
+ * Numeric format at lowering time), then the operation slots. Loading
+ * a model or a record is one contiguous copy, and so is reading the
+ * gradient. The gradient region exists only when every gradient is a
+ * distinct operation node (true of every suite program); otherwise
+ * gradients are read slot by slot.
  *
- * Lowering lists the operations in node order (one TapeInstr per
- * operation, in region slots) and compresses that list into segments,
- * which the executor runs: a segment is a run of same-opcode operations
- * whose dst/a/b/c slots each advance by a constant stride, run as one
- * strided loop with no per-operation instruction load, and a segment
- * with a unit dst stride and no dependency inside it as a
- * restrict-qualified loop the compiler vectorizes.
+ * Lowering first lists the operations in node order (one TapeInstr per
+ * operation, numbered in node order) and turns that list into
+ * execution items: every dot product the Translator expands
+ * (`sum[i](a * b)`: n products, then the n - 1 adds of its balanced
+ * pairwise tree) is one item, a dot tree, and every other operation is
+ * its own item. It then chooses the execution order and only then
+ * numbers the operation slots: each item's result takes the next slot
+ * in execution order, and a dot tree's products and partial sums get
+ * none. So a vector an earlier segment writes is read at unit stride
+ * (mnist's hidden activations and its two error vectors), and the
+ * scratch image holds only inputs, gradients, constants and executed
+ * results (mnist at scale 1/8: 21,926 words against 44,642 in node
+ * order). Segments are cut on that final numbering.
  *
- * Every dot product the Translator expands (`sum[i](a * b)`: n
- * products, then the n - 1 adds of its balanced pairwise tree) is one
- * execution item, a dot tree: its products and partial sums never
- * reach scratch, and only the root is written. A dot segment is a run
- * of trees with one leaf count and constant leaf strides; it runs
- * eight trees at a time, one per SIMD lane, each lane doing exactly
- * the scalar tree's rounded products and pairwise levels (the odd
- * element carried up). The Translator's statement expansion and the
- * trees make segments long: mnist at scale 1/8 has 34k operations in
- * 224 segments.
+ * A segment is a run of same-opcode items whose dst/a/b/c slots each
+ * advance by a constant stride, run as one strided loop with no
+ * per-operation instruction load; a plain segment with a unit dst
+ * stride and no dependency inside a row runs as a restrict-qualified
+ * loop the compiler vectorizes. Consecutive plain segments of one
+ * opcode, count and strides whose first slots advance by constant
+ * steps join as the rows of one segment, run in their original order:
+ * a rank-1 weight update g[i][j] = e[j] * x[i] is one segment of i
+ * rows. A dot segment is a run of trees with one leaf count and
+ * constant leaf strides; its trees run side by side, each doing
+ * exactly the scalar tree's rounded products and pairwise sums. mnist
+ * at scale 1/8 has 33,948 operations in 14 segments.
  *
  * Segments follow node order except where lowering transposes a
  * stretch of interleaved chains. An SVM's gradient alternates
@@ -47,12 +54,11 @@
  * transposition is legal only when every operand produced inside the
  * stretch comes from an earlier chain, or from the same chain's
  * earlier repetition — so the emitted order stays topological; a dot
- * tree's operands are its whole leaf ranges — and
- * lowering applies it only where it cuts the stretch's segment count
- * (and keeps node order if the whole tape would not get shorter).
- * Reordering independent SSA operations changes no value: tape
- * gradients are bit-exact against the Interpreter's node-order walk
- * in both Numeric formats (F64 and Q16.16). Vectorized segments
+ * tree's operands are its whole leaf ranges — and lowering applies it
+ * only where it cuts the stretch's segment count. Reordering
+ * independent SSA operations changes no value: tape gradients are
+ * bit-exact against the Interpreter's node-order walk in both Numeric
+ * formats (F64 and Q16.16). Vectorized segments and side-by-side trees
  * likewise only reorder independent operations. The executor's loops
  * are templated on the format: the F64 instantiation is plain double
  * loops, the Q16 one rounds every written-back value with
@@ -87,7 +93,7 @@ enum class TapeBackend : uint8_t
 struct TapeInstr
 {
     OpKind op = OpKind::Add;
-    /** Region-layout slots; absent operands resolve to slot 0 (zero). */
+    /** Node-order slots; absent operands resolve to slot 0 (zero). */
     int32_t dst = 0;
     int32_t a = 0;
     int32_t b = 0;
@@ -98,27 +104,31 @@ struct TapeInstr
  * A run of @c count same-opcode operations whose dst/a/b/c slots each
  * advance by a constant stride: operation k < count is
  * scratch[dst + k * dstStride] = op(scratch[a + k * aStride], ...).
+ * A plain segment has @c rows such runs, run one after another: row r
+ * starts at slots dst + r * rowDst, a + r * rowA, b + r * rowB and
+ * c + r * rowC (a rank-1 update g[i][j] = x[i] * e[j] is one segment
+ * of i rows).
  *
- * A dot segment (leaves > 0) is a run of @c count dot trees instead:
- * tree k sums, in the Translator's pairwise order, the @c leaves
- * products scratch[a + k * aStride + l * leafAStride] *
+ * A dot segment (leaves > 0) is a run of @c count dot trees instead,
+ * in one row: tree k sums, in the Translator's pairwise order, the
+ * @c leaves products scratch[a + k * aStride + l * leafAStride] *
  * scratch[b + k * bStride + l * leafBStride], l < leaves, into
  * scratch[dst + k * dstStride].
  */
 struct TapeSegment
 {
     OpKind op = OpKind::Add;
-    /** Plain segments: unit dst stride and no operand reads a slot
-     *  the segment writes, so the operations are independent, safe to
-     *  vectorize. Dot segments: no leaf reads a root the segment
-     *  writes, so the trees may run side by side. */
+    /** Plain segments: unit dst stride and, within each row, no
+     *  operand reads a slot the row writes, so the row's operations
+     *  are independent, safe to vectorize. Dot segments: no leaf reads
+     *  a root the segment writes, so the trees may run side by side. */
     bool flat = false;
     int32_t count = 0;
     /** Leaves per dot tree; 0 for a plain segment. */
     int32_t leaves = 0;
     int32_t leafAStride = 0;
     int32_t leafBStride = 0;
-    /** Region-layout slots of the first operation. */
+    /** Slots of the first operation. */
     int32_t dst = 0;
     int32_t a = 0;
     int32_t b = 0;
@@ -127,6 +137,12 @@ struct TapeSegment
     int32_t aStride = 0;
     int32_t bStride = 0;
     int32_t cStride = 0;
+    /** Rows, and how each row's first slots advance on the last's. */
+    int32_t rows = 1;
+    int32_t rowDst = 0;
+    int32_t rowA = 0;
+    int32_t rowB = 0;
+    int32_t rowC = 0;
 };
 
 /** The compiled, immutable execution schedule for one Translation. */
@@ -135,7 +151,7 @@ class Tape
   public:
     /**
      * Lowers @p translation into the region layout, its node-order
-     * instructions and their segments.
+     * instructions and the segments of its execution order.
      *
      * @param numeric Number format of every buffered value, exactly
      *        as in the Interpreter (constants are rounded once, here
@@ -146,7 +162,9 @@ class Tape
 
     const Translation &translation() const { return *tr_; }
 
-    /** The operations in node order, in region-layout slots. */
+    /** The operations in node order, in the node-order numbering
+     *  lowering starts from (the segments use the execution-order
+     *  one). */
     std::span<const TapeInstr> instructions() const { return instrs_; }
 
     /** Executable operations on the tape (== dfg.operationCount()). */
@@ -159,6 +177,14 @@ class Tape
     int64_t segmentCount() const
     {
         return static_cast<int64_t>(segments_.size());
+    }
+
+    /** Words of scratch each executor holds: the pinned zero, the
+     *  model, data and gradient regions, the constants and one slot
+     *  per executed result. */
+    int64_t scratchWords() const
+    {
+        return static_cast<int64_t>(image_.size());
     }
 
     /** Whether the region layout holds the gradients in one
@@ -176,8 +202,7 @@ class Tape
     /** Execution order: node order with each dot tree one item and
      *  interleaved chains transposed. */
     std::vector<TapeSegment> segments_;
-    /** Words of executor buffer the largest dot segment needs: eight
-     *  lanes' rows per leaf, or two halves for lone trees. */
+    /** Words of executor buffer the largest dot segment needs. */
     int64_t dotWords_ = 0;
     /** First slot of the model region (modelWords slots), the data
      *  region (recordWords slots), the gradient region (-1: none) and

@@ -55,7 +55,7 @@ class Digest
 };
 
 uint64_t
-planDigest(const PlanResult &r)
+planDigest(const PlanResult &r, const dfg::Dfg &dfg)
 {
     Digest d;
     d.add(static_cast<uint64_t>(r.maxThreadsBound));
@@ -83,8 +83,9 @@ planDigest(const PlanResult &r)
     d.add(m.peOf.size());
     for (int32_t pe : m.peOf)
         d.add(static_cast<uint32_t>(pe));
-    d.add(static_cast<uint64_t>(m.crossPeEdges));
-    d.add(static_cast<uint64_t>(m.totalEdges));
+    const compiler::EdgeCounts edges = compiler::countEdges(dfg, m);
+    d.add(static_cast<uint64_t>(edges.crossPe));
+    d.add(static_cast<uint64_t>(edges.total));
 
     const compiler::ScheduleResult &s = r.kernel.schedule;
     d.add(s.issueCycle.size());
@@ -143,7 +144,7 @@ expectDigests(const Golden *table, size_t count, bool elastic)
         options.elasticBufferBudgetBytes = g.budgetBytes;
         const PlanResult r = Planner::plan(
             tr, accel::PlatformSpec::ultrascalePlus(), options);
-        const uint64_t got = planDigest(r);
+        const uint64_t got = planDigest(r, tr.dfg);
         EXPECT_EQ(got, g.digest) << std::hex << "0x" << got << "ULL";
     }
 }

@@ -307,8 +307,9 @@ TEST(Tape, IrregularGradientsMatchInterpreter)
  * Segment compression guard over the whole suite: no program may take
  * more segments than node-order lowering without dot trees gives it
  * (the table), the SVMs' alternating mul/select chains must be
- * transposed into a handful of segments, and mnist's dot trees must
- * fold its layers into dot segments.
+ * transposed into a handful of segments, and the MLPs' and
+ * collaborative filtering's layers must fold into dot segments and
+ * their weight updates into segments of rows.
  */
 TEST(Tape, SegmentsCompressTheSuitePrograms)
 {
@@ -346,8 +347,16 @@ TEST(Tape, SegmentsCompressTheSuitePrograms)
     auto cancer2 =
         translateWorkload(ml::Workload::byName("cancer2"), 8.0);
     EXPECT_LE(dfg::Tape(cancer2).segmentCount(), 48);
+    // Execution-order numbering makes each rank-1 weight update one
+    // segment of rows and its operands unit-stride vectors.
     auto mnist = translateWorkload(ml::Workload::byName("mnist"), 8.0);
-    EXPECT_LE(dfg::Tape(mnist).segmentCount(), 224);
+    EXPECT_LE(dfg::Tape(mnist).segmentCount(), 14);
+    auto acoustic =
+        translateWorkload(ml::Workload::byName("acoustic"), 8.0);
+    EXPECT_LE(dfg::Tape(acoustic).segmentCount(), 14);
+    auto movielens =
+        translateWorkload(ml::Workload::byName("movielens"), 8.0);
+    EXPECT_LE(dfg::Tape(movielens).segmentCount(), 4);
 }
 
 /**
@@ -555,6 +564,32 @@ TEST(Tape, DotSegmentsMatchInterpreter)
 }
 
 /**
+ * Segments of at least 32 independent trees run in blocks of up to 64
+ * trees side by side, summing each leaf's products on a binary-counter
+ * stack of rows: 32, 33, 64, 65 and 130 trees (one block, blocks and
+ * remainders), leaf counts on both sides of powers of two (the stack's
+ * depth), all three tree strides, inputs laced with hazards.
+ */
+TEST(Tape, DotBlocksMatchInterpreter)
+{
+    Rng rng(75);
+    for (TreeStride stride :
+         {TreeStride::Unit, TreeStride::Broadcast, TreeStride::Gathered})
+        for (int64_t trees : {32, 33, 64, 65, 130})
+            for (int64_t leaves : {2, 3, 5, 7, 8, 9, 31, 32, 33, 64, 65}) {
+                SCOPED_TRACE(std::to_string(trees) + " trees of " +
+                             std::to_string(leaves) + " leaves, stride " +
+                             std::to_string(static_cast<int>(stride)));
+                const auto tr = dotTrees(leaves, trees, stride);
+                EXPECT_EQ(dfg::Tape(tr).segmentCount(), 4);
+                const auto [records, model] = dotInputs(tr, 2, rng, 0.1);
+                expectTapeMatchesInterpreter(tr, records, model);
+                if (::testing::Test::HasFatalFailure())
+                    return;
+            }
+}
+
+/**
  * A tree whose product has a second reader, whose partial sum is a
  * gradient, or whose leaves are not affine is not a dot item: its
  * products and partial sums stay operations (so the program takes
@@ -606,8 +641,12 @@ TEST(Tape, DotLeafRangeHazardsKeepOrder)
             x.push_back(g.addDataInput(i, {}));
         for (int64_t i = 0; i < 2 * kReps; ++i)
             w.push_back(g.addModelInput(i, {}));
-        // x advances with the operation slots of one repetition.
-        const int64_t step = sigmoid ? 4 : 3;
+        // x advances with the operation slots of one repetition, so
+        // the tree leaves keep constant strides: the four node-order
+        // slots (two products, the add and the sigmoid) that
+        // transposition reads, or the one executed slot of a chained
+        // tree's root, which alone is numbered in execution order.
+        const int64_t step = sigmoid ? 4 : 1;
         dfg::NodeId y = g.addOp(dfg::OpKind::Sigmoid, x[1]);
         for (int64_t r = 0; r < kReps; ++r) {
             const auto p0 =
@@ -649,6 +688,210 @@ TEST(Tape, DotSegmentsRandomSweep)
         if (::testing::Test::HasFatalFailure())
             return;
     }
+}
+
+/** The shape of a rank-1 nest (see outerNest). */
+struct Nest
+{
+    int64_t rows = 1;
+    int64_t cols = 1;
+    dfg::OpKind op = dfg::OpKind::Mul;
+    /** Rows emitted last to first: the dst and model advances are
+     *  negative. */
+    bool descending = false;
+    /** Every row reads model word 0: a broadcast (zero) row advance. */
+    bool broadcast = false;
+    /** Row r reads row r - 1's results instead of e. */
+    bool chained = false;
+};
+
+/**
+ * A rank-1 update nest, the shape of a backprop weight gradient:
+ * e[c] = sigmoid(x[c]), then g[r][c] = op(e[c], w[r]) row by row (row
+ * r of a chained nest reads g[r - 1][c] in place of e[c]). Every g is
+ * a gradient; the model has one word per gradient.
+ */
+dfg::Translation
+outerNest(const Nest &n)
+{
+    dfg::Translation tr;
+    dfg::Dfg &g = tr.dfg;
+    std::vector<dfg::NodeId> e, w;
+    for (int64_t c = 0; c < n.cols; ++c)
+        e.push_back(
+            g.addOp(dfg::OpKind::Sigmoid, g.addDataInput(c, {})));
+    for (int64_t i = 0; i < n.rows * n.cols; ++i)
+        w.push_back(g.addModelInput(i, {}));
+    std::vector<dfg::NodeId> prev = e;
+    for (int64_t k = 0; k < n.rows; ++k) {
+        const int64_t r = n.descending ? n.rows - 1 - k : k;
+        const dfg::NodeId b = w[n.broadcast ? 0 : r];
+        for (int64_t c = 0; c < n.cols; ++c) {
+            const auto v =
+                g.addOp(n.op, n.chained ? prev[c] : e[c], b);
+            g.markGradient(v, r * n.cols + c, {});
+            prev[c] = v;
+        }
+    }
+    tr.recordWords = n.cols;
+    tr.modelWords = n.rows * n.cols;
+    tr.gradientWords = n.rows * n.cols;
+    tr.minibatch = 1;
+    return tr;
+}
+
+/**
+ * Rank-1 nests of 1, 7, 8 and 9 columns (a lone operation per row,
+ * vector remainders only, one full vector, one and a remainder), with
+ * ascending, descending and broadcast row advances: the sigmoids are
+ * one segment and the whole nest one more, its rows, bit-exact against
+ * the Interpreter.
+ */
+TEST(Tape, OuterProductRowsMatchInterpreter)
+{
+    Rng rng(83);
+    for (int64_t cols : {1, 7, 8, 9})
+        for (int64_t rows : {1, 2, 5, 13})
+            for (int shape = 0; shape < 3; ++shape) {
+                const Nest n{.rows = rows,
+                             .cols = cols,
+                             .descending = shape == 1,
+                             .broadcast = shape == 2};
+                SCOPED_TRACE(std::to_string(rows) + " rows of " +
+                             std::to_string(cols) + ", shape " +
+                             std::to_string(shape));
+                const auto tr = outerNest(n);
+                EXPECT_EQ(dfg::Tape(tr).segmentCount(), 2);
+                const auto [records, model] = dotInputs(tr, 3, rng);
+                expectTapeMatchesInterpreter(tr, records, model);
+                if (::testing::Test::HasFatalFailure())
+                    return;
+            }
+}
+
+/**
+ * Rows that read what an earlier row of the same segment wrote: row r
+ * multiplies row r - 1 by w[r]. Each row is independent within itself,
+ * so it may vectorize, but the rows must run in order. Row 0 reads the
+ * sigmoids and rows 1.. join one segment (descending, lowering may
+ * instead emit them column by column, each column a chain that reads
+ * its own earlier repetition, and the columns are the rows of one
+ * segment).
+ */
+TEST(Tape, RowsReadingEarlierRowsKeepOrder)
+{
+    Rng rng(89);
+    for (int64_t cols : {7, 8, 9})
+        for (bool descending : {false, true}) {
+            SCOPED_TRACE(std::to_string(cols) + " columns" +
+                         (descending ? ", descending" : ""));
+            const auto tr = outerNest({.rows = 12,
+                                       .cols = cols,
+                                       .descending = descending,
+                                       .chained = true});
+            EXPECT_LE(dfg::Tape(tr).segmentCount(), 3);
+            const auto [records, model] = dotInputs(tr, 5, rng);
+            expectTapeMatchesInterpreter(tr, records, model);
+        }
+}
+
+/**
+ * Flatness is a property of every row. Row 0, g0[c] = e[c] * w[0],
+ * reads the sigmoids; row 1, g1[c] = g1[c - 1] * w[1] (g1[-1] being
+ * g0's last element), reads its own earlier results, so it joins row 0
+ * as a second row but must run in order, not as a vector loop.
+ */
+TEST(Tape, RowFlatnessHoldsForEveryRow)
+{
+    constexpr int64_t kCols = 9;
+    dfg::Translation tr;
+    dfg::Dfg &g = tr.dfg;
+    std::vector<dfg::NodeId> e, w;
+    for (int64_t c = 0; c < kCols; ++c)
+        e.push_back(
+            g.addOp(dfg::OpKind::Sigmoid, g.addDataInput(c, {})));
+    for (int64_t i = 0; i < 2 * kCols; ++i)
+        w.push_back(g.addModelInput(i, {}));
+    dfg::NodeId prev = dfg::kInvalidNode;
+    for (int64_t c = 0; c < kCols; ++c) {
+        prev = g.addOp(dfg::OpKind::Mul, e[c], w[0]);
+        g.markGradient(prev, c, {});
+    }
+    for (int64_t c = 0; c < kCols; ++c) {
+        prev = g.addOp(dfg::OpKind::Mul, prev, w[1]);
+        g.markGradient(prev, kCols + c, {});
+    }
+    tr.recordWords = kCols;
+    tr.modelWords = 2 * kCols;
+    tr.gradientWords = 2 * kCols;
+    tr.minibatch = 1;
+
+    EXPECT_EQ(dfg::Tape(tr).segmentCount(), 2);
+    Rng rng(91);
+    const auto [records, model] = dotInputs(tr, 5, rng);
+    expectTapeMatchesInterpreter(tr, records, model);
+}
+
+/** Seeded sweep over nest shapes and opcodes, inputs laced with
+ *  signed zeros, +-1e9 and the Q16.16 ceiling. */
+TEST(Tape, OuterProductRowsRandomSweep)
+{
+    constexpr dfg::OpKind kOps[] = {dfg::OpKind::Add, dfg::OpKind::Sub,
+                                    dfg::OpKind::Mul};
+    for (uint64_t seed = 1; seed <= 100; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        const Nest n{.rows = rng.integer(1, 20),
+                     .cols = rng.integer(1, 20),
+                     .op = kOps[rng.integer(0, 2)],
+                     .descending = rng.coin(),
+                     .broadcast = rng.coin(),
+                     .chained = rng.coin()};
+        const auto tr = outerNest(n);
+        const auto [records, model] =
+            dotInputs(tr, rng.integer(1, 11), rng, 0.25);
+        expectTapeMatchesInterpreter(tr, records, model);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+/**
+ * A dot tree whose leaves advance by one stride in node order but not
+ * once the operations are numbered in execution order: its leaves
+ * alternate between two interleaved chains (sigmoid and negation of
+ * the same records), which lowering emits chain by chain. The tree is
+ * then emitted as its products and adds, bit-exact against the
+ * Interpreter; fused it would leave four segments.
+ */
+TEST(Tape, DotTreeOverTransposedChainsStaysExact)
+{
+    constexpr int64_t kReps = 6;
+    dfg::Translation tr;
+    dfg::Dfg &g = tr.dfg;
+    std::vector<dfg::NodeId> y, w;
+    for (int64_t r = 0; r < kReps; ++r) {
+        const auto x = g.addDataInput(r, {});
+        y.push_back(g.addOp(dfg::OpKind::Sigmoid, x));
+        y.push_back(g.addOp(dfg::OpKind::Neg, x));
+    }
+    for (int64_t l = 0; l < 2 * kReps; ++l)
+        w.push_back(g.addModelInput(l, {}));
+    std::vector<dfg::NodeId> products;
+    for (int64_t l = 0; l < 2 * kReps; ++l)
+        products.push_back(g.addOp(dfg::OpKind::Mul, y[l], w[l]));
+    const dfg::NodeId root = pairwiseSum(g, products);
+    for (int64_t l = 0; l < 2 * kReps; ++l)
+        g.markGradient(g.addOp(dfg::OpKind::Sub, w[l], root), l, {});
+    tr.recordWords = kReps;
+    tr.modelWords = 2 * kReps;
+    tr.gradientWords = 2 * kReps;
+    tr.minibatch = 1;
+
+    EXPECT_GT(dfg::Tape(tr).segmentCount(), 4);
+    Rng rng(97);
+    const auto [records, model] = dotInputs(tr, 7, rng, 0.25);
+    expectTapeMatchesInterpreter(tr, records, model);
 }
 
 /** An emulated training run: holdout loss per epoch + final model. */
