@@ -383,9 +383,10 @@ clusterConfigOf(const Options &opt, int nodes)
 
 /**
  * Runs node @p self of an @p hostPorts.size()-node cluster to
- * completion: the whole training loop of ClusterRuntime::train, but
- * executing only this node's role each iteration and adopting the
- * master's broadcast as the next model.
+ * completion: the training loop of ClusterRuntime::train, but
+ * executing only this node's role, one segment per epoch. Each segment
+ * ends drained with this node holding the epoch's final model, which
+ * the master evaluates.
  */
 int
 runNode(const Options &opt, int self,
@@ -471,22 +472,19 @@ runNode(const Options &opt, int self,
                     reference.meanLoss(holdout.data, holdout.count,
                                        model));
 
-    const int64_t iters_per_epoch =
+    const uint64_t iters_per_epoch = static_cast<uint64_t>(
         (cfg.recordsPerNode + cfg.minibatchPerNode - 1) /
-        cfg.minibatchPerNode;
-    uint64_t seq = 0;
-    sys::NodeRuntime::Result round;
+        cfg.minibatchPerNode);
+    sys::NodeRuntime::Sink no_reports;
     for (int e = 0; e < opt.epochs; ++e) {
-        for (int64_t i = 0; i < iters_per_epoch; ++i) {
-            // The round's model (the broadcast, or the master's own
-            // product) carries this process's next iteration.
-            runtime.runRole(assign, topo, model, seq++, round);
-            COSMIC_ASSERT(!round.model.empty(),
-                          "node " << self
-                          << " finished an iteration with no model");
-            pool->release(std::move(model));
-            model = std::move(round.model);
-        }
+        const uint64_t first = static_cast<uint64_t>(e) * iters_per_epoch;
+        std::vector<double> next = runtime.runSegment(
+            assign, topo, model, first, first + iters_per_epoch,
+            no_reports);
+        COSMIC_ASSERT(!next.empty(),
+                      "node " << self << " finished an epoch with no model");
+        pool->release(std::move(model));
+        model = std::move(next);
         if (is_master)
             std::printf("  epoch %d: holdout loss %.4f\n", e + 1,
                         reference.meanLoss(holdout.data,

@@ -288,6 +288,7 @@ Pipeline::translated()
         PassStats s{"translate", secondsSince(start), 0, 0, 0, 0};
         s.nodesBefore = s.nodesAfter = raw_->dfg.size();
         s.edgesBefore = s.edgesAfter = dfg::edgeCount(raw_->dfg);
+        optimizedEdges_ = s.edgesAfter;
         report_.passes.push_back(std::move(s));
     }
     return *raw_;
@@ -315,6 +316,7 @@ Pipeline::optimized()
                 {"rewrite", secondsSince(start), o.shape.nodesBefore,
                  o.shape.nodesAfter, o.shape.edgesBefore,
                  o.shape.edgesAfter});
+            optimizedEdges_ = o.shape.edgesAfter;
             report_.patternHits = std::move(o.patterns);
             report_.rewriteSweeps = o.sweeps;
             report_.rewriteBudgetExhausted = o.budgetExhausted;
@@ -336,7 +338,7 @@ Pipeline::planned()
             planner::Planner::plan(tr, *platform_, options_));
         PassStats s{"plan", secondsSince(start), 0, 0, 0, 0};
         s.nodesBefore = s.nodesAfter = tr.dfg.size();
-        s.edgesBefore = s.edgesAfter = dfg::edgeCount(tr.dfg);
+        s.edgesBefore = s.edgesAfter = optimizedEdges_;
         report_.passes.push_back(std::move(s));
     }
     return *planned_;
@@ -353,7 +355,7 @@ Pipeline::mapped()
         const auto &tr = optimized();
         PassStats s{"map", 0.0, 0, 0, 0, 0};
         s.nodesBefore = s.nodesAfter = tr.dfg.size();
-        s.edgesBefore = s.edgesAfter = dfg::edgeCount(tr.dfg);
+        s.edgesBefore = s.edgesAfter = optimizedEdges_;
         report_.passes.push_back(std::move(s));
         mapped_ = true;
     }
@@ -370,7 +372,7 @@ Pipeline::tape()
         PassStats s{"tape", secondsSince(start), 0, 0, 0, 0};
         s.nodesBefore = tr.dfg.size();
         s.nodesAfter = tape_->instructionCount();
-        s.edgesBefore = s.edgesAfter = dfg::edgeCount(tr.dfg);
+        s.edgesBefore = s.edgesAfter = optimizedEdges_;
         report_.passes.push_back(std::move(s));
     }
     return *tape_;

@@ -171,6 +171,10 @@ class Pipeline
     /** Engaged only when the rewrite changed the graph; otherwise the
      *  raw translation is the optimized one. */
     std::optional<dfg::Translation> optimized_;
+    /** The optimized graph's edge count, taken once by the translate
+     *  pass and replaced by the rewrite's; the later stages report
+     *  it. */
+    int64_t optimizedEdges_ = 0;
     std::optional<planner::PlanResult> planned_;
     /** The map stage has been recorded in report_. */
     bool mapped_ = false;

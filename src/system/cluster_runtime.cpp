@@ -53,6 +53,94 @@ ClusterConfig::validate() const
                      "(got " << streamChunkWords << ")");
 }
 
+/**
+ * What the nodes report over one segment. Each node writes only its own
+ * slot, so reporting a round takes no lock; the master's streamed
+ * models (multi-round segments only) go through a locked queue that the
+ * train loop drains while the nodes run on.
+ */
+class ClusterRuntime::SegmentLog : public NodeRuntime::Sink
+{
+  public:
+    /** One node's reports over the segment. */
+    struct Slot
+    {
+        /** The node's share of each round: its own times stand for
+         *  both the slowest node's and the cluster sum. */
+        std::vector<IterationStats> rounds;
+        RecoveryStats recovery;
+        StalenessStats staleness;
+        std::vector<int> suspects;
+    };
+
+    SegmentLog(int nodes, BufferPool &pool) : slots(nodes), pool_(pool) {}
+
+    /** Empties every slot for rounds [@p first, @p last); slots keep
+     *  their capacity. */
+    void
+    begin(uint64_t first, uint64_t last)
+    {
+        first_ = first;
+        for (Slot &slot : slots) {
+            slot.rounds.assign(last - first, IterationStats{});
+            slot.recovery = RecoveryStats{};
+            slot.staleness = StalenessStats{};
+            slot.suspects.clear();
+        }
+    }
+
+    void
+    onRound(int node, uint64_t seq, const NodeRuntime::Result &res) override
+    {
+        Slot &slot = slots[node];
+        slot.rounds[seq - first_] = {res.computeSec, res.aggregationSec,
+                                     res.computeSec, res.aggregationSec,
+                                     res.records};
+        slot.recovery += res.recovery;
+        slot.staleness += res.staleness;
+        slot.suspects.insert(slot.suspects.end(), res.suspects.begin(),
+                             res.suspects.end());
+    }
+
+    void
+    onModel(uint64_t seq, const std::vector<double> &model) override
+    {
+        std::vector<double> copy = pool_.acquire(model.size());
+        std::copy(model.begin(), model.end(), copy.begin());
+        std::lock_guard<std::mutex> lock(mutex_);
+        models_.emplace_back(seq, std::move(copy));
+        cv_.notify_all();
+    }
+
+    /** Blocks for the master's round-@p seq model. */
+    std::vector<double>
+    nextModel(uint64_t seq)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [&] { return !models_.empty(); });
+        COSMIC_ASSERT(models_.front().first == seq,
+                      "master models out of order: got "
+                          << models_.front().first << " expected "
+                          << seq);
+        std::vector<double> model = std::move(models_.front().second);
+        models_.pop_front();
+        return model;
+    }
+
+    /** Indexed by node id; crashed and evicted nodes' slots read
+     *  zero. */
+    std::vector<Slot> slots;
+    /** The master's runSegment() result. */
+    std::vector<double> finalModel;
+
+  private:
+    BufferPool &pool_;
+    uint64_t first_ = 0;
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::deque<std::pair<uint64_t, std::vector<double>>> models_;
+};
+
 ClusterRuntime::ClusterRuntime(const ml::Workload &workload, double scale,
                                const ClusterConfig &config)
     : ClusterRuntime(workload, scale, config,
@@ -148,14 +236,14 @@ ClusterRuntime::ClusterRuntime(
             nodes_[i]->setFaultInjector(injector_.get(), i);
         }
     }
-    // Pipelined (barrier-free) iterations. Crash-fault plans keep the
-    // barrier — the eviction/repair machinery needs the iteration
-    // boundary.
+    // Pipelined (barrier-free) iterations: the whole run is one
+    // segment. Crash-fault plans keep one-round segments — eviction
+    // and topology repair run between segments.
     pipelineActive_ =
         config_.overlapIterations && config_.faultPlan.crashes().empty();
     for (int i = 0; i < config_.nodes; ++i)
         nodeRuntimes_.push_back(makeNodeRuntime(i));
-    nodeResults_.resize(config_.nodes);
+    log_ = std::make_unique<SegmentLog>(config_.nodes, *pool_);
     missStreak_.resize(config_.nodes, 0);
 
     // One long-lived worker per node: each iteration's node tasks all
@@ -200,8 +288,8 @@ ClusterRuntime::applyRepairs()
 {
     const int master = topology_.masterId();
     std::vector<char> suspected(config_.nodes, 0);
-    for (const auto &res : nodeResults_)
-        for (int id : res.suspects)
+    for (const auto &slot : log_->slots)
+        for (int id : slot.suspects)
             if (id >= 0 && id < config_.nodes)
                 suspected[id] = 1;
 
@@ -240,62 +328,70 @@ ClusterRuntime::applyRepairs()
         }
 }
 
-namespace {
-
-/** Folds one node's share of a round into the cluster's counters: the
- *  slowest node's times, the cluster sums and the records. */
 void
-addNodeRound(IterationStats &stats, const NodeRuntime::Result &res)
+ClusterRuntime::launch(const std::vector<double> &model, uint64_t first,
+                       uint64_t last)
 {
-    stats.maxComputeSec = std::max(stats.maxComputeSec, res.computeSec);
-    stats.maxAggregationSec =
-        std::max(stats.maxAggregationSec, res.aggregationSec);
-    stats.sumComputeSec += res.computeSec;
-    stats.sumAggregationSec += res.aggregationSec;
-    stats.records += res.records;
+    log_->begin(first, last);
+    const int master = topology_.masterId();
+    for (const auto &assign : topology_.nodes) {
+        // A crashed node's process is gone: it computes nothing and
+        // sends nothing, and its silence is what the timeouts detect.
+        // Crash plans run one-round segments, so `first` is the round.
+        if (faultsActive_ && injector_->crashed(assign.id, first))
+            continue;
+        nodeWorkers_->submit([this, assign, &model, first, last, master] {
+            std::vector<double> held = nodeRuntimes_[assign.id]->runSegment(
+                assign, topology_, model, first, last, *log_);
+            // In-process nodes share the master's model; every other
+            // node's copy goes back to the pool.
+            if (assign.id == master)
+                log_->finalModel = std::move(held);
+            else
+                pool_->release(std::move(held));
+        });
+    }
 }
 
-} // namespace
+std::vector<double>
+ClusterRuntime::join(uint64_t first, uint64_t last)
+{
+    nodeWorkers_->waitIdle();
+    std::vector<double> next = std::move(log_->finalModel);
+    COSMIC_ASSERT(!next.empty(), "master produced no model");
+
+    roundStats_.assign(last - first, IterationStats{});
+    for (const auto &slot : log_->slots) {
+        for (size_t r = 0; r < roundStats_.size(); ++r) {
+            IterationStats &stats = roundStats_[r];
+            const IterationStats &node = slot.rounds[r];
+            stats.maxComputeSec =
+                std::max(stats.maxComputeSec, node.maxComputeSec);
+            stats.maxAggregationSec =
+                std::max(stats.maxAggregationSec, node.maxAggregationSec);
+            stats.sumComputeSec += node.sumComputeSec;
+            stats.sumAggregationSec += node.sumAggregationSec;
+            stats.records += node.records;
+        }
+        recovery_ += slot.recovery;
+        staleness_ += slot.staleness;
+    }
+    // Miss streaks count consecutive rounds, so only a one-round
+    // segment may evict; a pipelined run never does.
+    if (faultsActive_ && last - first == 1)
+        applyRepairs();
+    return next;
+}
 
 std::vector<double>
 ClusterRuntime::runIteration(const std::vector<double> &model,
                              uint64_t seq, IterationStats *stats)
 {
-    // Crashed and evicted nodes run no role; their slots read zero.
-    for (auto &res : nodeResults_)
-        res.clear();
-    const int master = topology_.masterId();
-    for (const auto &assign : topology_.nodes) {
-        // A crashed node's process is gone: it computes nothing and
-        // sends nothing, and its silence is what the timeouts detect.
-        if (faultsActive_ && injector_->crashed(assign.id, seq))
-            continue;
-        nodeWorkers_->submit([this, assign, &model, seq, master] {
-            NodeRuntime::Result &res = nodeResults_[assign.id];
-            nodeRuntimes_[assign.id]->runRole(assign, topology_, model,
-                                              seq, res);
-            // In-process nodes share the master's model by reference;
-            // every received broadcast copy goes back to the pool.
-            if (assign.id != master)
-                pool_->release(std::move(res.model));
-        });
-    }
-    nodeWorkers_->waitIdle();
-    std::vector<double> new_model = std::move(nodeResults_[master].model);
-    COSMIC_ASSERT(!new_model.empty(), "master produced no model");
-
-    if (faultsActive_) {
-        for (const auto &res : nodeResults_)
-            recovery_ += res.recovery;
-        applyRepairs();
-    }
-
-    if (stats) {
-        *stats = IterationStats{};
-        for (const auto &res : nodeResults_)
-            addNodeRound(*stats, res);
-    }
-    return new_model;
+    launch(model, seq, seq + 1);
+    std::vector<double> next = join(seq, seq + 1);
+    if (stats)
+        *stats = roundStats_.front();
+    return next;
 }
 
 RecoveryStats
@@ -330,9 +426,8 @@ ClusterRuntime::netStats() const
 TrainingReport
 ClusterRuntime::train(int epochs, RunControl *control)
 {
-    if (pipelineActive_)
-        return trainPipelined(epochs, control);
     TrainingReport report;
+    staleness_ = StalenessStats{};
 
     Rng rng(config_.seed + 1);
     std::vector<double> model =
@@ -340,179 +435,67 @@ ClusterRuntime::train(int epochs, RunControl *control)
     COSMIC_ASSERT(static_cast<int64_t>(model.size()) ==
                       frontend_->translation.modelWords,
                   "initial model does not match the translation layout");
-
     report.epochLoss.push_back(reference_.meanLoss(
         holdout_.data, holdout_.count, model));
 
-    int64_t iters_per_epoch =
+    const uint64_t iters_per_epoch = static_cast<uint64_t>(
         (config_.recordsPerNode + config_.minibatchPerNode - 1) /
-        config_.minibatchPerNode;
-    uint64_t seq = 0;
-    for (int e = 0; e < epochs && !report.cancelled; ++e) {
-        for (int64_t i = 0; i < iters_per_epoch; ++i) {
-            // Cooperative cancel: the iteration boundary is the only
-            // point where no node holds in-flight protocol state.
-            if (control && control->cancel.load()) {
-                report.cancelled = true;
-                break;
-            }
-            auto start = std::chrono::steady_clock::now();
-            IterationStats stats;
-            std::vector<double> next =
-                runIteration(model, seq++, &stats);
-            // Recycle the superseded model: it becomes a future
-            // message payload, closing the steady-state buffer loop.
-            pool_->release(std::move(model));
-            model = std::move(next);
-            double iter_sec =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            report.iterationSeconds.push_back(iter_sec);
-            report.iterationStats.push_back(stats);
-        }
-        if (report.cancelled)
-            break;
-        report.epochLoss.push_back(reference_.meanLoss(
-            holdout_.data, holdout_.count, model));
-        if (control && control->onEpoch)
-            control->onEpoch(e + 1, report.epochLoss.back(), seq);
-    }
-    report.iterations = static_cast<int>(seq);
-    report.finalModel = std::move(model);
-    // Post-repair state: the surviving role map and what recovery did.
-    report.topology = topology_;
-    report.recovery = recovery();
-    report.net = netStats();
-    return report;
-}
-
-namespace {
-
-/** Folds the pipelined run's per-node round reports into per-round
- *  counters and streams the master's models to the train loop. */
-class PipelineCollector : public NodeRuntime::PipelineSink
-{
-  public:
-    explicit PipelineCollector(uint64_t rounds) : stats_(rounds) {}
-
-    void
-    onRound(uint64_t seq, const NodeRuntime::Result &res) override
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        addNodeRound(stats_[seq], res);
-    }
-
-    void
-    onModel(uint64_t seq, std::vector<double> model) override
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        models_.emplace_back(seq, std::move(model));
-        cv_.notify_all();
-    }
-
-    /** Blocks for the next model in the master's stream. */
-    std::pair<uint64_t, std::vector<double>>
-    nextModel()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [&] { return !models_.empty(); });
-        auto entry = std::move(models_.front());
-        models_.pop_front();
-        return entry;
-    }
-
-    /** The per-round counters; call once every node has finished. */
-    std::vector<IterationStats>
-    takeStats()
-    {
-        return std::move(stats_);
-    }
-
-  private:
-    std::vector<IterationStats> stats_;
-
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::deque<std::pair<uint64_t, std::vector<double>>> models_;
-};
-
-} // namespace
-
-TrainingReport
-ClusterRuntime::trainPipelined(int epochs, RunControl *control)
-{
-    TrainingReport report;
-
-    Rng rng(config_.seed + 1);
-    std::vector<double> model0 =
-        ml::DatasetGenerator::initialModel(workload_, scale_, rng);
-    COSMIC_ASSERT(static_cast<int64_t>(model0.size()) ==
-                      frontend_->translation.modelWords,
-                  "initial model does not match the translation layout");
-    report.epochLoss.push_back(
-        reference_.meanLoss(holdout_.data, holdout_.count, model0));
-
-    const int64_t iters_per_epoch =
-        (config_.recordsPerNode + config_.minibatchPerNode - 1) /
-        config_.minibatchPerNode;
+        config_.minibatchPerNode);
     const uint64_t rounds =
-        static_cast<uint64_t>(epochs) *
-        static_cast<uint64_t>(iters_per_epoch);
-    PipelineCollector collector(rounds);
+        static_cast<uint64_t>(epochs) * iters_per_epoch;
+    // The segment-length rule: one segment over the whole run when
+    // pipelined, otherwise one round per segment (the barrier).
+    const uint64_t segment_rounds = pipelineActive_ ? rounds : 1;
 
-    // Launch every node's free-running loop; the workers block on each
-    // other's channels, and the pool holds one thread per node.
-    std::vector<NodeRuntime::PipelineResult> results(config_.nodes);
-    for (const auto &assign : topology_.nodes) {
-        nodeWorkers_->submit(
-            [this, assign, &model0, rounds, &collector, &results] {
-                results[assign.id] =
-                    nodeRuntimes_[assign.id]->runPipelined(
-                        assign, topology_, model0, rounds, collector);
-            });
-    }
-
-    // Consume the master's model stream. Everything on this thread —
-    // including the held-out epoch-loss evaluation — overlaps the
-    // cluster's next rounds; under the barrier protocol the whole
-    // cluster idled through it.
-    std::vector<double> model = model0;
-    auto last_arrival = std::chrono::steady_clock::now();
-    for (uint64_t k = 0; k < rounds; ++k) {
-        auto entry = collector.nextModel();
-        COSMIC_ASSERT(entry.first == k,
-                      "master models out of order: got "
-                          << entry.first << " expected " << k);
-        auto now = std::chrono::steady_clock::now();
+    // Round k's new model, on this thread: time it, and at an epoch end
+    // evaluate it. Inside a multi-round segment this overlaps the
+    // cluster's next rounds; after a one-round segment it runs before
+    // the next launch, outside the timed round.
+    auto mark = std::chrono::steady_clock::now();
+    auto finish_round = [&](uint64_t k, const std::vector<double> &m) {
+        const auto now = std::chrono::steady_clock::now();
         report.iterationSeconds.push_back(
-            std::chrono::duration<double>(now - last_arrival).count());
-        last_arrival = now;
-        pool_->release(std::move(model));
-        model = std::move(entry.second);
-        if ((k + 1) % static_cast<uint64_t>(iters_per_epoch) == 0) {
-            report.epochLoss.push_back(reference_.meanLoss(
-                holdout_.data, holdout_.count, model));
-            if (control && control->onEpoch)
-                control->onEpoch(
-                    static_cast<int>((k + 1) /
-                                     static_cast<uint64_t>(
-                                         iters_per_epoch)),
-                    report.epochLoss.back(), k + 1);
-        }
-        // The free-running nodes are committed to their scheduled
-        // rounds (stopping them mid-protocol would strand in-flight
-        // partials), so a cancel is recorded but the run drains.
-        if (control && control->cancel.load())
-            report.cancelled = true;
-    }
-    nodeWorkers_->waitIdle();
+            std::chrono::duration<double>(now - mark).count());
+        mark = now;
+        if ((k + 1) % iters_per_epoch != 0)
+            return;
+        report.epochLoss.push_back(
+            reference_.meanLoss(holdout_.data, holdout_.count, m));
+        if (control && control->onEpoch)
+            control->onEpoch(static_cast<int>((k + 1) / iters_per_epoch),
+                             report.epochLoss.back(), k + 1);
+    };
 
-    report.iterationStats = collector.takeStats();
-    for (const auto &r : results) {
-        recovery_ += r.recovery;
-        report.staleness += r.staleness;
+    uint64_t done = 0;
+    for (;;) {
+        // Cooperative cancel: a segment boundary is the only point
+        // where no node holds in-flight protocol state.
+        report.cancelled = control && control->cancel.load();
+        if (report.cancelled || done == rounds)
+            break;
+        const uint64_t last = std::min(rounds, done + segment_rounds);
+        mark = std::chrono::steady_clock::now();
+        launch(model, done, last);
+        for (uint64_t k = done; k + 1 < last; ++k) {
+            std::vector<double> streamed = log_->nextModel(k);
+            finish_round(k, streamed);
+            pool_->release(std::move(streamed));
+        }
+        std::vector<double> next = join(done, last);
+        report.iterationStats.insert(report.iterationStats.end(),
+                                     roundStats_.begin(),
+                                     roundStats_.end());
+        finish_round(last - 1, next);
+        // Recycle the superseded model: it becomes a future message
+        // payload, closing the steady-state buffer loop.
+        pool_->release(std::move(model));
+        model = std::move(next);
+        done = last;
     }
+
+    report.iterations = static_cast<int>(done);
+    report.finalModel = std::move(model);
+    report.staleness = staleness_;
     for (const auto &engine : engines_) {
         if (!engine)
             continue;
@@ -522,9 +505,7 @@ ClusterRuntime::trainPipelined(int epochs, RunControl *control)
         report.staleness.maxEpochLag = std::max(
             report.staleness.maxEpochLag, engine->maxEpochLag());
     }
-
-    report.iterations = static_cast<int>(rounds);
-    report.finalModel = std::move(model);
+    // Post-repair state: the surviving role map and what recovery did.
     report.topology = topology_;
     report.recovery = recovery();
     report.net = netStats();

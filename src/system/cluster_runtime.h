@@ -10,6 +10,13 @@
  * hierarchy. Training demonstrably converges — the convergence tests
  * ride on this runtime.
  *
+ * train() is one loop over segments of rounds: each segment launches
+ * every node's NodeRuntime::runSegment once and ends drained, and the
+ * loop folds counters, repairs the topology, checks for cancel and
+ * evaluates between segments. The barrier protocol is segments of one
+ * round; the pipelined protocol (overlapIterations) is one segment
+ * over the whole run.
+ *
  * Failure tolerance: with a FaultPlan installed (or the tolerant
  * protocol force-enabled) every receive is bounded by a timeout with
  * retry/backoff, Sigma nodes aggregate whichever k of n partials
@@ -98,15 +105,17 @@ struct ClusterConfig
     FaultToleranceConfig faultTolerance;
 
     /**
-     * Pipelined iterations: drop the per-iteration cluster barrier
-     * and let every node free-run, gated only by model freshness
-     * (NodeRuntime::runPipelined). With maxStaleness = 0 each node
-     * still waits for the previous round's broadcast before
+     * Pipelined iterations: run the whole training run as one segment
+     * (NodeRuntime::runSegment) instead of one segment per round, so
+     * there is no cluster barrier between rounds and every node
+     * free-runs, gated only by model freshness. With maxStaleness = 0
+     * each node still waits for the previous round's broadcast before
      * computing, so the trajectory is bit-identical to the barrier
      * protocol — but epoch-loss evaluation and slow receivers no
-     * longer stall the cluster. Required when maxStaleness > 0.
-     * Crash-fault plans fall back to the barrier protocol (eviction
-     * and topology repair need the iteration boundary).
+     * longer stall the cluster. Cancel is checked only at segment
+     * boundaries, so a pipelined run finishes its rounds once started.
+     * Required when maxStaleness > 0. Crash-fault plans keep one-round
+     * segments (eviction and topology repair run between segments).
      */
     bool overlapIterations = false;
     /**
@@ -142,12 +151,13 @@ struct ClusterConfig
 
 /**
  * Cooperative controls a Session threads into a running train() call:
- * `cancel` is checked at every iteration boundary of the barrier loop
- * (the pipelined loop finishes its scheduled rounds — its nodes
- * free-run — but the report is still marked cancelled), and onEpoch
- * fires after each epoch-loss evaluation with the epochs completed so
- * far, the loss, and the iterations executed. Both hooks are
- * observation-only: a run with a null or untouched RunControl is
+ * `cancel` is checked at every segment boundary, the end of the run
+ * included — after every round under the barrier protocol, only before
+ * and after the run's one segment when pipelined (its nodes free-run
+ * through their rounds, but the report is still marked cancelled) —
+ * and onEpoch fires after each epoch-loss evaluation with the epochs
+ * completed so far, the loss, and the iterations executed. Both hooks
+ * are observation-only: a run with a null or untouched RunControl is
  * bit-identical to one without.
  */
 struct RunControl
@@ -246,9 +256,10 @@ class ClusterRuntime
      */
     TrainingReport train(int epochs, RunControl *control = nullptr);
 
-    /** One synchronous iteration over the hierarchy; returns the new
-     *  globally aggregated model. train() runs it; so do tests and
-     *  perfbench's traced loop, which drive iterations one by one.
+    /** One synchronous iteration over the hierarchy — a one-round
+     *  segment of train()'s loop; returns the new globally aggregated
+     *  model. Tests and perfbench's traced loop drive iterations one
+     *  by one through it.
      *  @param stats Optional out: the iteration's perf counters. */
     std::vector<double> runIteration(const std::vector<double> &model,
                                      uint64_t seq,
@@ -277,13 +288,21 @@ class ClusterRuntime
      *  (rebuilt after a repair hands the node a new engine). */
     std::unique_ptr<NodeRuntime> makeNodeRuntime(int id);
 
-    /** The barrier-free training loop (overlapIterations): launches
-     *  every node's free-running pipelined role and consumes the
-     *  master's model stream, overlapping epoch-loss evaluation with
-     *  the cluster's next rounds. */
-    TrainingReport trainPipelined(int epochs, RunControl *control);
+    /** What the nodes report over a segment (defined in the .cpp). */
+    class SegmentLog;
 
-    /** Folds the iteration's suspect reports into miss streaks and
+    /** Starts every live node on rounds [@p first, @p last) from
+     *  @p model, the epoch-@p first model, which must outlive the
+     *  segment. The master streams every round's model but the last
+     *  through log_->nextModel(). */
+    void launch(const std::vector<double> &model, uint64_t first,
+                uint64_t last);
+    /** Waits for the launched segment to drain, folds its counters
+     *  (its rounds' stats into roundStats_), repairs the topology after
+     *  a one-round segment, and returns the master's final model. */
+    std::vector<double> join(uint64_t first, uint64_t last);
+
+    /** Folds the segment's suspect reports into miss streaks and
      *  evicts nodes past the threshold via Director repair. */
     void applyRepairs();
     ml::Workload workload_;
@@ -312,19 +331,20 @@ class ClusterRuntime
     /** The per-node protocol executors (one per node, every role). */
     std::vector<std::unique_ptr<NodeRuntime>> nodeRuntimes_;
     /** Long-lived per-node workers: one pool thread drives each node's
-     *  role for the whole run — runIteration only submits tasks and
-     *  waits at the iteration barrier, it never spawns threads. */
+     *  segment — launch() only submits tasks and join() waits for
+     *  them, neither spawns threads. */
     std::unique_ptr<ThreadPool> nodeWorkers_;
 
-    /** Each node's report of the current iteration, reused across
-     *  iterations (each node task writes only its own slot; folded at
-     *  the barrier). */
-    std::vector<NodeRuntime::Result> nodeResults_;
+    /** The current segment's reports, reused across segments. */
+    std::unique_ptr<SegmentLog> log_;
+    /** The last joined segment's per-round counters. */
+    std::vector<IterationStats> roundStats_;
 
     /** True when the failure-tolerant protocol is active (a fault
      *  plan is installed or the policy is force-enabled). */
     bool faultsActive_ = false;
-    /** True when train() runs the pipelined (barrier-free) loop. */
+    /** True when train() runs as one segment (pipelined); otherwise
+     *  each segment is one round (the barrier protocol). */
     bool pipelineActive_ = false;
     /** Executes the fault plan; null when inactive. */
     std::unique_ptr<FaultInjector> injector_;
@@ -333,6 +353,8 @@ class ClusterRuntime
     /** Counters accumulated across iterations (runtime-side only;
      *  recovery() merges engine and injector counters in). */
     RecoveryStats recovery_;
+    /** The nodes' freshness counters of the current train() call. */
+    StalenessStats staleness_;
 };
 
 } // namespace cosmic::sys

@@ -27,7 +27,7 @@ NodeRuntime::Result::clear()
     records = 0;
     recovery = RecoveryStats{};
     suspects.clear();
-    model.clear();
+    staleness = StalenessStats{};
 }
 
 NodeRuntime::NodeRuntime(const dfg::Translation &translation,
@@ -326,114 +326,74 @@ NodeRuntime::runRound(const std::vector<double> &model, uint64_t seq,
     epoch_ = seq + 1;
 }
 
-void
-NodeRuntime::runRole(const NodeAssignment &assign,
-                     const ClusterTopology &topo,
-                     const std::vector<double> &model, uint64_t seq,
-                     Result &res)
+std::vector<double>
+NodeRuntime::runSegment(const NodeAssignment &assign,
+                        const ClusterTopology &topo,
+                        const std::vector<double> &model, uint64_t first,
+                        uint64_t last, Sink &sink)
 {
-    const auto start = std::chrono::steady_clock::now();
-    res.clear();
-    enter(assign, topo);
-    // The caller holds round seq's model, epoch seq: every partial is
-    // stamped with it (strict freshness, trivially inside any
-    // staleness bound).
-    epoch_ = seq;
-    runRound(model, seq, res);
-    // The barrier: every role but the master, which holds its own
-    // product, waits for the round's broadcast. If the Sigma died it
-    // never comes — the bounded wait records the miss and the
-    // Director repairs the group once the streak is long enough.
-    awaitModel(seq + 1, res);
-    res.model = std::move(model_);
-    // Everything after the gradient compute is aggregation and
-    // communication wait — the Fig. 13 breakdown's other half.
-    res.aggregationSec = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count() -
-                         res.computeSec;
-}
-
-NodeRuntime::PipelineResult
-NodeRuntime::runPipelined(const NodeAssignment &assign,
-                          const ClusterTopology &topo,
-                          const std::vector<double> &model0,
-                          uint64_t rounds, PipelineSink &sink)
-{
-    PipelineResult out;
     enter(assign, topo);
     const uint64_t stale_budget =
         static_cast<uint64_t>(config_.maxStaleness);
-
-    // The node's private model snapshot, epoch 0. Unlike the barrier
-    // driver — where in-process nodes share the master's buffer by
-    // reference — every pipelined node holds its own adopted
-    // broadcast; the copies are bit-equal (F64 verbatim, Q16
-    // idempotently re-quantized), so the math is unchanged.
-    model_ = pool_.acquire(translation_.modelWords);
-    std::copy(model0.begin(), model0.end(), model_.begin());
-    epoch_ = 0;
+    // The caller's model is epoch first; partials computed from it are
+    // stamped with that epoch.
+    epoch_ = first;
 
     Result res;
-    for (uint64_t seq = 0; seq < rounds; ++seq) {
+    for (uint64_t seq = first; seq < last; ++seq) {
         const auto start = std::chrono::steady_clock::now();
         res.clear();
         // Opportunistic drain: adopt whatever arrived while this node
-        // was computing the previous round, park early partials.
+        // was computing the previous round, park early partials. The
+        // previous segment ended drained, so the first round has
+        // nothing to adopt.
         Message msg;
-        while (transport_.inbox().tryReceive(msg))
-            route(std::move(msg), res);
+        if (seq > first)
+            while (transport_.inbox().tryReceive(msg))
+                route(std::move(msg), res);
         // Freshness gate: round seq computes from a model no staler
         // than maxStaleness epochs (epoch >= seq - S). With S = 0 the
-        // gate blocks for exactly the round-(seq-1) broadcast — the
-        // synchronous pipeline, bit-exact with the barrier driver.
-        // The master never blocks here: its own product advanced its
-        // epoch to seq at the end of round seq-1. With no
-        // fresh-enough model in the whole timeout budget (fault mode)
-        // the round is skipped rather than computed from a model the
-        // staleness bound would reject anyway.
+        // gate blocks for exactly the round-(seq-1) broadcast. The
+        // master never blocks here: its own product advanced its epoch
+        // to seq at the end of round seq-1. With no fresh-enough model
+        // in the whole timeout budget (fault mode) the round is
+        // skipped rather than computed from a model the staleness
+        // bound would reject anyway.
         bool fresh = epoch_ + stale_budget >= seq;
         if (!fresh) {
-            ++out.staleness.freshnessWaits;
+            ++res.staleness.freshnessWaits;
             fresh = awaitModel(seq - stale_budget, res);
             if (!fresh)
-                ++out.staleness.roundsSkipped;
+                ++res.staleness.roundsSkipped;
         }
         if (fresh) {
             if (epoch_ < seq) {
-                ++out.staleness.staleComputes;
-                out.staleness.maxEpochLag =
-                    std::max(out.staleness.maxEpochLag, seq - epoch_);
+                ++res.staleness.staleComputes;
+                res.staleness.maxEpochLag = seq - epoch_;
             }
-            runRound(model_, seq, res);
-            if (assign.role == NodeRole::MasterSigma) {
-                std::vector<double> copy = pool_.acquire(model_.size());
-                std::copy(model_.begin(), model_.end(), copy.begin());
-                sink.onModel(seq, std::move(copy));
-            }
+            runRound(epoch_ == first ? model : model_, seq, res);
+            if (assign.role == NodeRole::MasterSigma && seq + 1 < last)
+                sink.onModel(seq, model_);
         }
+        // The drained end: every role but the master, which holds its
+        // own product, waits for the segment's last broadcast. If the
+        // Sigma died it never comes — the bounded wait records the
+        // miss and the Director repairs the group once the streak is
+        // long enough.
+        if (seq + 1 == last)
+            awaitModel(last, res);
         // The round's non-compute time: freshness-gate wait, partial
-        // collection, fold, and broadcast — the Fig. 13 breakdown's
-        // aggregation half, measured against the whole round.
+        // collection, fold, broadcast and, in the last round, the wait
+        // for the final broadcast — the Fig. 13 breakdown's
+        // aggregation half.
         res.aggregationSec = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() -
                                  start)
                                  .count() -
                              res.computeSec;
-        sink.onRound(seq, res);
-        out.recovery += res.recovery;
+        sink.onRound(assign.id, seq, res);
     }
-    // Recycle everything still in flight for this node: the final
-    // broadcast no later round will consume, and parked partials of
-    // rounds never reached (fault mode).
-    Message msg;
-    while (transport_.inbox().tryReceive(msg))
-        pool_.release(std::move(msg.payload));
-    for (auto &m : stash_)
-        pool_.release(std::move(m.payload));
-    stash_.clear();
-    pool_.release(std::move(model_));
-    return out;
+    return std::move(model_);
 }
 
 } // namespace cosmic::sys

@@ -6,16 +6,17 @@
  * One round of a role is written once: compute the partial update,
  * then ship it to the parent (Delta), fold the children's partials
  * and ship the sum (GroupSigma), or fold, step and broadcast the new
- * model (MasterSigma). Two drivers run that round over a Transport:
+ * model (MasterSigma). One driver runs that round over a Transport:
+ * runSegment() runs rounds [first, last) from the caller's
+ * epoch-`first` model, starting each round as soon as the node holds a
+ * model no staler than maxStaleness epochs, and ends drained: every
+ * node has waited for the segment's final broadcast.
+ * A one-round segment is the barrier protocol; one segment over the
+ * whole run is the pipelined one.
  *
- *  - runRole() runs one synchronous iteration and ends with the wait
- *    for the master's broadcast (the barrier protocol);
- *  - runPipelined() runs free-running rounds, each gated only on the
- *    freshness of the model the node holds (the pipelined protocol).
- *
- * Both read the inbox through one router: partials park until their
- * round is collected, a fresher model is adopted (and relayed by a
- * GroupSigma), an older one is counted and recycled. It is the same
+ * The driver reads the inbox through one router: partials park until
+ * their round is collected, a fresher model is adopted (and relayed by
+ * a GroupSigma), an older one is counted and recycled. It is the same
  * code whether the node lives on a ClusterRuntime worker thread
  * (in-process fabric, N roles per process) or inside a `cosmicd`
  * process (TCP fabric, one role per OS process) — which is what makes
@@ -125,10 +126,9 @@ class NodeRuntime
         RecoveryStats recovery;
         /** Peers this node suspects (missed partials/broadcasts). */
         std::vector<int> suspects;
-        /** runRole only: the round's model. On the master the new
-         *  model; on any other node the received broadcast, or empty
-         *  if it was missed. */
-        std::vector<double> model;
+        /** The round's freshness counters (the engine's fields stay
+         *  zero here). */
+        StalenessStats staleness;
 
         /** Resets the report for another round; suspects keeps its
          *  capacity. */
@@ -144,52 +144,41 @@ class NodeRuntime
                 net::Transport &transport, AggregationEngine *engine,
                 BufferPool &pool);
 
-    /**
-     * The barrier driver: runs assignment @p assign's side of
-     * iteration @p seq from @p model (the round's model, owned by the
-     * caller), then waits for the master's broadcast. Fills @p res,
-     * its model included.
-     */
-    void runRole(const NodeAssignment &assign,
-                 const ClusterTopology &topo,
-                 const std::vector<double> &model, uint64_t seq,
-                 Result &res);
-
-    /** Where the pipelined loop reports per-round results. Methods
-     *  are called from the node's worker thread; distinct nodes
-     *  report concurrently. */
-    class PipelineSink
+    /** Where a segment reports; the defaults ignore the reports.
+     *  Methods are called from the node's worker thread; distinct
+     *  nodes report concurrently. */
+    class Sink
     {
       public:
-        virtual ~PipelineSink() = default;
-        /** A node finished (or skipped) round @p seq. */
-        virtual void onRound(uint64_t seq, const Result &res) = 0;
-        /** The master produced round @p seq's new global model. */
-        virtual void onModel(uint64_t seq,
-                             std::vector<double> model) = 0;
-    };
-
-    /** What a whole pipelined run reported (totals over rounds). */
-    struct PipelineResult
-    {
-        RecoveryStats recovery;
-        StalenessStats staleness;
+        virtual ~Sink() = default;
+        /** A node finished (or skipped) a round: its id, the round
+         *  and its report. */
+        virtual void onRound(int, uint64_t, const Result &) {}
+        /** The master's new global model of a round, for every round
+         *  of the segment but its last (that one is runSegment()'s
+         *  result); valid only during the call. */
+        virtual void onModel(uint64_t, const std::vector<double> &) {}
     };
 
     /**
-     * The pipelined driver: runs this node's role for @p rounds
-     * free-running rounds starting from @p model0 (epoch 0), with no
-     * cluster-wide barrier between iterations. Each node starts round
-     * k as soon as *it* holds a model no staler than maxStaleness
-     * epochs; with maxStaleness = 0 that is exactly the round-(k-1)
-     * broadcast and the trajectory is bit-identical to the barrier
-     * driver, while a fast node's compute still overlaps the rest of
-     * the cluster's reduction tail.
+     * Runs assignment @p assign's side of rounds [@p first, @p last)
+     * from @p model, the epoch-@p first model. The caller owns it and
+     * keeps it alive until the call returns: the node reads it by
+     * reference until it adopts a fresher one, so a one-round segment
+     * copies no model. Each round starts once the node holds a model
+     * no staler than maxStaleness epochs; with maxStaleness = 0 that is
+     * exactly the previous round's broadcast, and the trajectory does
+     * not depend on how the run is cut into segments. The last round
+     * also waits for the epoch-@p last broadcast (a GroupSigma relays
+     * it), so the segment ends drained. Returns the model the node then
+     * holds: the epoch-@p last model or, if its broadcast was missed
+     * (fault mode), an older one or none.
      */
-    PipelineResult runPipelined(const NodeAssignment &assign,
-                                const ClusterTopology &topo,
-                                const std::vector<double> &model0,
-                                uint64_t rounds, PipelineSink &sink);
+    std::vector<double> runSegment(const NodeAssignment &assign,
+                                   const ClusterTopology &topo,
+                                   const std::vector<double> &model,
+                                   uint64_t first, uint64_t last,
+                                   Sink &sink);
 
   private:
     /** Takes on role @p assign in @p topo for the next rounds. */
@@ -245,9 +234,9 @@ class NodeRuntime
     /** The nodes this Sigma folds partials from and sends the model
      *  to, GroupSigmas first; empty for a Delta. */
     std::vector<int> children_;
-    /** The model this node holds and its epoch (round k's product is
-     *  epoch k+1). Under runRole the caller owns the round's model,
-     *  and model_ only receives the round's product or broadcast. */
+    /** The model this node adopted or produced and its epoch (round
+     *  k's product is epoch k+1). While epoch_ is the segment's first,
+     *  the node holds the caller's model and model_ is empty. */
     std::vector<double> model_;
     uint64_t epoch_ = 0;
     /** Partials read outside a collection, kept for the next one

@@ -141,8 +141,9 @@ class Session
     /**
      * Trains to completion (prepare()s first if needed); returns the
      * report. Rethrows failures after recording them in progress().
-     * A concurrent cancel() stops the barrier loop at the next
-     * iteration boundary and marks the report cancelled.
+     * A concurrent cancel() stops the run at the next segment
+     * boundary (every iteration under the barrier protocol) and marks
+     * the report cancelled.
      */
     const TrainingReport &run();
 

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <utility>
 
 #include "common/rng.h"
@@ -176,6 +177,58 @@ TEST_P(FaultInjectionModes, CrashedDeltaIsEvictedAndTrainingConverges)
     EXPECT_LT(report.epochLoss.back(), report.epochLoss.front());
     for (double loss : report.epochLoss)
         EXPECT_TRUE(std::isfinite(loss));
+}
+
+/**
+ * A crash plan keeps one-round segments even with overlapIterations
+ * on: eviction and repair run between segments. The overlapped run is
+ * the barrier run — same model bits, same counters, same topology.
+ */
+TEST_P(FaultInjectionModes, CrashPlanWithOverlapMatchesBarrier)
+{
+    auto cfg = chaosCluster(8, 2);
+    cfg.mode = GetParam();
+    cfg.aggregation.deterministic = true;
+    tightWindows(cfg);
+    cfg.faultPlan.crash(7, 2);
+
+    ClusterRuntime barrier(ml::Workload::byName("tumor"), 64.0, cfg);
+    const TrainingReport base = barrier.train(3);
+    cfg.overlapIterations = true;
+    ClusterRuntime overlap(ml::Workload::byName("tumor"), 64.0, cfg);
+    const TrainingReport report = overlap.train(3);
+
+    ASSERT_EQ(report.finalModel.size(), base.finalModel.size());
+    for (size_t i = 0; i < base.finalModel.size(); ++i)
+        ASSERT_EQ(std::memcmp(&report.finalModel[i], &base.finalModel[i],
+                              sizeof(double)),
+                  0)
+            << "word " << i;
+
+    // Everything but receiveTimeouts, the one timing-sensitive counter.
+    const RecoveryStats &a = report.recovery, &b = base.recovery;
+    EXPECT_EQ(a.partialsMissed, b.partialsMissed);
+    EXPECT_EQ(a.broadcastsMissed, b.broadcastsMissed);
+    EXPECT_EQ(a.duplicatesDropped, b.duplicatesDropped);
+    EXPECT_EQ(a.staleDropped, b.staleDropped);
+    EXPECT_EQ(a.malformedDropped, b.malformedDropped);
+    EXPECT_EQ(a.messagesDropped, b.messagesDropped);
+    EXPECT_EQ(a.messagesDelayed, b.messagesDelayed);
+    EXPECT_EQ(a.messagesDuplicated, b.messagesDuplicated);
+    EXPECT_EQ(a.stragglerStalls, b.stragglerStalls);
+    EXPECT_EQ(a.nodesEvicted, b.nodesEvicted);
+    EXPECT_EQ(a.sigmaPromotions, b.sigmaPromotions);
+    EXPECT_EQ(a.topologyRepairs, b.topologyRepairs);
+    EXPECT_EQ(a.nodesEvicted, 1u);
+
+    ASSERT_EQ(report.topology.nodes.size(), base.topology.nodes.size());
+    for (size_t i = 0; i < base.topology.nodes.size(); ++i) {
+        EXPECT_EQ(report.topology.nodes[i].id, base.topology.nodes[i].id);
+        EXPECT_EQ(report.topology.nodes[i].role,
+                  base.topology.nodes[i].role);
+        EXPECT_EQ(report.topology.nodes[i].parent,
+                  base.topology.nodes[i].parent);
+    }
 }
 
 /**
@@ -670,6 +723,42 @@ TEST(FaultInjectionCluster, AsyncPipelineAbsorbsDroppedBroadcast)
     EXPECT_LT(report.epochLoss.back(), report.epochLoss.front());
     EXPECT_LE(report.staleness.maxEpochLag, 2u);
     EXPECT_EQ(report.recovery.nodesEvicted, 0u);
+}
+
+/**
+ * A pipelined run ends drained: every node waits for the final round's
+ * broadcast, as the barrier protocol always did. Dropping that
+ * broadcast to one Delta is therefore a counted miss (before the
+ * drained end, the run finished without noticing it). The master's
+ * model is untouched, and pipelined mode never evicts.
+ */
+TEST(FaultInjectionCluster, PipelinedRunWaitsForItsFinalBroadcast)
+{
+    auto cfg = chaosCluster(4, 1);
+    cfg.aggregation.deterministic = true;
+    cfg.overlapIterations = true;
+    tightWindows(cfg);
+    ClusterRuntime healthy(ml::Workload::byName("tumor"), 64.0, cfg);
+    const TrainingReport base = healthy.train(2); // rounds 0..3
+
+    cfg.faultPlan.drop(0, 3, 3); // the master's round-3 broadcast
+    ClusterRuntime runtime(ml::Workload::byName("tumor"), 64.0, cfg);
+    const TrainingReport report = runtime.train(2);
+
+    const RecoveryStats &r = report.recovery;
+    EXPECT_EQ(r.messagesDropped, 1u);
+    EXPECT_EQ(r.broadcastsMissed, 1u);
+    EXPECT_EQ(r.partialsMissed, 0u);
+    EXPECT_EQ(r.staleDropped, 0u);
+    EXPECT_GE(r.receiveTimeouts, 1u);
+    EXPECT_EQ(r.nodesEvicted, 0u);
+    EXPECT_EQ(report.topology.nodes.size(), 4u);
+    ASSERT_EQ(report.finalModel.size(), base.finalModel.size());
+    for (size_t i = 0; i < base.finalModel.size(); ++i)
+        ASSERT_EQ(std::memcmp(&report.finalModel[i], &base.finalModel[i],
+                              sizeof(double)),
+                  0)
+            << "word " << i;
 }
 
 } // namespace

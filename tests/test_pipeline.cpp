@@ -288,6 +288,32 @@ TEST(PipelineStages, TapeRowKeepsTheDfgEdgeCount)
     EXPECT_EQ(row->edgesAfter, row->edgesBefore);
 }
 
+TEST(PipelineStages, LaterStagesReportTheOptimizedEdgeCount)
+{
+    // plan, map and tape report the optimized graph's edges: the
+    // rewrite's count when it ran (it changes stock's graph), the
+    // translate pass's when it did not.
+    for (int sweeps : {8, 0}) {
+        SCOPED_TRACE(sweeps);
+        compiler::CompileOptions options;
+        options.rewriteMaxSweeps = sweeps;
+        auto src = ml::Workload::byName("stock").dslSource(16.0);
+        Pipeline pipeline(src, accel::PlatformSpec::ultrascalePlus(),
+                          options);
+        pipeline.mapped();
+        pipeline.tape();
+        const int64_t edges = dfg::edgeCount(pipeline.optimized().dfg);
+        EXPECT_EQ(pipeline.report().pass("rewrite") != nullptr,
+                  sweeps > 0);
+        for (const char *stage : {"plan", "map", "tape"}) {
+            const PassStats *row = pipeline.report().pass(stage);
+            ASSERT_NE(row, nullptr) << stage;
+            EXPECT_EQ(row->edgesBefore, edges) << stage;
+            EXPECT_EQ(row->edgesAfter, edges) << stage;
+        }
+    }
+}
+
 TEST(PipelineStages, MappedReusesThePlannersKernel)
 {
     for (const char *name : {"stock", "tumor", "mnist", "acoustic",

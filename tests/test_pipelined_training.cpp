@@ -134,6 +134,38 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, SyncOverlapBitExact,
                          ::testing::ValuesIn(overlapMatrix()),
                          caseName);
 
+TEST(PipelinedCluster, SecondTrainOnOneRuntimeMatchesBarrier)
+{
+    // A pipelined run ends drained: every node waits for the final
+    // broadcast, so nothing of the first run is left in an inbox and a
+    // second run on the same runtime follows the barrier trajectory.
+    for (net::TransportKind transport :
+         {net::TransportKind::InProcess, net::TransportKind::Tcp}) {
+        for (int groups : {1, 2}) {
+            SCOPED_TRACE(std::string(transport == net::TransportKind::Tcp
+                                         ? "tcp"
+                                         : "inproc") +
+                         " groups " + std::to_string(groups));
+            ClusterConfig cfg = smallCluster(4 * groups, groups);
+            cfg.transport.kind = transport;
+            ClusterRuntime barrier(ml::Workload::byName("mnist"), 64.0,
+                                   cfg);
+            const TrainingReport base1 = barrier.train(2);
+            const TrainingReport base2 = barrier.train(2);
+
+            cfg.overlapIterations = true;
+            ClusterRuntime overlap(ml::Workload::byName("mnist"), 64.0,
+                                   cfg);
+            const TrainingReport piped1 = overlap.train(2);
+            const TrainingReport piped2 = overlap.train(2);
+            expectBitEqual(piped1.finalModel, base1.finalModel,
+                           "first run");
+            expectBitEqual(piped2.finalModel, base2.finalModel,
+                           "second run");
+        }
+    }
+}
+
 TEST(PipelinedCluster, SyncOverlapIsDeterministicAcrossRuns)
 {
     ClusterConfig cfg = smallCluster();
