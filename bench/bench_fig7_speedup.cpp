@@ -71,11 +71,12 @@ main()
               << TablePrinter::num(mean(ratio16), 1)
               << "x  (paper: 18.8x mean)\n";
     std::cout << "Paper reference means: 4/8/16-FPGA = 12.6x / 23.1x / "
-              << "33.8x; 16-CPU Spark = 1.8x.\n";
+              << "33.8x; 16-CPU Spark = 1.8x.\n\n";
 
     // Build-cache effect: one cold in-memory build against repeated
-    // warm hits of the same source + platform + options. The last line
-    // is a machine-readable JSON summary for the perf trajectory.
+    // warm hits of the same source + platform + options, as a text
+    // line and a machine-readable JSON line. Both are live timings, so
+    // they go to stderr and stdout stays identical from run to run.
     using clock = std::chrono::steady_clock;
     auto seconds = [](clock::time_point a, clock::time_point b) {
         return std::chrono::duration<double>(b - a).count();
@@ -97,11 +98,11 @@ main()
     double warm_sec = seconds(t2, t3) / warm_reps;
 
     auto stats = compile::BuildCache::instance().stats();
-    std::cout << "\nBuild cache (face, scale 1/16): cold "
+    std::cerr << "Build cache (face, scale 1/16): cold "
               << TablePrinter::num(cold_sec * 1e3, 3) << " ms, warm hit "
               << TablePrinter::num(warm_sec * 1e6, 3) << " us ("
               << TablePrinter::num(cold_sec / warm_sec, 0) << "x)\n";
-    std::cout << "{\"bench\":\"fig7_speedup\",\"build_cache\":{"
+    std::cerr << "{\"bench\":\"fig7_speedup\",\"build_cache\":{"
               << "\"cold_sec\":" << cold_sec
               << ",\"warm_sec\":" << warm_sec
               << ",\"speedup\":" << cold_sec / warm_sec

@@ -211,13 +211,11 @@ main()
                       std::to_string(ids.size())});
     table.print(std::cout);
 
-    const bool cache_enabled = compile::BuildCache::enabled();
     const bool gate_concurrency =
         peak_concurrent >= kConcurrencyTarget;
     const bool gate_isolation =
         matches == static_cast<int>(ids.size());
-    // With the cache disabled by env there is nothing to dedup.
-    const bool gate_dedup = !cache_enabled || hits > 0;
+    const bool gate_dedup = hits > 0;
 
     std::cout << "\nGates: concurrency >= " << kConcurrencyTarget
               << " — " << (gate_concurrency ? "MET" : "NOT MET")

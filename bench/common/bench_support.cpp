@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "baselines/gpu_model.h"
 #include "baselines/spark_model.h"
@@ -15,96 +11,10 @@
 
 namespace cosmic::bench {
 
-namespace {
-
-/** v6: the platform name sits on its own line (it contains spaces). */
-constexpr int kCacheVersion = 6;
-
-bool
-cacheEnabled()
-{
-    const char *env = std::getenv("COSMIC_BENCH_CACHE");
-    return env == nullptr || std::string(env) != "0";
-}
-
-std::filesystem::path
-cachePath(const ml::Workload &w, const accel::PlatformSpec &p,
-          double scale)
-{
-    std::string platform = p.name;
-    for (auto &c : platform)
-        if (c == ' ' || c == '/' || c == '+')
-            c = '_';
-    std::ostringstream name;
-    name << w.name << "__" << platform << "__s" << scale << ".txt";
-    return std::filesystem::path("bench-cache") / name.str();
-}
-
-bool
-loadSummary(const std::filesystem::path &path, WorkloadSummary &out)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    int version = 0;
-    in >> version;
-    if (version != kCacheVersion)
-        return false;
-    in >> out.workload;
-    std::getline(in >> std::ws, out.platform);
-    in >> out.perf.frequencyHz >> out.perf.threads >> out.perf.columns >>
-        out.perf.wordsPerCycle >> out.perf.pcieBandwidthBytesPerSec >>
-        out.perf.computeCyclesPerRecord >> out.perf.recordWords >>
-        out.perf.modelWords >> out.perf.gradientWords;
-    in >> out.flopsPerRecord >> out.bytesPerRecord >> out.modelBytes;
-    in >> out.threads >> out.rowsPerThread >> out.columns;
-    in >> out.usage.luts >> out.usage.flipFlops >> out.usage.bramBytes >>
-        out.usage.dspSlices >> out.usage.lutUtil >> out.usage.ffUtil >>
-        out.usage.bramUtil >> out.usage.dspUtil;
-    return static_cast<bool>(in);
-}
-
-void
-storeSummary(const std::filesystem::path &path,
-             const WorkloadSummary &s)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(path.parent_path(), ec);
-    std::ofstream out(path);
-    if (!out)
-        return;
-    out.precision(17);
-    out << kCacheVersion << "\n";
-    out << s.workload << "\n" << s.platform << "\n";
-    out << s.perf.frequencyHz << " " << s.perf.threads << " "
-        << s.perf.columns << " " << s.perf.wordsPerCycle << " "
-        << s.perf.pcieBandwidthBytesPerSec << " "
-        << s.perf.computeCyclesPerRecord << " " << s.perf.recordWords
-        << " " << s.perf.modelWords << " " << s.perf.gradientWords
-        << "\n";
-    out << s.flopsPerRecord << " " << s.bytesPerRecord << " "
-        << s.modelBytes << "\n";
-    out << s.threads << " " << s.rowsPerThread << " " << s.columns
-        << "\n";
-    out << s.usage.luts << " " << s.usage.flipFlops << " "
-        << s.usage.bramBytes << " " << s.usage.dspSlices << " "
-        << s.usage.lutUtil << " " << s.usage.ffUtil << " "
-        << s.usage.bramUtil << " " << s.usage.dspUtil << "\n";
-}
-
-} // namespace
-
 WorkloadSummary
 buildSummary(const ml::Workload &workload,
              const accel::PlatformSpec &platform, double scale)
 {
-    auto path = cachePath(workload, platform, scale);
-    WorkloadSummary summary;
-    if (cacheEnabled() && loadSummary(path, summary) &&
-        summary.workload == workload.name &&
-        summary.platform == platform.name)
-        return summary;
-
     std::fprintf(stderr, "[bench] building %s on %s ...\n",
                  workload.name.c_str(), platform.name.c_str());
     auto built = core::CosmicStack::buildWorkload(workload, scale,
@@ -112,6 +22,7 @@ buildSummary(const ml::Workload &workload,
     accel::PerfEstimator perf(built.translation,
                               built.planResult.kernel,
                               built.planResult.plan);
+    WorkloadSummary summary;
     summary.workload = workload.name;
     summary.platform = platform.name;
     summary.perf = perf.params();
@@ -122,9 +33,6 @@ buildSummary(const ml::Workload &workload,
     summary.rowsPerThread = built.planResult.plan.rowsPerThread;
     summary.columns = built.planResult.plan.columns;
     summary.usage = built.planResult.plan.resourceUsage();
-
-    if (cacheEnabled())
-        storeSummary(path, summary);
     return summary;
 }
 
@@ -132,15 +40,6 @@ WorkloadSummary
 buildTablaSummary(const ml::Workload &workload,
                   const accel::PlatformSpec &platform, double scale)
 {
-    accel::PlatformSpec tagged = platform;
-    tagged.name = platform.name + " TABLA";
-    auto path = cachePath(workload, tagged, scale);
-    WorkloadSummary summary;
-    if (cacheEnabled() && loadSummary(path, summary) &&
-        summary.workload == workload.name &&
-        summary.platform == tagged.name)
-        return summary;
-
     std::fprintf(stderr, "[bench] building %s on %s (TABLA) ...\n",
                  workload.name.c_str(), platform.name.c_str());
     auto frontend = compile::translateCached(workload.dslSource(scale));
@@ -148,8 +47,9 @@ buildTablaSummary(const ml::Workload &workload,
     auto tabla = baselines::TablaModel::build(tr, platform);
 
     accel::PerfEstimator perf(tr, tabla.kernel, tabla.plan);
+    WorkloadSummary summary;
     summary.workload = workload.name;
-    summary.platform = tagged.name;
+    summary.platform = platform.name + " TABLA";
     summary.perf = perf.params();
     summary.flopsPerRecord = static_cast<double>(
         tr.dfg.operationCount() + tr.gradientWords);
@@ -159,9 +59,6 @@ buildTablaSummary(const ml::Workload &workload,
     summary.rowsPerThread = tabla.plan.rowsPerThread;
     summary.columns = tabla.plan.columns;
     summary.usage = tabla.plan.resourceUsage();
-
-    if (cacheEnabled())
-        storeSummary(path, summary);
     return summary;
 }
 

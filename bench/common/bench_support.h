@@ -4,11 +4,11 @@
  *
  * Every bench binary regenerates one of the paper's tables or figures.
  * They all need the same expensive artifact — the planned + compiled
- * accelerator for each (benchmark, platform) pair — so this support
- * library runs the full stack once and caches the resulting timing
- * summary (a dozen numbers) in ./bench-cache/. Re-runs of the harness
- * then take seconds. Delete the directory (or set COSMIC_BENCH_CACHE=0)
- * to force a full rebuild.
+ * accelerator for each (benchmark, platform) pair — which this support
+ * library builds through the compile pipeline's in-memory BuildCache
+ * (compiler/pipeline.h) and reduces to a timing summary of a dozen
+ * numbers. Nothing persists between runs, so a figure always comes from
+ * the code that prints it.
  */
 #pragma once
 
@@ -25,7 +25,8 @@
 
 namespace cosmic::bench {
 
-/** Cached result of building one benchmark for one platform. */
+/** What the figures need from building one benchmark for one
+ *  platform. */
 struct WorkloadSummary
 {
     std::string workload;
@@ -43,7 +44,7 @@ struct WorkloadSummary
     accel::ResourceUsage usage;
 };
 
-/** Builds (or loads) the summary for one benchmark on one platform. */
+/** Builds the summary for one benchmark on one platform. */
 WorkloadSummary buildSummary(const ml::Workload &workload,
                              const accel::PlatformSpec &platform,
                              double scale = 1.0);
@@ -53,7 +54,7 @@ std::vector<WorkloadSummary>
 buildSuite(const accel::PlatformSpec &platform, double scale = 1.0);
 
 /**
- * Builds (or loads) the TABLA-baseline summary: single thread over the
+ * Builds the TABLA-baseline summary: single thread over the
  * whole fabric, operation-first mapping, flat shared bus (Fig. 17).
  */
 WorkloadSummary buildTablaSummary(const ml::Workload &workload,
@@ -63,7 +64,7 @@ WorkloadSummary buildTablaSummary(const ml::Workload &workload,
 /** Per-node accelerator time for a mini-batch of @p records. */
 double nodeBatchSeconds(const WorkloadSummary &summary, int64_t records);
 
-/** CoSMIC cluster estimate from a cached summary. */
+/** CoSMIC cluster estimate from a summary. */
 core::ScaleOutEstimate
 cosmicEstimate(const WorkloadSummary &summary, int nodes,
                int64_t minibatch_per_node, int64_t total_records,

@@ -1,35 +1,9 @@
 #include "compiler/kernel.h"
 
-#include <cstdlib>
-
 #include "common/error.h"
 #include "dfg/analysis.h"
 
 namespace cosmic::compiler {
-
-bool
-parseElasticEnv(const char *env)
-{
-    if (env == nullptr || *env == '\0')
-        COSMIC_FATAL("COSMIC_ELASTIC is set but empty: expected 0 "
-                     "(static schedule) or 1 (elastic DSE)");
-    if (env[0] == '0' && env[1] == '\0')
-        return false;
-    if (env[0] == '1' && env[1] == '\0')
-        return true;
-    COSMIC_FATAL("COSMIC_ELASTIC='"
-                 << env
-                 << "' is not a recognized value: expected 0 (static "
-                    "schedule) or 1 (elastic DSE)");
-}
-
-bool
-effectiveElasticMode(const CompileOptions &options)
-{
-    if (const char *env = std::getenv("COSMIC_ELASTIC"))
-        return parseElasticEnv(env);
-    return options.elasticMode;
-}
 
 CompiledKernel
 KernelCompiler::compile(const dfg::Translation &tr,

@@ -10,8 +10,6 @@
  */
 #pragma once
 
-#include <string>
-
 #include "accel/plan.h"
 #include "compiler/interconnect.h"
 #include "compiler/mapper.h"
@@ -35,18 +33,9 @@ struct CompileOptions
      * the stage, leaving the translator's graph as it is. Every
      * pattern is required to keep trained trajectories bit-exact
      * against the unoptimized graph in both plain-double and Q16.16
-     * modes.
+     * modes. The stage runs every registered pattern.
      */
     int rewriteMaxSweeps = 8;
-
-    /**
-     * Comma-separated enabled-pattern list for the rewrite engine
-     * (empty = all registered patterns, e.g. "fold-constants",
-     * "cse", "dead-node-elim"); unknown names are a configuration
-     * error. The COSMIC_REWRITE_PATTERNS environment variable, when
-     * set, overrides this field.
-     */
-    std::string rewritePatterns;
 
     /**
      * Skip narrow-thread design points for very large DFGs during
@@ -72,9 +61,7 @@ struct CompileOptions
      * design-space exploration: on top of every static design point,
      * evaluate the same mapping with ready/valid firing and optimized
      * inter-PE FIFOs (accel/elastic.h, accel/buffer_opt.h), charging
-     * the FIFO bytes against the platform's BRAM budget. The
-     * COSMIC_ELASTIC environment variable ("0"/"1"), when set,
-     * overrides this field.
+     * the FIFO bytes against the platform's BRAM budget.
      */
     bool elasticMode = false;
 
@@ -94,18 +81,6 @@ struct CompileOptions
         return o;
     }
 };
-
-/**
- * Strict parser behind the COSMIC_ELASTIC knob (exposed for tests):
- * "0" and "1" are the only recognized values; anything else — including
- * a set-but-empty variable — is a configuration error, never a silent
- * default.
- */
-bool parseElasticEnv(const char *env);
-
-/** options.elasticMode after the COSMIC_ELASTIC override (a *set*
- *  variable overrides even an explicit field value). */
-bool effectiveElasticMode(const CompileOptions &options);
 
 /** The fully compiled accelerator program for one plan. */
 struct CompiledKernel

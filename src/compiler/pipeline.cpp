@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -48,35 +47,12 @@ appendInt(std::string &out, int64_t v)
     out += '|';
 }
 
-/**
- * The enabled rewrite-pattern set the optimize stage will run (and
- * the build keys must record): COSMIC_REWRITE_PATTERNS overrides the
- * option field and the spec is resolved strictly (unknown names
- * throw). Empty when the sweep budget is 0 — then the optimize stage
- * runs no patterns.
- */
-std::vector<std::string>
-effectiveRewritePatterns(const compiler::CompileOptions &o)
-{
-    if (o.rewriteMaxSweeps <= 0)
-        return {};
-    const char *env = std::getenv("COSMIC_REWRITE_PATTERNS");
-    return dfg::resolvePatternList(env ? env : o.rewritePatterns);
-}
-
-/** Rewrite options only — all that affects the frontend artifact. */
+/** The rewrite budget — all that affects the frontend artifact. */
 std::string
 frontendOptionsKey(const compiler::CompileOptions &o)
 {
     std::string key;
     appendInt(key, o.rewriteMaxSweeps);
-    // The *effective* pattern set (after the env override) enters the
-    // key, so changing COSMIC_REWRITE_PATTERNS is an honest cache miss,
-    // never a stale hit on a differently-optimized artifact.
-    for (const auto &name : effectiveRewritePatterns(o)) {
-        key += name;
-        key += '|';
-    }
     return key;
 }
 
@@ -89,10 +65,7 @@ fullOptionsKey(const compiler::CompileOptions &o)
     appendInt(key, o.pruneSmallRows);
     appendInt(key, o.forceThreads);
     appendInt(key, o.forceRowsPerThread);
-    // The *effective* elastic mode (after the COSMIC_ELASTIC override)
-    // enters the key: elastic exploration changes the chosen design
-    // point, so flipping the env var must be an honest cache miss.
-    appendInt(key, effectiveElasticMode(o));
+    appendInt(key, o.elasticMode);
     appendInt(key, o.elasticBufferBudgetBytes);
     return key;
 }
@@ -299,11 +272,8 @@ Pipeline::optimized()
 {
     if (!optimizeRan_) {
         const dfg::Translation &raw = translated();
-        std::vector<std::string> patterns =
-            effectiveRewritePatterns(options_);
-        if (!patterns.empty()) {
+        if (options_.rewriteMaxSweeps > 0) {
             dfg::RewriteOptions rewrite_options;
-            rewrite_options.patterns = std::move(patterns);
             rewrite_options.maxSweeps = options_.rewriteMaxSweeps;
             auto start = std::chrono::steady_clock::now();
             dfg::RewriteOutcome o;
@@ -423,16 +393,6 @@ BuildCache::instance()
     return cache;
 }
 
-bool
-BuildCache::enabled()
-{
-    static const bool on = [] {
-        const char *env = std::getenv("COSMIC_BUILD_CACHE");
-        return !(env && std::string(env) == "0");
-    }();
-    return on;
-}
-
 std::shared_ptr<const FrontendArtifact>
 BuildCache::getFrontend(const std::string &key)
 {
@@ -504,18 +464,14 @@ translateCached(const std::string &source,
 {
     const std::string key = frontendKey(source, options);
     auto &cache = BuildCache::instance();
-    if (BuildCache::enabled()) {
-        if (auto hit = cache.getFrontend(key))
-            return hit;
-    }
+    if (auto hit = cache.getFrontend(key))
+        return hit;
     Pipeline pipeline(source, options);
     pipeline.optimized();
     auto artifact = std::make_shared<FrontendArtifact>();
     artifact->report = pipeline.report();
     artifact->translation = pipeline.takeOptimized();
-    if (BuildCache::enabled())
-        return cache.putFrontend(key, std::move(artifact));
-    return artifact;
+    return cache.putFrontend(key, std::move(artifact));
 }
 
 std::shared_ptr<const BuildArtifact>
@@ -525,17 +481,13 @@ buildCached(const std::string &source,
 {
     const std::string key = buildKey(source, platform, options);
     auto &cache = BuildCache::instance();
-    if (BuildCache::enabled()) {
-        if (auto hit = cache.getBuild(key))
-            return hit;
-    }
+    if (auto hit = cache.getBuild(key))
+        return hit;
     Pipeline pipeline(source, platform, options);
     auto artifact = std::make_shared<BuildArtifact>();
     artifact->build = pipeline.finish();
     artifact->report = pipeline.report();
-    if (BuildCache::enabled())
-        return cache.putBuild(key, std::move(artifact));
-    return artifact;
+    return cache.putBuild(key, std::move(artifact));
 }
 
 dfg::Translation

@@ -26,7 +26,7 @@
  * cluster runtime, benches) funnels through: an in-memory,
  * mutex-protected cache keyed by the *content* of (DSL source,
  * platform, options) returns the same immutable artifact for repeated
- * builds of identical inputs. `COSMIC_BUILD_CACHE=0` disables it.
+ * builds of identical inputs.
  */
 #pragma once
 
@@ -82,8 +82,8 @@ struct PipelineReport
     std::vector<PassStats> passes;
     /**
      * Per-pattern hit counters of the optimize stage (one entry per
-     * enabled pattern, registry order); empty when it ran no
-     * patterns.
+     * registered pattern, registry order); empty when the stage did
+     * not run.
      */
     std::vector<dfg::PatternStats> patternHits;
     /** Fixpoint sweeps the rewrite engine executed (0 = no rewrite
@@ -93,13 +93,6 @@ struct PipelineReport
     bool rewriteBudgetExhausted = false;
     /** FNV-1a fingerprint of (source, platform, options). */
     uint64_t contentHash = 0;
-    /**
-     * Reserved for tools that copy a report after a cache lookup; a
-     * Pipeline itself always records false. Cached artifacts are
-     * immutable and shared, so hit observability lives in
-     * BuildCache::stats(), not here.
-     */
-    bool cacheHit = false;
 
     double totalSeconds() const;
     const PassStats *pass(const std::string &name) const;
@@ -213,8 +206,6 @@ class BuildCache
 {
   public:
     static BuildCache &instance();
-    /** False when COSMIC_BUILD_CACHE=0 (checked once per process). */
-    static bool enabled();
 
     std::shared_ptr<const FrontendArtifact>
     getFrontend(const std::string &key);

@@ -913,22 +913,6 @@ registeredPatternNames()
     return names;
 }
 
-std::vector<std::string>
-resolvePatternList(const std::string &spec)
-{
-    std::vector<std::string> requested;
-    std::string token;
-    std::istringstream in(spec);
-    while (std::getline(in, token, ',')) {
-        size_t first = token.find_first_not_of(" \t");
-        if (first == std::string::npos)
-            continue;
-        size_t last = token.find_last_not_of(" \t");
-        requested.push_back(token.substr(first, last - first + 1));
-    }
-    return canonicalPatternSet(requested);
-}
-
 std::optional<Dfg>
 rewriteGraph(const Dfg &source, const RewriteOptions &options,
              RewriteOutcome &outcome)
@@ -995,7 +979,10 @@ rewriteGraph(const Dfg &source, const RewriteOptions &options,
         outcome.patterns.push_back(std::move(stats));
     }
     outcome.shape.nodesAfter = graph.current().size();
-    outcome.shape.edgesAfter = edgeCount(graph.current());
+    // A run that changed nothing leaves the source as the result, whose
+    // edges were just counted.
+    outcome.shape.edgesAfter = graph.owned ? edgeCount(*graph.owned)
+                                           : outcome.shape.edgesBefore;
     return std::move(graph.owned);
 }
 

@@ -65,11 +65,11 @@
  * fires, and rebuilds from that node on; a sweep that claims nothing
  * copies nothing and leaves the graph untouched.
  *
- * The compile pipeline runs the framework as its optimize stage. The
- * per-pass booleans of compiler::CompileOptions gate their same-named
- * patterns, the enabled pattern set folds into the BuildCache content
- * hash, and COSMIC_REWRITE_PATTERNS (comma-separated names, strictly
- * parsed) overrides it per process.
+ * The compile pipeline runs the framework as its optimize stage with
+ * every registered pattern; compiler::CompileOptions::rewriteMaxSweeps
+ * is its one setting (0 skips the stage) and enters the BuildCache
+ * content hash. RewriteOptions::patterns selects a subset for tests
+ * that exercise one pattern at a time.
  */
 #pragma once
 
@@ -216,15 +216,6 @@ struct RewriteOutcome
 
 /** All registered pattern names, registry order. */
 const std::vector<std::string> &registeredPatternNames();
-
-/**
- * Parses a comma-separated pattern list ("cse,dead-node-elim") into
- * the canonical enabled set (registry order, deduplicated). An empty
- * spec selects every registered pattern; an unknown name throws a
- * CosmicError — a misspelled COSMIC_REWRITE_PATTERNS must abort, not
- * silently disable an optimization.
- */
-std::vector<std::string> resolvePatternList(const std::string &spec);
 
 /**
  * Runs the enabled patterns over @p source to fixpoint (bounded by

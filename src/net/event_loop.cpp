@@ -1,19 +1,11 @@
 #include "net/event_loop.h"
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define COSMIC_HAVE_EPOLL 1
-#else
-#define COSMIC_HAVE_EPOLL 0
-#endif
 
 #include "common/error.h"
 
@@ -32,13 +24,6 @@ makeNonBlocking(int fd)
                   << std::strerror(errno));
 }
 
-bool
-forcePoll()
-{
-    const char *env = std::getenv("COSMIC_NET_FORCE_POLL");
-    return env && env[0] != '\0' && env[0] != '0';
-}
-
 } // namespace
 
 EventLoop::EventLoop()
@@ -48,31 +33,10 @@ EventLoop::EventLoop()
                   << std::strerror(errno));
     makeNonBlocking(wakePipe_[0]);
     makeNonBlocking(wakePipe_[1]);
-#if COSMIC_HAVE_EPOLL
-    if (!forcePoll()) {
-        epollFd_ = ::epoll_create1(EPOLL_CLOEXEC);
-        // Fall through to the poll() path on failure — same semantics,
-        // just a rebuilt pollfd set per wait.
-        if (epollFd_ >= 0) {
-            struct epoll_event ev;
-            std::memset(&ev, 0, sizeof(ev));
-            ev.events = EPOLLIN;
-            ev.data.fd = wakePipe_[0];
-            COSMIC_ASSERT(::epoll_ctl(epollFd_, EPOLL_CTL_ADD,
-                                      wakePipe_[0], &ev) == 0,
-                          "epoll_ctl(ADD wake pipe) failed: "
-                          << std::strerror(errno));
-        }
-    }
-#else
-    (void)forcePoll();
-#endif
 }
 
 EventLoop::~EventLoop()
 {
-    if (epollFd_ >= 0)
-        ::close(epollFd_);
     if (wakePipe_[0] >= 0)
         ::close(wakePipe_[0]);
     if (wakePipe_[1] >= 0)
@@ -83,40 +47,16 @@ void
 EventLoop::add(int fd, bool want_write)
 {
     watches_.push_back(Watch{fd, want_write});
-#if COSMIC_HAVE_EPOLL
-    if (epollFd_ >= 0) {
-        struct epoll_event ev;
-        std::memset(&ev, 0, sizeof(ev));
-        ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-        ev.data.fd = fd;
-        COSMIC_ASSERT(::epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev) == 0,
-                      "epoll_ctl(ADD) failed: " << std::strerror(errno));
-    }
-#endif
 }
 
 void
 EventLoop::setWriteInterest(int fd, bool want_write)
 {
     for (Watch &w : watches_) {
-        if (w.fd != fd)
-            continue;
-        if (w.wantWrite == want_write)
+        if (w.fd == fd) {
+            w.wantWrite = want_write;
             return;
-        w.wantWrite = want_write;
-#if COSMIC_HAVE_EPOLL
-        if (epollFd_ >= 0) {
-            struct epoll_event ev;
-            std::memset(&ev, 0, sizeof(ev));
-            ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-            ev.data.fd = fd;
-            COSMIC_ASSERT(::epoll_ctl(epollFd_, EPOLL_CTL_MOD, fd,
-                                      &ev) == 0,
-                          "epoll_ctl(MOD) failed: "
-                          << std::strerror(errno));
         }
-#endif
-        return;
     }
     COSMIC_FATAL("setWriteInterest on unregistered fd " << fd);
 }
@@ -128,10 +68,6 @@ EventLoop::remove(int fd)
         if (watches_[i].fd != fd)
             continue;
         watches_.erase(watches_.begin() + static_cast<long>(i));
-#if COSMIC_HAVE_EPOLL
-        if (epollFd_ >= 0)
-            ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, fd, nullptr);
-#endif
         return;
     }
     COSMIC_FATAL("remove of unregistered fd " << fd);
@@ -141,38 +77,8 @@ int
 EventLoop::wait(std::vector<Event> &out, int timeout_ms)
 {
     out.clear();
-#if COSMIC_HAVE_EPOLL
-    if (epollFd_ >= 0) {
-        struct epoll_event events[64];
-        int n;
-        do {
-            n = ::epoll_wait(epollFd_, events, 64, timeout_ms);
-        } while (n < 0 && errno == EINTR);
-        COSMIC_ASSERT(n >= 0,
-                      "epoll_wait failed: " << std::strerror(errno));
-        wakeups_.fetch_add(1, std::memory_order_relaxed);
-        for (int i = 0; i < n; ++i) {
-            const int fd = events[i].data.fd;
-            if (fd == wakePipe_[0]) {
-                char buf[64];
-                while (::read(wakePipe_[0], buf, sizeof(buf)) > 0) {
-                }
-                continue;
-            }
-            Event ev;
-            ev.fd = fd;
-            ev.readable = (events[i].events & EPOLLIN) != 0;
-            ev.writable = (events[i].events & EPOLLOUT) != 0;
-            ev.hangup =
-                (events[i].events & (EPOLLHUP | EPOLLERR)) != 0;
-            out.push_back(ev);
-        }
-        return static_cast<int>(out.size());
-    }
-#endif
     pollScratch_.clear();
-    pollScratch_.push_back(
-        {wakePipe_[0], POLLIN, 0});
+    pollScratch_.push_back({wakePipe_[0], POLLIN, 0});
     for (const Watch &w : watches_)
         pollScratch_.push_back(
             {w.fd,

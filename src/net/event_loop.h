@@ -1,12 +1,12 @@
 /**
  * @file
- * The network thread's readiness loop: epoll with a poll() fallback.
+ * The network thread's readiness loop, built on poll().
  *
  * Each TCP transport endpoint runs one dedicated network thread that
- * blocks here — the paper's Incoming Network Handler "epolls" its
- * sockets (Sec. 3) and our loop does the same literally on Linux,
- * falling back to poll() elsewhere (or when COSMIC_NET_FORCE_POLL is
- * set, which is how the fallback stays tested on Linux CI).
+ * blocks here — the paper's Incoming Network Handler dispatches on
+ * socket readiness (Sec. 3), and poll() gives that readiness on every
+ * POSIX host. A transport watches a handful of sockets, so rebuilding
+ * the pollfd set per wait costs nothing measurable.
  *
  * The loop watches a set of fds for read/write readiness plus one
  * internal wakeup pipe: notify() is the only thread-safe entry point
@@ -39,7 +39,6 @@ class EventLoop
         bool hangup = false;
     };
 
-    /** Epoll when available unless COSMIC_NET_FORCE_POLL is set. */
     EventLoop();
     ~EventLoop();
 
@@ -57,19 +56,17 @@ class EventLoop
 
     /**
      * Blocks up to @p timeout_ms (-1 = forever) for readiness and
-     * fills @p out. Internal wakeup-pipe events are consumed and not
-     * reported. @return Number of events in @p out.
+     * fills @p out with one event per ready fd. Internal wakeup-pipe
+     * events are consumed and not reported.
+     * @return Number of events in @p out.
      */
     int wait(std::vector<Event> &out, int timeout_ms);
 
     /** Thread-safe: wakes a blocked wait(). */
     void notify();
 
-    /** Times wait() returned (the epoll-wakeup observability stat). */
+    /** Times wait() returned (the wakeup observability stat). */
     uint64_t wakeups() const { return wakeups_.load(); }
-
-    /** True when the backend is epoll (false: poll fallback). */
-    bool usingEpoll() const { return epollFd_ >= 0; }
 
   private:
     struct Watch
@@ -78,14 +75,12 @@ class EventLoop
         bool wantWrite = false;
     };
 
-    /** -1 when the poll() fallback is active. */
-    int epollFd_ = -1;
     /** Wakeup pipe: [0] read end watched by the loop, [1] written by
      *  notify(). */
     int wakePipe_[2] = {-1, -1};
-    /** Registered fds (authoritative for poll; mirrors epoll set). */
+    /** Registered fds. */
     std::vector<Watch> watches_;
-    /** Scratch pollfd array (poll fallback; rebuilt per wait). */
+    /** Scratch pollfd array, rebuilt per wait. */
     std::vector<::pollfd> pollScratch_;
     std::atomic<uint64_t> wakeups_{0};
 };

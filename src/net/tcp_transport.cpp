@@ -257,7 +257,7 @@ TcpTransport::run()
         }
         if (!outstanding)
             break;
-        loop_.wait(events, 10); // let EPOLLOUT come around
+        loop_.wait(events, 10); // let POLLOUT come around
     }
 
     // Net thread owns every fd: close them all on the way out.

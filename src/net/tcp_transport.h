@@ -13,12 +13,12 @@
  *
  *   sender threads                      network thread
  *   --------------                      --------------
- *   send(to, msg)                       epoll/poll wait()
+ *   send(to, msg)                       poll() wait()
  *     fault filter (drop/delay/dup)       accept -> Hello handshake
  *     encodeMessage -> bytes              connect-complete -> Hello
  *     append to pending[to]  --notify-->  splice pending -> outbox
  *     payload back to pool                flush writes (partial-write
- *                                           safe, EAGAIN -> EPOLLOUT)
+ *                                           safe, EAGAIN -> POLLOUT)
  *                                         read -> inbuf -> peekFrame
  *                                         decodeMessage (pool buffers)
  *                                           -> inbox Channel

@@ -12,7 +12,7 @@
  *    runtime.
  *  - TcpTransport — real sockets. send() serializes the Message into
  *    the wire format (net/wire.h) and a dedicated network thread per
- *    node moves bytes through a non-blocking epoll/poll event loop;
+ *    node moves bytes through a non-blocking poll() event loop;
  *    decoded messages land in the same inbox Channel, with payloads
  *    acquired from the shared BufferPool so the zero-copy aggregation
  *    path downstream is unchanged.
@@ -82,7 +82,7 @@ struct NetStats
     uint64_t bytesReceived = 0;
     uint64_t framesSent = 0;
     uint64_t framesReceived = 0;
-    /** Event-loop returns (epoll/poll wakeups) on the net thread. */
+    /** Event-loop returns (poll wakeups) on the net thread. */
     uint64_t wakeups = 0;
     /** Frames rejected by the wire validity checks. */
     uint64_t corruptFramesDropped = 0;

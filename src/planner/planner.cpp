@@ -130,7 +130,7 @@ Planner::plan(const dfg::Translation &tr, const PlatformSpec &platform,
     std::shared_ptr<compiler::CompiledKernel> best_kernel;
     // The elastic probe likewise depends only on the kernel (rows); the
     // BRAM budget depends on the thread count, so fitting is per point.
-    const bool elastic = compiler::effectiveElasticMode(options);
+    const bool elastic = options.elasticMode;
     std::optional<accel::BufferPlacement> probe;
 
     double best_throughput = -1.0;

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "accel/buffer_opt.h"
 #include "accel/elastic.h"
@@ -292,26 +291,6 @@ TEST(PlannerElastic, DseExploresElasticPoints)
         ASSERT_TRUE(result.elasticPlacement.has_value());
         EXPECT_TRUE(result.elasticPlacement->withinBudget);
     }
-}
-
-TEST(PlannerElastic, EnvOverrideParsesStrictly)
-{
-    EXPECT_FALSE(compiler::parseElasticEnv("0"));
-    EXPECT_TRUE(compiler::parseElasticEnv("1"));
-    EXPECT_THROW(compiler::parseElasticEnv(""), CosmicError);
-    EXPECT_THROW(compiler::parseElasticEnv(nullptr), CosmicError);
-    EXPECT_THROW(compiler::parseElasticEnv("yes"), CosmicError);
-    EXPECT_THROW(compiler::parseElasticEnv("10"), CosmicError);
-
-    compiler::CompileOptions options;
-    options.elasticMode = true;
-    ASSERT_EQ(setenv("COSMIC_ELASTIC", "0", 1), 0);
-    EXPECT_FALSE(compiler::effectiveElasticMode(options));
-    ASSERT_EQ(setenv("COSMIC_ELASTIC", "1", 1), 0);
-    options.elasticMode = false;
-    EXPECT_TRUE(compiler::effectiveElasticMode(options));
-    ASSERT_EQ(unsetenv("COSMIC_ELASTIC"), 0);
-    EXPECT_FALSE(compiler::effectiveElasticMode(options));
 }
 
 } // namespace

@@ -8,12 +8,17 @@
  */
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <array>
+#include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
 
+#include "common/error.h"
 #include "net/event_loop.h"
 #include "net/socket.h"
 #include "net/transport.h"
@@ -92,19 +97,65 @@ TEST(NetTransport, TcpMeshDeliversEveryPairQ16)
     exerciseMesh(accel::Numeric::Q16);
 }
 
-TEST(NetTransport, PollFallbackDeliversToo)
+TEST(NetTransport, EventLoopReportsEveryReadyWatch)
 {
-    // COSMIC_NET_FORCE_POLL routes the event loop through poll();
-    // the transport must behave identically.
-    ::setenv("COSMIC_NET_FORCE_POLL", "1", 1);
-    {
-        EventLoop probe;
-        EXPECT_FALSE(probe.usingEpoll());
+    EventLoop loop;
+    std::vector<EventLoop::Event> events;
+
+    // Every ready watch comes back from one wait(), however many.
+    const int pipes = 100;
+    std::vector<std::array<int, 2>> fds(pipes);
+    for (auto &p : fds) {
+        ASSERT_EQ(::pipe(p.data()), 0) << std::strerror(errno);
+        const char byte = 1;
+        ASSERT_EQ(::write(p[1], &byte, 1), 1);
+        loop.add(p[0]);
     }
-    exerciseMesh(accel::Numeric::F64);
-    ::unsetenv("COSMIC_NET_FORCE_POLL");
-    EventLoop probe;
-    EXPECT_TRUE(probe.usingEpoll());
+    ASSERT_EQ(loop.wait(events, 1000), pipes);
+    std::set<int> reported;
+    for (const auto &ev : events) {
+        EXPECT_TRUE(ev.readable);
+        EXPECT_FALSE(ev.writable);
+        reported.insert(ev.fd);
+    }
+    EXPECT_EQ(reported.size(), static_cast<size_t>(pipes));
+    for (const auto &p : fds)
+        EXPECT_EQ(reported.count(p[0]), 1u);
+    for (const auto &p : fds)
+        loop.remove(p[0]);
+    EXPECT_EQ(loop.wait(events, 0), 0);
+
+    // Write interest turns POLLOUT reports on and off.
+    const int writer = fds[0][1];
+    loop.add(writer);
+    EXPECT_EQ(loop.wait(events, 0), 0);
+    loop.setWriteInterest(writer, true);
+    ASSERT_EQ(loop.wait(events, 0), 1);
+    EXPECT_EQ(events[0].fd, writer);
+    EXPECT_TRUE(events[0].writable);
+    loop.setWriteInterest(writer, false);
+    EXPECT_EQ(loop.wait(events, 0), 0);
+    loop.remove(writer);
+    EXPECT_THROW(loop.remove(writer), CosmicError);
+    EXPECT_THROW(loop.setWriteInterest(writer, true), CosmicError);
+
+    // notify() wakes a wait() blocked on nothing ready.
+    const uint64_t before = loop.wakeups();
+    const auto start = std::chrono::steady_clock::now();
+    int woke = -1;
+    std::thread waiter([&] { woke = loop.wait(events, 10000); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    loop.notify();
+    waiter.join();
+    EXPECT_EQ(woke, 0);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(5));
+    EXPECT_EQ(loop.wakeups(), before + 1);
+
+    for (const auto &p : fds) {
+        ::close(p[0]);
+        ::close(p[1]);
+    }
 }
 
 /** Trains one cluster per backend with deterministic aggregation and

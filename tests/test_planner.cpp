@@ -217,7 +217,7 @@ referencePlan(const dfg::Translation &tr,
             tr.minibatch / perf.batchTime(tr.minibatch).totalSec();
         point.memoryBound = perf.memoryBound();
         consider(point, plan);
-        if (!compiler::effectiveElasticMode(options))
+        if (!options.elasticMode)
             continue;
 
         auto placement = accel::BufferOptimizer::optimize(

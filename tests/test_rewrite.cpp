@@ -3,17 +3,16 @@
  * Rewrite-framework tests: each registered pattern's match/replace on
  * minimal hand-built DFGs, the guard rejections that keep Q16.16
  * trajectories bit-exact, fixpoint termination under the sweep budget,
- * hit-counter reconciliation against PipelineReport, strict pattern
- * list parsing, the COSMIC_REWRITE_PATTERNS override, the audit
- * regressions for the shared guards, and the engine's own mechanisms:
- * the open-addressed CSE table and sweeps that leave the graph alone.
+ * hit-counter reconciliation against PipelineReport, the strict
+ * enabled-pattern set, the rewrite budget in the build-cache key, the
+ * audit regressions for the shared guards, and the engine's own
+ * mechanisms: the open-addressed CSE table and sweeps that leave the
+ * graph alone.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <optional>
 
 #include "accel/fixed_point.h"
 #include "common/error.h"
@@ -60,32 +59,6 @@ hitsFor(const dfg::RewriteOutcome &outcome, const std::string &name)
     ADD_FAILURE() << "pattern '" << name << "' missing from outcome";
     return -1;
 }
-
-/** Scoped environment override that restores the prior value. */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const char *value) : name_(name)
-    {
-        if (const char *old = std::getenv(name))
-            saved_ = old;
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-    ~EnvGuard()
-    {
-        if (saved_)
-            ::setenv(name_, saved_->c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-  private:
-    const char *name_;
-    std::optional<std::string> saved_;
-};
 
 // ------------------------------------------------------------- patterns
 
@@ -581,7 +554,7 @@ TEST(RewriteReport, HitCountersReconcileWithPipelineReport)
     EXPECT_NE(table.find("fixpoint"), std::string::npos);
 }
 
-// ------------------------------------------------ pattern list parsing
+// ------------------------------------------------- enabled pattern set
 
 TEST(RewriteConfig, ResolvePatternListIsStrictAndCanonical)
 {
@@ -590,72 +563,44 @@ TEST(RewriteConfig, ResolvePatternListIsStrictAndCanonical)
     EXPECT_EQ(all.front(), "pow-expand");
     EXPECT_EQ(all.back(), "dead-node-elim");
 
-    EXPECT_EQ(dfg::resolvePatternList(""), all);
-    EXPECT_EQ(dfg::resolvePatternList("dead-node-elim,cse"),
+    const auto raw = compile::translateSource(
+        ml::templates::linearRegression(3, 4),
+        compiler::CompileOptions{}.withDfgPasses(false));
+    auto enabled = [&](std::vector<std::string> patterns) {
+        dfg::Translation tr = raw;
+        std::vector<std::string> names;
+        for (const auto &p : run(tr, std::move(patterns)).patterns)
+            names.push_back(p.name);
+        return names;
+    };
+    EXPECT_EQ(enabled({}), all);
+    EXPECT_EQ(enabled({"dead-node-elim", "cse"}),
               (std::vector<std::string>{"cse", "dead-node-elim"}))
-        << "registry order is imposed regardless of spec order";
-    EXPECT_EQ(dfg::resolvePatternList(" mul-one , mul-one "),
+        << "registry order is imposed regardless of list order";
+    EXPECT_EQ(enabled({"mul-one", "mul-one"}),
               (std::vector<std::string>{"mul-one"}))
-        << "whitespace is trimmed and duplicates collapse";
-    EXPECT_THROW(dfg::resolvePatternList("csee"), CosmicError)
+        << "duplicates collapse";
+    EXPECT_THROW(enabled({"csee"}), CosmicError)
         << "a misspelled pattern must abort, not silently disable";
-}
-
-TEST(RewriteConfig, EnvOverrideControlsEnabledPatterns)
-{
-    // With only mul-one enabled, the fold stays unfolded.
-    const std::string src = R"(
-        model_input x[1];
-        model w[1];
-        gradient g[1];
-        iterator i[0:1];
-        g[i] = (w[i] * x[i]) * 1 + (2 * 3);
-    )";
-    EnvGuard guard("COSMIC_REWRITE_PATTERNS", "mul-one");
-    compile::PipelineReport report;
-    auto tr = compile::translateSource(src, {}, &report);
-    ASSERT_EQ(report.patternHits.size(), 1u);
-    EXPECT_EQ(report.patternHits[0].name, "mul-one");
-    EXPECT_EQ(report.patternHits[0].hits, 1);
-    // The 2*3 product survives because fold-constants was not enabled.
-    bool has_mul_of_consts = false;
-    for (dfg::NodeId v = 0; v < tr.dfg.size(); ++v) {
-        const auto &n = tr.dfg.node(v);
-        has_mul_of_consts =
-            has_mul_of_consts ||
-            (n.op == dfg::OpKind::Mul &&
-             tr.dfg.node(n.a).op == dfg::OpKind::Const &&
-             tr.dfg.node(n.b).op == dfg::OpKind::Const);
-    }
-    EXPECT_TRUE(has_mul_of_consts);
-}
-
-TEST(RewriteConfig, MisspelledEnvOverrideAborts)
-{
-    EnvGuard guard("COSMIC_REWRITE_PATTERNS", "mul-won");
-    const std::string src = R"(
-        model_input x[1];
-        model w[1];
-        gradient g[1];
-        iterator i[0:1];
-        g[i] = w[i] * x[i];
-    )";
-    EXPECT_THROW(compile::translateSource(src, {}), CosmicError);
 }
 
 TEST(RewriteConfig, EnabledPatternSetEntersBuildCacheKey)
 {
+    // The rewrite budget enters the key: a budget-0 frontend (no
+    // rewrite stage) never hits on an optimized artifact.
     auto &cache = compile::BuildCache::instance();
     auto src = ml::templates::linearRegression(3, 4);
     cache.clear();
     std::shared_ptr<const compile::FrontendArtifact> plain =
         compile::translateCached(src);
-    {
-        EnvGuard guard("COSMIC_REWRITE_PATTERNS", "cse,dead-node-elim");
-        auto filtered = compile::translateCached(src);
-        EXPECT_NE(plain.get(), filtered.get())
-            << "the enabled pattern set must fragment the cache";
-    }
+    auto unoptimized = compile::translateCached(
+        src, compiler::CompileOptions{}.withDfgPasses(false));
+    EXPECT_NE(plain.get(), unoptimized.get())
+        << "the rewrite budget must fragment the cache";
+    EXPECT_NE(plain->report.pass("rewrite"), nullptr);
+    EXPECT_EQ(unoptimized->report.pass("rewrite"), nullptr);
+    EXPECT_LT(plain->translation.dfg.size(),
+              unoptimized->translation.dfg.size());
     auto again = compile::translateCached(src);
     EXPECT_EQ(plain.get(), again.get());
 }

@@ -14,8 +14,7 @@
  *     impossible-resource and invalid-config rejections, counters
  *     that reconcile.
  *  4. The shared BuildCache is safe under same-key races from many
- *     sessions and honors COSMIC_BUILD_CACHE=0 (this binary is also
- *     registered with that environment — see tests/CMakeLists.txt).
+ *     sessions, which all adopt one artifact.
  *  5. The wire front door round-trips jobs faithfully and rejects
  *     malformed submissions instead of guessing.
  *  6. Finished work holds no threads: the scheduler tears a job's
@@ -548,13 +547,10 @@ TEST(Scheduler, ReleasesClusterAtTerminalState)
 
 TEST(BuildCacheConcurrency, SameKeyRaceAdoptsOneWinner)
 {
-    // A (source, options) pair no other test compiles: a distinct
-    // pattern subset changes the frontend key.
+    // A source no other test compiles (stock at scale 62), so the
+    // race starts cold.
     const std::string source =
         ml::Workload::byName("stock").dslSource(62.0);
-    compiler::CompileOptions options;
-    options.rewritePatterns =
-        "pow-expand,mul-one,add-zero,mul-zero,double-neg,dead-node-elim";
 
     const auto before = compile::BuildCache::instance().stats();
     constexpr int kRacers = 8;
@@ -567,7 +563,7 @@ TEST(BuildCacheConcurrency, SameKeyRaceAdoptsOneWinner)
             ++ready;
             while (ready.load() < kRacers) {
             } // start line: maximize the same-key race
-            results[i] = compile::translateCached(source, options);
+            results[i] = compile::translateCached(source);
         });
     }
     for (auto &t : threads)
@@ -576,32 +572,20 @@ TEST(BuildCacheConcurrency, SameKeyRaceAdoptsOneWinner)
 
     for (const auto &r : results)
         ASSERT_NE(r, nullptr);
-    if (compile::BuildCache::enabled()) {
-        // Whoever wins the insert, everyone must adopt one artifact.
-        for (const auto &r : results)
-            EXPECT_EQ(r, results[0]);
-        EXPECT_EQ(after.entries, before.entries + 1);
-        // Stats reconcile: every racer either hit or missed.
-        EXPECT_EQ((after.hits - before.hits) +
-                      (after.misses - before.misses),
-                  kRacers);
-    } else {
-        // COSMIC_BUILD_CACHE=0: each session compiles privately and
-        // the cache stays empty.
-        EXPECT_EQ(after.entries, before.entries);
-        for (int i = 1; i < kRacers; ++i)
-            EXPECT_NE(results[i], results[0]);
-        for (const auto &r : results)
-            EXPECT_EQ(r->translation.modelWords,
-                      results[0]->translation.modelWords);
-    }
+    // Whoever wins the insert, everyone must adopt one artifact.
+    for (const auto &r : results)
+        EXPECT_EQ(r, results[0]);
+    EXPECT_EQ(after.entries, before.entries + 1);
+    // Stats reconcile: every racer either hit or missed.
+    EXPECT_EQ((after.hits - before.hits) + (after.misses - before.misses),
+              kRacers);
 }
 
 TEST(BuildCacheConcurrency, ConcurrentSessionsShareOneFrontend)
 {
     const sys::JobSpec spec = smallJob("texture");
     sys::Session warm(spec);
-    warm.prepare(); // ensure the artifact exists (when caching)
+    warm.prepare(); // ensure the artifact exists
 
     constexpr int kSessions = 4;
     std::vector<std::unique_ptr<sys::Session>> sessions;
@@ -613,14 +597,9 @@ TEST(BuildCacheConcurrency, ConcurrentSessionsShareOneFrontend)
     for (auto &t : threads)
         t.join();
 
-    for (auto &s : sessions) {
-        if (compile::BuildCache::enabled())
-            EXPECT_EQ(&s->translation(), &warm.translation())
-                << "sessions did not share the cached frontend";
-        else
-            EXPECT_NE(&s->translation(), &warm.translation())
-                << "COSMIC_BUILD_CACHE=0 must compile per session";
-    }
+    for (auto &s : sessions)
+        EXPECT_EQ(&s->translation(), &warm.translation())
+            << "sessions did not share the cached frontend";
 }
 
 // ---------------------------------------------------------------------
